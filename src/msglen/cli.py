@@ -19,6 +19,8 @@ Exit codes: 0 success, 1 usage or parse error, 2 data or domain error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 
 import numpy as np
@@ -140,58 +142,54 @@ def _parse_params(sc: _Scanner, family: UPModel):
     return tuple(sc.number_list())
 
 
+# Functions a model expression names without arguments.
+_LIBRARY = {
+    **fn.CTS_LIBRARY,
+    "polar2cartesian": fn.polar2cartesian,
+    "cartesian2polar": fn.cartesian2polar,
+}
+
+
+def _integers(name: str, args: list[float], pos: int) -> list[int]:
+    if not all(a.is_integer() for a in args):
+        raise ModelExprError(f"{name} takes integer arguments", pos=pos)
+    return [int(a) for a in args]
+
+
 def _parse_function(sc: _Scanner, family: UPModel):
+    """The function named in ``.transform(...)``; whether it can transform
+    the family is for ``family.transform`` to check."""
     name = sc.ident()
     args: list[float] = []
     if sc.take("("):
         if not sc.take(")"):
             args = sc.number_list()
             sc.expect(")")
-    if isinstance(family, models.ContinuousFamily):
-        return _cts_function(name, args, sc.pos)
-    if isinstance(family, models.VectorFamily):
-        return _vector_function(name, args, family.dim, sc.pos)
-    if isinstance(family, models.DiscreteFamily):
-        return _discrete_function(name, args, family.lo, family.hi, sc.pos)
-    raise ModelExprError(f"cannot transform {family.name}", pos=sc.pos)
-
-
-def _cts_function(name: str, args: list[float], pos: int) -> fn.Cts2Cts:
-    if name in fn.CTS_LIBRARY:
+    pos = sc.pos
+    if name in _LIBRARY:
         if args:
             raise ModelExprError(f"{name} takes no arguments", pos=pos)
-        return fn.CTS_LIBRARY[name]
+        return _LIBRARY[name]
     if name == "linear":
         if len(args) != 2:
             raise ModelExprError("linear takes (a,b)", pos=pos)
         return fn.linear(args[0], args[1])
-    raise ModelExprError(f"unknown continuous function {name!r}", pos=pos)
-
-
-def _vector_function(name: str, args: list[float], dim: int, pos: int) -> fn.CtsD2CtsD:
-    if name in ("polar2cartesian", "cartesian2polar"):
-        if dim != 2:
-            raise ModelExprError(f"{name} needs a 2-dimensional model", pos=pos)
-        return fn.polar2cartesian if name == "polar2cartesian" else fn.cartesian2polar
     if name == "permute":
-        if sorted(int(a) for a in args) != list(range(dim)):
-            raise ModelExprError(f"permute needs a permutation of 0..{dim - 1}", pos=pos)
-        return fn.ComponentPermutation([int(a) for a in args])
-    raise ModelExprError(f"unknown vector function {name!r}", pos=pos)
-
-
-def _discrete_function(
-    name: str, args: list[float], lo: int, hi: int, pos: int
-) -> fn.DiscreteBijection:
-    if name == "reverse":
+        perm = _integers(name, args, pos)
+        if sorted(perm) != list(range(len(perm))):
+            raise ModelExprError("permute needs a permutation of 0..D-1", pos=pos)
+        return fn.ComponentPermutation(perm)
+    # The permutations of a discrete space take the family's bounds.
+    if name == "reverse" and family.kind == "discrete":
         if args:
             raise ModelExprError("reverse takes no arguments", pos=pos)
-        return fn.ReversePermutation(lo, hi)
-    if name == "rotate":
+        return fn.ReversePermutation(family.lo, family.hi)
+    if name == "rotate" and family.kind == "discrete":
         if len(args) != 1:
             raise ModelExprError("rotate takes (k)", pos=pos)
-        return fn.Rotation(lo, hi, int(args[0]))
-    raise ModelExprError(f"unknown discrete function {name!r}", pos=pos)
+        return fn.Rotation(family.lo, family.hi, _integers(name, args, pos)[0])
+    needed = fn.FUNCTION_CLASS[family.kind].__name__
+    raise ModelExprError(f"unknown function {name!r} ({family.name} needs a {needed})", pos=pos)
 
 
 def parse_model_expr(text: str) -> UPModel | Model:
@@ -240,24 +238,14 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
-def _header(text: str) -> list[str]:
-    first = text.splitlines()[0] if text.splitlines() else ""
-    return [h.strip() for h in first.split(",")] if first else []
-
-
 def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
-    if isinstance(target, (models.DiscreteFamily, models.DiscreteModel)):
-        kind, ncols = "discrete", 1
-    elif isinstance(target, (models.VectorFamily, models.VectorModel)):
-        kind, ncols = "cts", target.dim
-    else:
-        kind, ncols = "cts", 1
-
+    ncols = target.dim if target.kind == "vec" else 1
     aom_cols = list(args.aom_col or [])
     if args.col:
         names = list(args.col)
     else:
-        names = [h for h in _header(text) if h not in aom_cols][:ncols]
+        header = next(csv.reader(io.StringIO(text)), [])
+        names = [h for h in map(str.strip, header) if h not in aom_cols][:ncols]
     if len(names) != ncols:
         raise ModelExprError(
             f"{getattr(target, 'name', target)} needs {ncols} data column(s); "
@@ -268,10 +256,8 @@ def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
 
     specs = []
     for j, name in enumerate(names):
-        if kind == "discrete":
-            lo = getattr(target, "lo", None)
-            hi = getattr(target, "hi", None)
-            specs.append(ColumnSpec(name, kind="discrete", lo=lo, hi=hi))
+        if target.kind == "discrete":
+            specs.append(ColumnSpec(name, kind="discrete", lo=target.lo, hi=target.hi))
         else:
             specs.append(
                 ColumnSpec(
@@ -333,12 +319,20 @@ def cmd_eval(args) -> int:
 
 
 def _sample_header(model: Model) -> list[str]:
-    if isinstance(model, models.VectorModel):
+    if model.kind == "vec":
         d = model.dim
         return [f"x{j + 1}" for j in range(d)] + [f"aom{j + 1}" for j in range(d)]
-    if isinstance(model, models.DiscreteModel):
+    if model.kind == "discrete":
         return ["x"]
     return ["x", "aom"]
+
+
+# One CSV row per drawn datum, by data kind.
+_SAMPLE_ROW = {
+    "cts": lambda d: f"{d.x!r},{d.aom!r}",
+    "vec": lambda d: ",".join(map(repr, d.components + d.aoms)),
+    "discrete": lambda d: str(d.value),
+}
 
 
 def cmd_sample(args) -> int:
@@ -346,16 +340,10 @@ def cmd_sample(args) -> int:
     if args.count < 0:
         raise ModelExprError("count must be non-negative")
     rng = np.random.default_rng(args.seed)
+    row = _SAMPLE_ROW[target.kind]
     print(",".join(_sample_header(target)))
     for _ in range(args.count):
-        d = target.random(rng, aom=args.sample_aom)
-        if isinstance(target, models.VectorModel):
-            cells = [repr(c) for c in d.components] + [repr(a) for a in d.aoms]
-        elif isinstance(target, models.DiscreteModel):
-            cells = [str(d.value)]
-        else:
-            cells = [repr(d.x), repr(d.aom)]
-        print(",".join(cells))
+        print(row(target.random(rng, aom=args.sample_aom)))
     return 0
 
 

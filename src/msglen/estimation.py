@@ -138,38 +138,55 @@ class MultiStatePriors:
 
 
 class Estimator:
-    """Maps datasets of the family's data space to fitted models."""
+    """Maps datasets of the family's data space to fitted models.
 
-    kind = "?"
+    A subclass supplies ``_fit``, the model that minimises the message, and
+    ``_model``, the model for given statistical parameters; each returns a
+    model carrying its msg1.  Both messages then encode the data the same
+    way, so fitted and alternative parameters compare on equal footing.
+    """
 
     def __init__(self, family, ps=None):
         self.family = family
         self.ps = ps
 
-    def estimate(self, ds: DataSet) -> FitResult:
+    def _check(self, ds: DataSet) -> None:
         if len(ds) == 0:
             raise EstimationError("cannot estimate from an empty dataset")
-        if ds.kind != self.kind:
+        if ds.kind != self.family.kind:
             raise EstimationError(
-                f"{self.family.name} estimator needs {self.kind} data, got {ds.kind}"
+                f"{self.family.name} estimator needs {self.family.kind} data, got {ds.kind}"
             )
-        return self._fit(ds)
 
-    def _fit(self, ds: DataSet) -> FitResult:
+    def estimate(self, ds: DataSet) -> FitResult:
+        self._check(ds)
+        try:
+            model = self._fit(ds)
+        except OverflowError:
+            raise EstimationError(
+                f"{self.family.name} cannot fit these data: the fit overflows a float"
+            ) from None
+        return _scored(model, ds)
+
+    def message_length(self, ds: DataSet, sp=()) -> tuple[float, float]:
+        """(msg1, msg2) of stating the given parameters and then the data."""
+        self._check(ds)
+        fit = _scored(self._model(ds, sp), ds)
+        return fit.msg1, fit.msg2
+
+    def _fit(self, ds: DataSet) -> Model:
         raise NotImplementedError
 
-    def message_length(self, ds: DataSet, sp) -> tuple[float, float]:
-        """(msg1, msg2) of stating the given parameters and then the data.
-
-        Uses the same accounting as the fit, so the fitted parameters can
-        be compared against alternatives on equal footing.
-        """
+    def _model(self, ds: DataSet, sp) -> Model:
         raise NotImplementedError
+
+
+def _scored(model: Model, ds: DataSet) -> FitResult:
+    """The model's two-part message for the data: msg2 sums each datum's cost."""
+    return FitResult(model, model.msg1, math.fsum(model.nl_pr(d) for d in ds))
 
 
 class NormalEstimator(Estimator):
-    kind = "cts"
-
     def __init__(self, family, ps: NormalPriors | None = None):
         super().__init__(family, ps or NormalPriors())
 
@@ -195,7 +212,7 @@ class NormalEstimator(Estimator):
         half_log_fisher = 0.5 * math.log(2.0) + math.log(n) - 2.0 * math.log(sigma)
         return max(0.0, neg_log_prior + half_log_fisher + 1.0 + math.log(self.ps.kappa2))
 
-    def _fit(self, ds: DataSet) -> FitResult:
+    def _fit(self, ds: DataSet) -> NormalModel:
         xs = [d.x for d in ds]
         aoms = [d.aom for d in ds]
         n = len(xs)
@@ -207,23 +224,15 @@ class NormalEstimator(Estimator):
         sd = max(sd, (math.fsum(aoms) / n) / math.sqrt(12.0))
         mu_range, s_lo, s_hi = self._resolved_priors(ds)
         sd = min(max(sd, s_lo), s_hi)
-        msg1 = self._msg1(sd, n, mu_range, s_lo, s_hi)
-        model = NormalModel(mean, sd, msg1=msg1)
-        msg2 = math.fsum(model.nl_pr(d) for d in ds)
-        return FitResult(model, msg1, msg2)
+        return NormalModel(mean, sd, msg1=self._msg1(sd, n, mu_range, s_lo, s_hi))
 
-    def message_length(self, ds: DataSet, sp) -> tuple[float, float]:
+    def _model(self, ds: DataSet, sp) -> NormalModel:
         mean, sd = sp
         mu_range, s_lo, s_hi = self._resolved_priors(ds)
-        msg1 = self._msg1(sd, len(ds), mu_range, s_lo, s_hi)
-        model = NormalModel(mean, sd)
-        msg2 = math.fsum(model.nl_pr(d) for d in ds)
-        return msg1, msg2
+        return NormalModel(mean, sd, msg1=self._msg1(sd, len(ds), mu_range, s_lo, s_hi))
 
 
 class MultiStateEstimator(Estimator):
-    kind = "discrete"
-
     def __init__(self, family, ps: MultiStatePriors | None = None):
         super().__init__(family, ps or MultiStatePriors())
 
@@ -246,83 +255,79 @@ class MultiStateEstimator(Estimator):
         cost = 0.5 * (k - 1) * math.log(n / self.ps.lattice_constant) + math.log(volume)
         return max(0.0, cost)
 
-    def _fit(self, ds: DataSet) -> FitResult:
+    def _fit(self, ds: DataSet) -> MultiStateModel:
         counts = self._counts(ds)
         n = len(ds)
         k = self.family.size
         probs = [(c + 0.5) / (n + 0.5 * k) for c in counts]
-        msg1 = self._msg1(n)
-        model = MultiStateModel(self.family.lo, self.family.hi, probs, msg1=msg1)
-        msg2 = math.fsum(model.nl_pr(d) for d in ds)
-        return FitResult(model, msg1, msg2)
+        return self._model(ds, probs)
 
-    def message_length(self, ds: DataSet, sp) -> tuple[float, float]:
-        model = MultiStateModel(self.family.lo, self.family.hi, sp)
-        msg2 = math.fsum(model.nl_pr(d) for d in ds)
-        return self._msg1(len(ds)), msg2
+    def _model(self, ds: DataSet, sp) -> MultiStateModel:
+        return MultiStateModel(self.family.lo, self.family.hi, sp, msg1=self._msg1(len(ds)))
 
 
 class BoundedUniformEstimator(Estimator):
     """Nothing to estimate: the statistical parameters are trivial."""
 
-    kind = "discrete"
+    def _fit(self, ds: DataSet) -> BoundedUniformModel:
+        return BoundedUniformModel(self.family.lo, self.family.hi)
 
-    def _fit(self, ds: DataSet) -> FitResult:
-        model = BoundedUniformModel(self.family.lo, self.family.hi)
-        msg2 = math.fsum(model.nl_pr(d) for d in ds)
-        return FitResult(model, 0.0, msg2)
-
-    def message_length(self, ds: DataSet, sp=()) -> tuple[float, float]:
-        model = BoundedUniformModel(self.family.lo, self.family.hi)
-        return 0.0, math.fsum(model.nl_pr(d) for d in ds)
+    def _model(self, ds: DataSet, sp) -> BoundedUniformModel:
+        return self._fit(ds)
 
 
 class IndependentProductEstimator(Estimator):
     """Fits each component family to its own column of the data."""
 
-    kind = "vec"
-
-    def _fit(self, ds: DataSet) -> FitResult:
-        if ds[0].dim != self.family.dim:
-            raise EstimationError(
-                f"{self.family.name} needs {self.family.dim}-vectors, got {ds[0].dim}"
-            )
-        ps_list = self.ps if self.ps is not None else (None,) * self.family.dim
-        if len(ps_list) != self.family.dim:
-            raise EstimationError(
-                f"{self.family.name} takes {self.family.dim} estimator parameter groups"
-            )
+    def _product(self, ds: DataSet, sp=None) -> IndependentProductModel:
+        """Each component fitted to its column or, given sp, parameterised."""
+        dim = self.family.dim
+        if ds[0].dim != dim:
+            raise EstimationError(f"{self.family.name} needs {dim}-vectors, got {ds[0].dim}")
+        ps_list = self.ps if self.ps is not None else (None,) * dim
+        if len(ps_list) != dim:
+            raise EstimationError(f"{self.family.name} takes {dim} estimator parameter groups")
+        sp = (None,) * dim if sp is None else tuple(sp)
+        if len(sp) != dim:
+            raise ParameterError(f"{self.family.name} takes {dim} parameter groups, got {len(sp)}")
         parts = []
-        msg1 = 0.0
-        msg2 = 0.0
-        for j, (component, ps) in enumerate(zip(self.family.components, ps_list)):
+        for j, (component, ps, s) in enumerate(zip(self.family.components, ps_list, sp)):
             col = DataSet(tuple(CtsDatum(d.components[j], d.aoms[j]) for d in ds))
-            fr = component.estimator(ps).estimate(col)
-            parts.append(fr.model)
-            msg1 += fr.msg1
-            msg2 += fr.msg2
-        model = IndependentProductModel(parts, msg1=msg1, name=self.family.name)
-        return FitResult(model, msg1, msg2)
+            est = component.estimator(ps)
+            parts.append(est._fit(col) if s is None else est._model(col, s))
+        msg1 = sum(p.msg1 for p in parts)
+        return IndependentProductModel(parts, msg1=msg1, name=self.family.name)
+
+    def _fit(self, ds: DataSet) -> IndependentProductModel:
+        return self._product(ds)
+
+    def _model(self, ds: DataSet, sp) -> IndependentProductModel:
+        return self._product(ds, sp)
 
 
 class TransformedEstimator(Estimator):
-    """Maps the data through the family's function, then fits the base family."""
+    """Maps the data through the family's function, then fits the base family.
+
+    Mapping by an invertible function leaves the information content of the
+    data unchanged, so both message parts carry over from the base family's
+    message for the mapped data.
+    """
 
     def __init__(self, family, base_estimator: Estimator, f):
         super().__init__(family, base_estimator.ps)
         self.base_estimator = base_estimator
         self.f = f
-        self.kind = base_estimator.kind
 
     def estimate(self, ds: DataSet) -> FitResult:
-        if len(ds) == 0:
-            raise EstimationError("cannot estimate from an empty dataset")
-        mapped = map_dataset(ds, self.f)
-        base_fit = self.base_estimator.estimate(mapped)
-        model = base_fit.model.transform(self.f)
-        # Mapping by an invertible function leaves the information content
-        # of the data unchanged, so both message parts carry over.
-        return FitResult(model, base_fit.msg1, base_fit.msg2)
+        self._check(ds)
+        base_fit = self.base_estimator.estimate(map_dataset(ds, self.f))
+        return FitResult(base_fit.model.transform(self.f), base_fit.msg1, base_fit.msg2)
 
-    def message_length(self, ds: DataSet, sp) -> tuple[float, float]:
+    def message_length(self, ds: DataSet, sp=()) -> tuple[float, float]:
         return self.base_estimator.message_length(map_dataset(ds, self.f), sp)
+
+    def _fit(self, ds: DataSet) -> Model:
+        return self.base_estimator._fit(map_dataset(ds, self.f)).transform(self.f)
+
+    def _model(self, ds: DataSet, sp) -> Model:
+        return self.base_estimator._model(map_dataset(ds, self.f), sp).transform(self.f)

@@ -55,6 +55,7 @@ __all__ = [
     "polar2cartesian",
     "cartesian2polar",
     "CTS_LIBRARY",
+    "FUNCTION_CLASS",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -539,4 +540,12 @@ def linear(a: float, b: float = 0.0) -> Linear:
 # Zero-argument scalar functions addressable by name (CLI and model expressions).
 CTS_LIBRARY: dict[str, Cts2Cts] = {
     f.name: f for f in (identity, log, exp, inv)
+}
+
+# The function class that maps each data kind ("cts", "vec", "discrete", as
+# in DataSet.kind and the models' ``kind``) and so transforms its models.
+FUNCTION_CLASS: dict[str, type] = {
+    "cts": Cts2Cts,
+    "vec": CtsD2CtsD,
+    "discrete": DiscreteBijection,
 }

@@ -28,8 +28,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, TransformError
-from .functions import Cts2Cts, CtsD2CtsD, DiscreteBijection, Interval
+from .errors import DomainError, MsglenError, ParameterError, TransformError
+from .functions import FUNCTION_CLASS, Interval, _PreimageDomain
 from .values import CtsDatum, DiscreteDatum, VecDatum
 
 __all__ = [
@@ -59,10 +59,27 @@ HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 DEFAULT_SAMPLE_AOM = 1e-6
 
 
-def _checked_inverse(f):
+# What fixes each kind's data space besides the kind itself; a transforming
+# function must agree with the model on every one of these attributes.
+_SPACE_ATTRS = {"cts": (), "vec": ("dim",), "discrete": ("lo", "hi")}
+
+
+def _check_transform(target, f) -> None:
+    """Raise unless f is of target's kind, acts on target's space and is invertible."""
+    expected = FUNCTION_CLASS[target.kind]
+    if not isinstance(f, expected):
+        raise TransformError(
+            f"{target.name} needs a {expected.__name__}, got {type(f).__name__}"
+        )
+    for attr in _SPACE_ATTRS[target.kind]:
+        if getattr(f, attr) != getattr(target, attr):
+            raise TransformError(
+                f"{f.name} has {attr} {getattr(f, attr)}, "
+                f"{target.name} has {attr} {getattr(target, attr)}"
+            )
     try:
-        return f.inverse()
-    except Exception as e:
+        f.inverse()
+    except MsglenError as e:
         raise TransformError(f"transform needs an invertible function: {e}") from e
 
 
@@ -86,7 +103,9 @@ class UPModel:
         raise NotImplementedError
 
     def transform(self, f) -> "UPModel":
-        raise NotImplementedError
+        """The family of this family's models transformed by f."""
+        _check_transform(self, f)
+        return _TRANSFORMED[self.kind][0](self, f)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -94,6 +113,8 @@ class UPModel:
 
 class DiscreteFamily(UPModel):
     """Families over the bounded integer space [lo, hi]."""
+
+    kind = "discrete"
 
     def __init__(self, lo: int, hi: int):
         if lo > hi:
@@ -105,46 +126,18 @@ class DiscreteFamily(UPModel):
     def size(self) -> int:
         return self.hi - self.lo + 1
 
-    def transform(self, f) -> "UPModel":
-        if not isinstance(f, DiscreteBijection):
-            raise TransformError(
-                f"a discrete family needs a DiscreteBijection, got {type(f).__name__}"
-            )
-        if (f.lo, f.hi) != (self.lo, self.hi):
-            raise TransformError(
-                f"bijection on [{f.lo}, {f.hi}] does not match data space "
-                f"[{self.lo}, {self.hi}]"
-            )
-        _checked_inverse(f)
-        return TransformedDiscreteFamily(self, f)
-
 
 class ContinuousFamily(UPModel):
     """Families of scalar continuous data, answering a pdf once parameterised."""
 
-    def transform(self, f) -> "UPModel":
-        if not isinstance(f, Cts2Cts):
-            raise TransformError(
-                f"a continuous family needs a Cts2Cts, got {type(f).__name__}"
-            )
-        _checked_inverse(f)
-        return TransformedContinuousFamily(self, f)
+    kind = "cts"
 
 
 class VectorFamily(UPModel):
     """Families of R^D data."""
 
+    kind = "vec"
     dim = 0
-
-    def transform(self, f) -> "UPModel":
-        if not isinstance(f, CtsD2CtsD):
-            raise TransformError(
-                f"a vector family needs a CtsD2CtsD, got {type(f).__name__}"
-            )
-        if f.dim != self.dim:
-            raise TransformError(f"{f.name} maps R^{f.dim}, family is R^{self.dim}")
-        _checked_inverse(f)
-        return TransformedVectorFamily(self, f)
 
 
 class NormalFamily(ContinuousFamily):
@@ -262,7 +255,9 @@ class Model:
         raise NotImplementedError
 
     def transform(self, f) -> "Model":
-        raise NotImplementedError
+        """This model transformed by f: the same distribution seen through f."""
+        _check_transform(self, f)
+        return _TRANSFORMED[self.kind][1](self, f)
 
     def params(self) -> dict:
         """Statistical parameters, flattened for reporting."""
@@ -274,6 +269,8 @@ class Model:
 
 
 class DiscreteModel(Model):
+    kind = "discrete"
+
     def __init__(self, lo: int, hi: int, msg1: float = 0.0):
         super().__init__(msg1)
         self.lo = int(lo)
@@ -298,20 +295,11 @@ class DiscreteModel(Model):
             raise DomainError(f"{d.value} is outside the data space [{self.lo}, {self.hi}]")
         return self.nl_pr_value(d.value)
 
-    def transform(self, f) -> "Model":
-        if not isinstance(f, DiscreteBijection):
-            raise TransformError(
-                f"a discrete model needs a DiscreteBijection, got {type(f).__name__}"
-            )
-        if (f.lo, f.hi) != (self.lo, self.hi):
-            raise TransformError("bijection bounds do not match the data space")
-        _checked_inverse(f)
-        return TransformedDiscreteModel(self, f)
-
 
 class ContinuousModel(Model):
     """A scalar continuous model, defined by its negative log pdf."""
 
+    kind = "cts"
     support: Interval = Interval()
 
     def nl_pdf(self, x: float) -> float:
@@ -335,16 +323,9 @@ class ContinuousModel(Model):
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> CtsDatum:
         return CtsDatum(self.random_x(rng), aom)
 
-    def transform(self, f) -> "Model":
-        if not isinstance(f, Cts2Cts):
-            raise TransformError(
-                f"a continuous model needs a Cts2Cts, got {type(f).__name__}"
-            )
-        _checked_inverse(f)
-        return TransformedContinuousModel(self, f)
-
 
 class VectorModel(Model):
+    kind = "vec"
     dim = 0
 
     def nl_pdf(self, v) -> float:
@@ -373,16 +354,6 @@ class VectorModel(Model):
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> VecDatum:
         v = self.random_v(rng)
         return VecDatum(tuple(float(x) for x in v), (float(aom),) * self.dim)
-
-    def transform(self, f) -> "Model":
-        if not isinstance(f, CtsD2CtsD):
-            raise TransformError(
-                f"a vector model needs a CtsD2CtsD, got {type(f).__name__}"
-            )
-        if f.dim != self.dim:
-            raise TransformError(f"{f.name} maps R^{f.dim}, model is R^{self.dim}")
-        _checked_inverse(f)
-        return TransformedVectorModel(self, f)
 
 
 class NormalModel(ContinuousModel):
@@ -480,30 +451,15 @@ class IndependentProductModel(VectorModel):
 # ---------------------------------------------------------------------------
 
 
-class _MappedSupport:
-    """Support of a transformed continuous model: the preimage of the base
-    support under f, inside f's domain."""
+class _TransformedFamily(UPModel):
+    """A family whose models are the base family's models transformed by f."""
 
-    __slots__ = ("f", "base_support")
-
-    def __init__(self, f: Cts2Cts, base_support):
-        self.f = f
-        self.base_support = base_support
-
-    def contains(self, x: float) -> bool:
-        if not self.f.domain.contains(x):
-            return False
-        try:
-            return self.base_support.contains(self.f.apply_x(x))
-        except (OverflowError, ValueError):
-            return False
-
-
-class TransformedContinuousFamily(ContinuousFamily):
-    def __init__(self, base: ContinuousFamily, f: Cts2Cts):
+    def __init__(self, base: UPModel, f):
         self.base = base
         self.f = f
         self.name = f"{base.name}.transform({f.name})"
+        for attr in _SPACE_ATTRS[base.kind]:
+            setattr(self, attr, getattr(base, attr))
 
     def parameterise(self, sp) -> "Model":
         return self.base.parameterise(sp).transform(self.f)
@@ -514,48 +470,48 @@ class TransformedContinuousFamily(ContinuousFamily):
         return TransformedEstimator(self, self.base.estimator(ps), self.f)
 
 
-class TransformedVectorFamily(VectorFamily):
-    def __init__(self, base: VectorFamily, f: CtsD2CtsD):
+class TransformedContinuousFamily(_TransformedFamily, ContinuousFamily):
+    """A continuous family transformed by a Cts2Cts."""
+
+
+class TransformedVectorFamily(_TransformedFamily, VectorFamily):
+    """A vector family transformed by a CtsD2CtsD."""
+
+
+class TransformedDiscreteFamily(_TransformedFamily, DiscreteFamily):
+    """A discrete family transformed by a DiscreteBijection."""
+
+
+class _TransformedModel(Model):
+    """The base model seen through f.  Each kind adds its density rule and
+    its draw, which maps a base draw back through f's inverse."""
+
+    def __init__(self, base: Model, f):
+        # Not the kind's own __init__: the space attributes come from base.
+        Model.__init__(self, base.msg1)
         self.base = base
         self.f = f
-        self.dim = base.dim
+        self._f_inv = f.inverse()
         self.name = f"{base.name}.transform({f.name})"
+        for attr in _SPACE_ATTRS[base.kind]:
+            setattr(self, attr, getattr(base, attr))
 
-    def parameterise(self, sp) -> "Model":
-        return self.base.parameterise(sp).transform(self.f)
+    def params(self) -> dict:
+        return self.base.params()
 
-    def estimator(self, ps=None):
-        from .estimation import TransformedEstimator
-
-        return TransformedEstimator(self, self.base.estimator(ps), self.f)
-
-
-class TransformedDiscreteFamily(DiscreteFamily):
-    def __init__(self, base: DiscreteFamily, f: DiscreteBijection):
-        super().__init__(base.lo, base.hi)
-        self.base = base
-        self.f = f
-        self.name = f"{base.name}.transform({f.name})"
-
-    def parameterise(self, sp) -> "Model":
-        return self.base.parameterise(sp).transform(self.f)
-
-    def estimator(self, ps=None):
-        from .estimation import TransformedEstimator
-
-        return TransformedEstimator(self, self.base.estimator(ps), self.f)
+    def _no_preimage(self, draw) -> DomainError:
+        return DomainError(
+            f"{self.name} cannot draw: {self.base.name} drew {draw!r}, "
+            f"which is outside the image of {self.f.name}"
+        )
 
 
-class TransformedContinuousModel(ContinuousModel):
+class TransformedContinuousModel(_TransformedModel, ContinuousModel):
     """pdf(x) = base.pdf(f(x)) * |f'(x)|; random draws map back through f's inverse."""
 
-    def __init__(self, base: ContinuousModel, f: Cts2Cts):
-        super().__init__(msg1=base.msg1)
-        self.base = base
-        self.f = f
-        self._f_inv = _checked_inverse(f)
-        self.name = f"{base.name}.transform({f.name})"
-        self.support = _MappedSupport(f, base.support)
+    def __init__(self, base: ContinuousModel, f):
+        super().__init__(base, f)
+        self.support = _PreimageDomain(f, base.support)
 
     def nl_pdf(self, x: float) -> float:
         if not self.f.domain.contains(x):
@@ -566,22 +522,15 @@ class TransformedContinuousModel(ContinuousModel):
         return self.base.nl_pdf(self.f.apply_x(x)) - math.log(abs(slope))
 
     def random_x(self, rng) -> float:
-        return self._f_inv.apply_x(self.base.random_x(rng))
+        x = self.base.random_x(rng)
+        try:
+            return self._f_inv.apply_x(x)
+        except (ValueError, OverflowError):
+            raise self._no_preimage(x) from None
 
-    def params(self) -> dict:
-        return self.base.params()
 
-
-class TransformedVectorModel(VectorModel):
+class TransformedVectorModel(_TransformedModel, VectorModel):
     """pdf(v) = base.pdf(f(v)) * |det J_f(v)|."""
-
-    def __init__(self, base: VectorModel, f: CtsD2CtsD):
-        super().__init__(msg1=base.msg1)
-        self.base = base
-        self.f = f
-        self._f_inv = _checked_inverse(f)
-        self.dim = base.dim
-        self.name = f"{base.name}.transform({f.name})"
 
     def contains(self, v) -> bool:
         if not self.f.contains(v):
@@ -594,21 +543,15 @@ class TransformedVectorModel(VectorModel):
         return self.base.nl_pdf(self.f.apply_v(v)) + self.f.nl_jacobian_det(v)
 
     def random_v(self, rng) -> np.ndarray:
-        return self._f_inv.apply_v(self.base.random_v(rng))
+        v = self.base.random_v(rng)
+        try:
+            return self._f_inv.apply_v(v)
+        except (ValueError, OverflowError):
+            raise self._no_preimage(tuple(v)) from None
 
-    def params(self) -> dict:
-        return self.base.params()
 
-
-class TransformedDiscreteModel(DiscreteModel):
+class TransformedDiscreteModel(_TransformedModel, DiscreteModel):
     """pr(d) = base.pr(f(d)), exactly."""
-
-    def __init__(self, base: DiscreteModel, f: DiscreteBijection):
-        super().__init__(base.lo, base.hi, msg1=base.msg1)
-        self.base = base
-        self.f = f
-        self._f_inv = _checked_inverse(f)
-        self.name = f"{base.name}.transform({f.name})"
 
     def nl_pr_value(self, k: int) -> float:
         return self.base.nl_pr_value(self.f.apply_i(k))
@@ -616,8 +559,13 @@ class TransformedDiscreteModel(DiscreteModel):
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> DiscreteDatum:
         return self._f_inv.apply(self.base.random(rng))
 
-    def params(self) -> dict:
-        return self.base.params()
+
+# The wrappers of each kind: (transformed family, transformed model).
+_TRANSFORMED = {
+    "cts": (TransformedContinuousFamily, TransformedContinuousModel),
+    "vec": (TransformedVectorFamily, TransformedVectorModel),
+    "discrete": (TransformedDiscreteFamily, TransformedDiscreteModel),
+}
 
 
 # ---------------------------------------------------------------------------

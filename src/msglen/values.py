@@ -316,9 +316,9 @@ def map_dataset(ds: DataSet, f) -> DataSet:
     """
     if len(ds) == 0:
         return DataSet((), ds.schema)
-    from .functions import Cts2Cts, CtsD2CtsD, DiscreteBijection
+    from .functions import FUNCTION_CLASS
 
-    expected = {"cts": Cts2Cts, "vec": CtsD2CtsD, "discrete": DiscreteBijection}[ds.kind]
+    expected = FUNCTION_CLASS[ds.kind]
     if not isinstance(f, expected):
         raise TransformError(
             f"cannot map a {ds.kind} dataset with {type(f).__name__}"

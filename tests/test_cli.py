@@ -70,6 +70,21 @@ class TestModelExpr:
         assert [m.pr_value(k) for k in m.space()] == pytest.approx([0.25] * 4)
         parse_model_expr("multistate:0:5.transform(rotate(2))")
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "uniform:0:3.transform(rotate(1e400))",
+            "uniform:0:3.transform(rotate(1.5))",
+            "rd:normal^2.transform(permute(1e400,0))",
+            "rd:normal^2.transform(permute(1.5,0))",
+        ],
+    )
+    def test_function_arguments_must_be_integers(self, expr, capsys):
+        with pytest.raises(ModelExprError):
+            parse_model_expr(expr)
+        code, _, err = run(["fit", expr, "-"], capsys)
+        assert code == 1 and "integer" in err
+
     def test_errors_carry_position(self):
         with pytest.raises(ModelExprError):
             parse_model_expr("gamma")
@@ -138,6 +153,18 @@ class TestFit:
         assert code == 0
         got = kv(out)
         assert float(got["param.p0"]) == pytest.approx(0.5, rel=1e-12)
+
+    def test_quoted_header(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "q.csv", '"x",aom\n1.5,0.1\n2.5,0.1\n')
+        code, out, _ = run(["fit", "normal", path, "--aom-col", "aom", "--format", "kv"], capsys)
+        assert code == 0
+        assert float(kv(out)["param.mean"]) == pytest.approx(2.0, rel=1e-12)
+
+    def test_extreme_data_is_data_error(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "big.csv", "x,aom\n1e300,1e300\n-1e300,1e300\n")
+        code, out, err = run(["fit", "normal", path, "--aom-col", "aom"], capsys)
+        assert code == 2
+        assert out == "" and len(err.strip().splitlines()) == 1
 
     def test_fit_rejects_parameterised_model(self, tmp_path, capsys):
         path = write_csv(tmp_path, "d.csv", "x\n1\n2\n")
@@ -262,6 +289,12 @@ class TestSample:
             ["sample", "normal(0,1)", "1", "--seed", "0", "--sample-aom", "0.25"], capsys
         )
         assert out.strip().splitlines()[1].split(",")[1] == "0.25"
+
+    def test_draw_without_preimage_is_data_error(self, capsys):
+        # about half the normal draws are <= 0, which log (exp's inverse) rejects
+        code, _, err = run(["sample", "normal(0,1).transform(exp)", "10", "--seed", "0"], capsys)
+        assert code == 2
+        assert "normal.transform(exp)" in err and len(err.strip().splitlines()) == 1
 
     def test_negative_count(self, capsys):
         code, _, _ = run(["sample", "normal(0,1)", "-3"], capsys)

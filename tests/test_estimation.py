@@ -13,6 +13,7 @@ from msglen import (
     EstimationError,
     NormalPriors,
     VecDatum,
+    cartesian2polar,
     exp,
     identity,
     linear,
@@ -160,6 +161,44 @@ class TestIndependentProductEstimator:
             math.fsum(fit.model.nl_pr(d) for d in DataSet(items)), abs=1e-9
         )
         assert fit.msg1 == pytest.approx(c0.msg1 + c1.msg1, abs=1e-12)
+
+
+    @pytest.mark.parametrize("f", [None, cartesian2polar], ids=["plain", "polar"])
+    def test_message_length_of_fitted_params(self, f):
+        rng = np.random.default_rng(7)
+        items = tuple(
+            VecDatum((float(rng.normal(3.0, 1.0)), float(rng.normal(-1.0, 0.5))), (0.01, 0.02))
+            for _ in range(300)
+        )
+        ds = DataSet(items)
+        family = independent_rd([normal, normal])
+        if f is not None:
+            family = family.transform(f)
+        fit = family.estimator().estimate(ds)
+        product = fit.model if f is None else fit.model.base
+        sp = tuple((c.mean, c.sd) for c in product.components)
+        msg1, msg2 = family.estimator().message_length(ds, sp)
+        assert msg1 == pytest.approx(fit.msg1, abs=1e-9)
+        assert msg2 == pytest.approx(fit.msg2, abs=1e-9)
+
+
+    def test_transformed_component(self):
+        # a log-normal column fits as a normal column of the logs
+        rng = np.random.default_rng(8)
+        raw, logged = [], []
+        for _ in range(200):
+            x, y = math.exp(float(rng.normal(0.5, 0.8))), float(rng.normal(-1.0, 0.5))
+            raw.append(VecDatum((x, y), (0.001, 0.01)))
+            logged.append(VecDatum((math.log(x), y), (0.001 / x, 0.01)))
+        family = independent_rd([normal.transform(log), normal])
+        fit = family.estimator().estimate(DataSet(tuple(raw)))
+        plain = independent_rd([normal, normal]).estimator().estimate(DataSet(tuple(logged)))
+        assert fit.msg1 == pytest.approx(plain.msg1, abs=1e-9)
+        assert fit.msg2 == pytest.approx(plain.msg2, abs=1e-9)
+        log_normal, plain_normal = fit.model.components
+        sp = ((log_normal.base.mean, log_normal.base.sd), (plain_normal.mean, plain_normal.sd))
+        msg1, msg2 = family.estimator().message_length(DataSet(tuple(raw)), sp)
+        assert (msg1, msg2) == pytest.approx((fit.msg1, fit.msg2), abs=1e-9)
 
 
 class TestTransformedEstimator:

@@ -23,6 +23,7 @@ from msglen import (
     log,
     polar2cartesian,
 )
+from msglen.functions import Cts2Cts
 from msglen.models import (
     bounded_uniform,
     independent_rd,
@@ -246,6 +247,34 @@ class TestTransform:
         t = normal.transform(log)((0.25, 1.5))
         t_draws = [t.random(np.random.default_rng(seed)).x for _ in range(1)]
         assert t_draws[0] == pytest.approx(math.exp(draws[0]), rel=1e-12)
+
+
+class _NoInverse(Cts2Cts):
+    name = "halve"
+
+    def apply_x(self, x):
+        return 0.5 * x
+
+    def d_dx(self, x):
+        return 0.5
+
+
+# (family, its parameters, a function that must not transform it)
+BAD_TRANSFORMS = {
+    "wrong kind": (normal, (0, 1), polar2cartesian),
+    "wrong dim": (independent_rd([normal] * 3), ((0, 1),) * 3, cartesian2polar),
+    "wrong bounds": (multistate(0, 3), (0.1, 0.2, 0.3, 0.4), ReversePermutation(0, 2)),
+    "no inverse": (normal, (0, 1), _NoInverse()),
+}
+
+
+@pytest.mark.parametrize("stage", ["family", "model"])
+@pytest.mark.parametrize("case", sorted(BAD_TRANSFORMS))
+def test_transform_rejects(case, stage):
+    family, sp, f = BAD_TRANSFORMS[case]
+    target = family if stage == "family" else family(sp)
+    with pytest.raises(TransformError):
+        target.transform(f)
 
 
 class TestDiscreteTransform:
