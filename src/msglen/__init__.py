@@ -30,7 +30,6 @@ from .errors import (
 )
 from .estimation import (
     FitResult,
-    MultiStatePriors,
     NormalPriors,
 )
 from .functions import (
@@ -100,7 +99,6 @@ __all__ = [
     # estimation
     "FitResult",
     "NormalPriors",
-    "MultiStatePriors",
     # errors
     "MsglenError",
     "InvalidDatumError",

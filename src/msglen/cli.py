@@ -29,7 +29,7 @@ from . import functions as fn
 from . import models
 from .checks import SUITES
 from .errors import ModelExprError, MsglenError
-from .estimation import LN_2
+from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
 from .values import ColumnSpec, dataset_from_csv
 
@@ -303,12 +303,8 @@ def cmd_eval(args) -> int:
     text = _read_source(args.csv)
     ds = dataset_from_csv(text, _build_schema(args, target, text))
     scale = 1.0 / LN_2 if args.bits else 1.0
-    pairs: list[tuple[str, object]] = []
-    total = 0.0
-    for i, d in enumerate(ds):
-        nl = target.nl_pr(d)
-        total += nl
-        pairs.append((f"nlpr.{i}", nl * scale))
+    costs, total = data_costs(target, ds)
+    pairs: list[tuple[str, object]] = [(f"nlpr.{i}", nl * scale) for i, nl in enumerate(costs)]
     pairs += [
         ("count", len(ds)),
         ("total", total * scale),
@@ -341,9 +337,11 @@ def cmd_sample(args) -> int:
         raise ModelExprError("count must be non-negative")
     rng = np.random.default_rng(args.seed)
     row = _SAMPLE_ROW[target.kind]
-    print(",".join(_sample_header(target)))
-    for _ in range(args.count):
-        print(row(target.random(rng, aom=args.sample_aom)))
+    # Every draw is made before any row is written, so a failed draw
+    # leaves stdout empty rather than holding a truncated sample.
+    rows = [",".join(_sample_header(target))]
+    rows += [row(target.random(rng, aom=args.sample_aom)) for _ in range(args.count)]
+    sys.stdout.write("\n".join(rows) + "\n")
     return 0
 
 

@@ -39,9 +39,9 @@ from .values import CtsDatum, DataSet, map_dataset
 __all__ = [
     "LN_2",
     "KAPPA_2",
+    "MULTISTATE_LATTICE_CONSTANT",
     "FitResult",
     "NormalPriors",
-    "MultiStatePriors",
     "Estimator",
     "NormalEstimator",
     "MultiStateEstimator",
@@ -54,6 +54,10 @@ LN_2 = math.log(2.0)
 
 # Optimal two-dimensional quantising lattice constant, 5 / (36 sqrt 3).
 KAPPA_2 = 5.0 / (36.0 * math.sqrt(3.0))
+
+# The multistate statement cost is ((k-1)/2) ln(N / MULTISTATE_LATTICE_CONSTANT)
+# plus the log volume sqrt(k) / (k-1)! of the probability simplex.
+MULTISTATE_LATTICE_CONSTANT = 12.0
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,6 @@ class NormalPriors:
 
     mu_range: float | None = None
     sigma_bounds: tuple[float, float] | None = None
-    kappa2: float = KAPPA_2
 
     def __post_init__(self) -> None:
         if self.mu_range is not None and self.mu_range <= 0:
@@ -122,19 +125,6 @@ class NormalPriors:
             lo, hi = self.sigma_bounds
             if not (0 < lo < hi):
                 raise ParameterError("sigma_bounds must satisfy 0 < lo < hi")
-
-
-@dataclass(frozen=True)
-class MultiStatePriors:
-    """Constants of the multistate statement cost.
-
-    The cost is ((k-1)/2) ln(N / lattice_constant) plus the log volume of
-    the probability simplex; the default volume for k states is
-    sqrt(k) / (k-1)!.
-    """
-
-    lattice_constant: float = 12.0
-    simplex_volume: float | None = None
 
 
 class Estimator:
@@ -181,9 +171,15 @@ class Estimator:
         raise NotImplementedError
 
 
+def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
+    """Each datum's cost under the model, in nits, and their total, msg2."""
+    costs = [model.nl_pr(d) for d in ds]
+    return costs, math.fsum(costs)
+
+
 def _scored(model: Model, ds: DataSet) -> FitResult:
-    """The model's two-part message for the data: msg2 sums each datum's cost."""
-    return FitResult(model, model.msg1, math.fsum(model.nl_pr(d) for d in ds))
+    """The model's two-part message for the data."""
+    return FitResult(model, model.msg1, data_costs(model, ds)[1])
 
 
 class NormalEstimator(Estimator):
@@ -210,7 +206,7 @@ class NormalEstimator(Estimator):
             math.log(mu_range) + math.log(sigma) + math.log(math.log(s_hi / s_lo))
         )
         half_log_fisher = 0.5 * math.log(2.0) + math.log(n) - 2.0 * math.log(sigma)
-        return max(0.0, neg_log_prior + half_log_fisher + 1.0 + math.log(self.ps.kappa2))
+        return max(0.0, neg_log_prior + half_log_fisher + 1.0 + math.log(KAPPA_2))
 
     def _fit(self, ds: DataSet) -> NormalModel:
         xs = [d.x for d in ds]
@@ -233,9 +229,6 @@ class NormalEstimator(Estimator):
 
 
 class MultiStateEstimator(Estimator):
-    def __init__(self, family, ps: MultiStatePriors | None = None):
-        super().__init__(family, ps or MultiStatePriors())
-
     def _counts(self, ds: DataSet) -> list[int]:
         lo, hi = self.family.lo, self.family.hi
         counts = [0] * (hi - lo + 1)
@@ -249,10 +242,8 @@ class MultiStateEstimator(Estimator):
         k = self.family.size
         if k == 1:
             return 0.0
-        volume = self.ps.simplex_volume
-        if volume is None:
-            volume = math.sqrt(k) / math.factorial(k - 1)
-        cost = 0.5 * (k - 1) * math.log(n / self.ps.lattice_constant) + math.log(volume)
+        volume = math.sqrt(k) / math.factorial(k - 1)
+        cost = 0.5 * (k - 1) * math.log(n / MULTISTATE_LATTICE_CONSTANT) + math.log(volume)
         return max(0.0, cost)
 
     def _fit(self, ds: DataSet) -> MultiStateModel:

@@ -15,6 +15,12 @@ Three kinds of function can transform data and models:
 * ``DiscreteBijection``: a permutation of a bounded integer space, or a
   pairing with another space of the same size.
 
+All three share the protocol that transformed models are built on:
+``contains(value)`` (is the value in the function's domain), ``f(value)``
+(the map itself), ``nl_jacobian_det(value)`` (-ln |det J|, which is
+-ln |f'(x)| for a scalar map and 0 for a bijection of integers) and
+``inverse()``.
+
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
 """
@@ -101,7 +107,12 @@ class Domain:
         self.intervals = intervals
 
     def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
+        # A plain loop: this runs on every scored datum, and any() over a
+        # generator costs more than the interval test itself.
+        for iv in self.intervals:
+            if iv.contains(x):
+                return True
+        return False
 
     def sample(self, rng) -> float:
         iv = self.intervals[int(rng.integers(len(self.intervals)))]
@@ -160,22 +171,42 @@ class Cts2Cts:
     def inverse(self) -> "Cts2Cts":
         raise NotInvertibleError(f"{self.name} declares no inverse")
 
+    def contains(self, x: float) -> bool:
+        return self.domain.contains(x)
+
     def __call__(self, x: float) -> float:
         return self.apply_x(x)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
-    def apply(self, d: CtsDatum) -> CtsDatum:
-        """Map a measured datum; the AoM scales by |f'(x)|."""
-        if not self.domain.contains(d.x):
-            raise DomainError(f"{d.x!r} is outside the domain of {self.name}")
-        slope = self.d_dx(d.x)
+    def _slope(self, x: float) -> float:
+        """f'(x) for x in the domain; a zero, non-finite or overflowing
+        slope would collapse or blow up the measure, so it is rejected."""
+        if not self.domain.contains(x):
+            raise DomainError(f"{x!r} is outside the domain of {self.name}")
+        try:
+            slope = self.d_dx(x)
+        except OverflowError:
+            slope = math.inf
         if slope == 0.0 or not math.isfinite(slope):
             raise DegenerateTransformError(
-                f"{self.name} has derivative {slope!r} at {d.x!r}; AoM would collapse"
+                f"{self.name} has derivative {slope!r} at {x!r}; the AoM cannot scale by it"
             )
-        return CtsDatum(self.apply_x(d.x), d.aom * abs(slope))
+        return slope
+
+    def nl_jacobian_det(self, x: float) -> float:
+        """-ln |f'(x)|, in nits: the 1 x 1 case of the vector maps' rule."""
+        return -math.log(abs(self._slope(x)))
+
+    def apply(self, d: CtsDatum) -> CtsDatum:
+        """Map a measured datum; the AoM scales by |f'(x)|."""
+        slope = self._slope(d.x)
+        try:
+            y = self.apply_x(d.x)
+        except OverflowError:
+            raise DomainError(f"{self.name}({d.x!r}) overflows a float") from None
+        return CtsDatum(y, d.aom * abs(slope))
 
 
 class Identity(Cts2Cts):
@@ -414,7 +445,7 @@ class Componentwise(CtsD2CtsD):
         self.name = f"componentwise({','.join(p.name for p in parts)})"
 
     def contains(self, v) -> bool:
-        return all(p.domain.contains(float(x)) for p, x in zip(self.parts, v))
+        return all(p.contains(float(x)) for p, x in zip(self.parts, v))
 
     def apply_v(self, v) -> np.ndarray:
         return np.array([p.apply_x(float(x)) for p, x in zip(self.parts, v)])
@@ -423,13 +454,7 @@ class Componentwise(CtsD2CtsD):
         return np.diag([p.d_dx(float(x)) for p, x in zip(self.parts, v)])
 
     def nl_jacobian_det(self, v) -> float:
-        total = 0.0
-        for p, x in zip(self.parts, v):
-            slope = p.d_dx(float(x))
-            if slope == 0.0:
-                raise DegenerateTransformError(f"{p.name} has zero derivative at {x}")
-            total -= math.log(abs(slope))
-        return total
+        return math.fsum(p.nl_jacobian_det(float(x)) for p, x in zip(self.parts, v))
 
     def inverse(self) -> CtsD2CtsD:
         return Componentwise([p.inverse() for p in self.parts])
@@ -487,11 +512,18 @@ class DiscreteBijection:
     def inverse(self) -> "DiscreteBijection":
         raise NotInvertibleError(f"{self.name} declares no inverse")
 
+    def contains(self, k: int) -> bool:
+        return self.lo <= k <= self.hi
+
+    def nl_jacobian_det(self, k: int) -> float:
+        """A bijection of integers moves no probability mass: 0 nits."""
+        return 0.0
+
     def __call__(self, k: int) -> int:
         return self.apply_i(k)
 
     def apply(self, d: DiscreteDatum) -> DiscreteDatum:
-        if not self.lo <= d.value <= self.hi:
+        if not self.contains(d.value):
             raise DomainError(f"{d.value} is outside [{self.lo}, {self.hi}]")
         return DiscreteDatum(self.apply_i(d.value))
 

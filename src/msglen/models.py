@@ -8,14 +8,21 @@ and it can hand out an estimator that fits those parameters to data.  A
 parameterised model answers ``pr``/``nl_pr`` for data from its space and
 can draw random data.
 
+Every parameterised model answers the same value-level questions, for a
+bare value of its data space (a float, a D-vector or an integer):
+``contains(v)``, ``nl_pdf(v)`` (the negative log density, or probability
+for discrete data) and ``random_v(rng)``; ``pdf`` is defined once from
+them, and ``nl_pr``/``random`` wrap them for measured data.
+
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
 transformed continuous family is still a continuous family with a pdf.
-The density rules are
+One rule serves every kind, because each function class supplies its
+domain, its map, its -ln |Jacobian| (-ln |f'(x)| for a scalar map, 0 for
+a bijection of integers) and its inverse:
 
-* scalar:  pdf_mf(x) = pdf_m(f(x)) * |f'(x)|
-* vector:  pdf_mf(v) = pdf_m(f(v)) * |det J_f(v)|
-* discrete: pr_mf(d) = pr_m(f(d))
+    contains_mf(v) = f.contains(v) and contains_m(f(v))
+    nl_pdf_mf(v)   = nl_pdf_m(f(v)) + f.nl_jacobian_det(v)
 
 and a transformed model draws random data by drawing from the base model
 and applying f's inverse.  All density arithmetic is carried out on
@@ -29,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
-from .functions import FUNCTION_CLASS, Interval, _PreimageDomain
+from .functions import FUNCTION_CLASS
 from .values import CtsDatum, DiscreteDatum, VecDatum
 
 __all__ = [
@@ -244,6 +251,23 @@ class Model:
     def __init__(self, msg1: float = 0.0):
         self.msg1 = float(msg1)
 
+    def contains(self, v) -> bool:
+        """Whether the value v lies in the model's support."""
+        raise NotImplementedError
+
+    def nl_pdf(self, v) -> float:
+        """-ln of the density at v (the probability, for discrete data), in nits."""
+        raise NotImplementedError
+
+    def random_v(self, rng):
+        """One random value of the data space, without an AoM."""
+        raise NotImplementedError
+
+    def pdf(self, v) -> float:
+        if not self.contains(v):
+            raise DomainError(f"{v!r} is outside the support of {self.name}")
+        return math.exp(-self.nl_pdf(v))
+
     def nl_pr(self, d) -> float:
         """Negative log probability of a datum, in nits."""
         raise NotImplementedError
@@ -283,73 +307,50 @@ class DiscreteModel(Model):
     def space(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def nl_pr_value(self, k: int) -> float:
-        raise NotImplementedError
+    def contains(self, k: int) -> bool:
+        return self.lo <= k <= self.hi
 
-    def pr_value(self, k: int) -> float:
-        nl = self.nl_pr_value(k)
-        return 0.0 if nl == math.inf else math.exp(-nl)
+    pr_value = Model.pdf
 
     def nl_pr(self, d: DiscreteDatum) -> float:
-        if not self.lo <= d.value <= self.hi:
+        if not self.contains(d.value):
             raise DomainError(f"{d.value} is outside the data space [{self.lo}, {self.hi}]")
-        return self.nl_pr_value(d.value)
+        return self.nl_pdf(d.value)
+
+    def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> DiscreteDatum:
+        return DiscreteDatum(self.random_v(rng))
 
 
 class ContinuousModel(Model):
     """A scalar continuous model, defined by its negative log pdf."""
 
     kind = "cts"
-    support: Interval = Interval()
 
-    def nl_pdf(self, x: float) -> float:
-        raise NotImplementedError
-
-    def pdf(self, x: float) -> float:
-        if not self.support.contains(x):
-            raise DomainError(f"{x!r} is outside the support of {self.name}")
-        return math.exp(-self.nl_pdf(x))
+    def contains(self, x: float) -> bool:
+        return math.isfinite(x)
 
     def nl_pr(self, d: CtsDatum) -> float:
         # pr(x +- aom/2) ~= aom * pdf(x) for small AoM, so the cost is
         # nl_pdf(x) - ln(aom).
-        if not self.support.contains(d.x):
+        if not self.contains(d.x):
             raise DomainError(f"{d.x!r} is outside the support of {self.name}")
         return self.nl_pdf(d.x) - math.log(d.aom)
 
-    def random_x(self, rng) -> float:
-        raise NotImplementedError
-
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> CtsDatum:
-        return CtsDatum(self.random_x(rng), aom)
+        return CtsDatum(self.random_v(rng), aom)
 
 
 class VectorModel(Model):
     kind = "vec"
     dim = 0
 
-    def nl_pdf(self, v) -> float:
-        raise NotImplementedError
-
-    def contains(self, v) -> bool:
-        return True
-
-    def pdf(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        if not self.contains(v):
-            raise DomainError(f"{tuple(v)} is outside the support of {self.name}")
-        return math.exp(-self.nl_pdf(v))
-
     def nl_pr(self, d: VecDatum) -> float:
         if d.dim != self.dim:
             raise DomainError(f"{self.name} models R^{self.dim}, got a {d.dim}-vector")
-        v = np.asarray(d.components, dtype=float)
+        v = d.components
         if not self.contains(v):
-            raise DomainError(f"{d.components} is outside the support of {self.name}")
+            raise DomainError(f"{v} is outside the support of {self.name}")
         return self.nl_pdf(v) - math.fsum(math.log(a) for a in d.aoms)
-
-    def random_v(self, rng) -> np.ndarray:
-        raise NotImplementedError
 
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> VecDatum:
         v = self.random_v(rng)
@@ -370,7 +371,7 @@ class NormalModel(ContinuousModel):
         z = (x - self.mean) / self.sd
         return HALF_LN_TWO_PI + math.log(self.sd) + 0.5 * z * z
 
-    def random_x(self, rng) -> float:
+    def random_v(self, rng) -> float:
         return float(rng.normal(self.mean, self.sd))
 
     def params(self) -> dict:
@@ -383,11 +384,11 @@ class BoundedUniformModel(DiscreteModel):
         self.name = f"uniform:{self.lo}:{self.hi}"
         self._nl = math.log(self.size)
 
-    def nl_pr_value(self, k: int) -> float:
+    def nl_pdf(self, k: int) -> float:
         return self._nl
 
-    def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> DiscreteDatum:
-        return DiscreteDatum(int(rng.integers(self.lo, self.hi + 1)))
+    def random_v(self, rng) -> int:
+        return int(rng.integers(self.lo, self.hi + 1))
 
 
 class MultiStateModel(DiscreteModel):
@@ -410,13 +411,13 @@ class MultiStateModel(DiscreteModel):
         self.probs = probs
         self._cum = np.cumsum(probs)
 
-    def nl_pr_value(self, k: int) -> float:
+    def nl_pdf(self, k: int) -> float:
         p = self.probs[k - self.lo]
         return math.inf if p == 0.0 else -math.log(p)
 
-    def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> DiscreteDatum:
+    def random_v(self, rng) -> int:
         u = float(rng.random())
-        return DiscreteDatum(self.lo + int(np.searchsorted(self._cum, u)))
+        return self.lo + int(np.searchsorted(self._cum, u))
 
     def params(self) -> dict:
         return {f"p{k}": p for k, p in zip(self.space(), self.probs)}
@@ -430,13 +431,13 @@ class IndependentProductModel(VectorModel):
         self.name = name or f"rd:({','.join(c.name for c in self.components)})"
 
     def contains(self, v) -> bool:
-        return all(c.support.contains(float(x)) for c, x in zip(self.components, v))
+        return all(c.contains(float(x)) for c, x in zip(self.components, v))
 
     def nl_pdf(self, v) -> float:
         return math.fsum(c.nl_pdf(float(x)) for c, x in zip(self.components, v))
 
     def random_v(self, rng) -> np.ndarray:
-        return np.array([c.random_x(rng) for c in self.components])
+        return np.array([c.random_v(rng) for c in self.components])
 
     def params(self) -> dict:
         out = {}
@@ -483,8 +484,8 @@ class TransformedDiscreteFamily(_TransformedFamily, DiscreteFamily):
 
 
 class _TransformedModel(Model):
-    """The base model seen through f.  Each kind adds its density rule and
-    its draw, which maps a base draw back through f's inverse."""
+    """The base model seen through f, by the one rule of every kind: f
+    supplies the domain, the map, -ln |Jacobian| and the inverse."""
 
     def __init__(self, base: Model, f):
         # Not the kind's own __init__: the space attributes come from base.
@@ -499,65 +500,38 @@ class _TransformedModel(Model):
     def params(self) -> dict:
         return self.base.params()
 
-    def _no_preimage(self, draw) -> DomainError:
-        return DomainError(
-            f"{self.name} cannot draw: {self.base.name} drew {draw!r}, "
-            f"which is outside the image of {self.f.name}"
-        )
-
-
-class TransformedContinuousModel(_TransformedModel, ContinuousModel):
-    """pdf(x) = base.pdf(f(x)) * |f'(x)|; random draws map back through f's inverse."""
-
-    def __init__(self, base: ContinuousModel, f):
-        super().__init__(base, f)
-        self.support = _PreimageDomain(f, base.support)
-
-    def nl_pdf(self, x: float) -> float:
-        if not self.f.domain.contains(x):
-            raise DomainError(f"{x!r} is outside the domain of {self.f.name}")
-        slope = self.f.d_dx(x)
-        if slope == 0.0:
-            raise DomainError(f"{self.f.name} has zero derivative at {x!r}")
-        return self.base.nl_pdf(self.f.apply_x(x)) - math.log(abs(slope))
-
-    def random_x(self, rng) -> float:
-        x = self.base.random_x(rng)
-        try:
-            return self._f_inv.apply_x(x)
-        except (ValueError, OverflowError):
-            raise self._no_preimage(x) from None
-
-
-class TransformedVectorModel(_TransformedModel, VectorModel):
-    """pdf(v) = base.pdf(f(v)) * |det J_f(v)|."""
-
     def contains(self, v) -> bool:
         if not self.f.contains(v):
             return False
-        return self.base.contains(self.f.apply_v(v))
+        try:
+            return self.base.contains(self.f(v))
+        except (ValueError, OverflowError):
+            return False
 
     def nl_pdf(self, v) -> float:
-        if not self.f.contains(v):
-            raise DomainError(f"{tuple(v)} is outside the domain of {self.f.name}")
-        return self.base.nl_pdf(self.f.apply_v(v)) + self.f.nl_jacobian_det(v)
+        return self.base.nl_pdf(self.f(v)) + self.f.nl_jacobian_det(v)
 
-    def random_v(self, rng) -> np.ndarray:
+    def random_v(self, rng):
         v = self.base.random_v(rng)
         try:
-            return self._f_inv.apply_v(v)
+            return self._f_inv(v)
         except (ValueError, OverflowError):
-            raise self._no_preimage(tuple(v)) from None
+            raise DomainError(
+                f"{self.name} cannot draw: {self.base.name} drew {v!r}, "
+                f"which is outside the image of {self.f.name}"
+            ) from None
+
+
+class TransformedContinuousModel(_TransformedModel, ContinuousModel):
+    """A continuous model transformed by a Cts2Cts."""
+
+
+class TransformedVectorModel(_TransformedModel, VectorModel):
+    """A vector model transformed by a CtsD2CtsD."""
 
 
 class TransformedDiscreteModel(_TransformedModel, DiscreteModel):
-    """pr(d) = base.pr(f(d)), exactly."""
-
-    def nl_pr_value(self, k: int) -> float:
-        return self.base.nl_pr_value(self.f.apply_i(k))
-
-    def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> DiscreteDatum:
-        return self._f_inv.apply(self.base.random(rng))
+    """A discrete model transformed by a DiscreteBijection."""
 
 
 # The wrappers of each kind: (transformed family, transformed model).

@@ -166,6 +166,12 @@ class TestFit:
         assert code == 2
         assert out == "" and len(err.strip().splitlines()) == 1
 
+    def test_overflowing_map_is_data_error(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "big.csv", "x\n1000\n1001\n")
+        code, out, err = run(["fit", "normal.transform(exp)", path], capsys)
+        assert code == 2
+        assert out == "" and len(err.strip().splitlines()) == 1
+
     def test_fit_rejects_parameterised_model(self, tmp_path, capsys):
         path = write_csv(tmp_path, "d.csv", "x\n1\n2\n")
         code, _, err = run(["fit", "normal(0,1)", path], capsys)
@@ -243,6 +249,17 @@ class TestEval:
         )
         assert code == 2
 
+    def test_total_matches_fit_msg2(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        rows = "".join(f"{float(x)!r},0.001\n" for x in rng.normal(3.0, 2.0, 5000))
+        path = write_csv(tmp_path, "d.csv", "x,err\n" + rows)
+        _, out, _ = run(["fit", "normal", path, "--aom-col", "err", "--format", "kv"], capsys)
+        fit = kv(out)
+        model = f"normal({fit['param.mean']},{fit['param.sd']})"
+        code, out, _ = run(["eval", model, path, "--aom-col", "err", "--format", "kv"], capsys)
+        assert code == 0
+        assert kv(out)["total"] == fit["msg2"]
+
 
 class TestSample:
     def test_deterministic_under_seed(self, capsys):
@@ -295,6 +312,11 @@ class TestSample:
         code, _, err = run(["sample", "normal(0,1).transform(exp)", "10", "--seed", "0"], capsys)
         assert code == 2
         assert "normal.transform(exp)" in err and len(err.strip().splitlines()) == 1
+
+    def test_failed_draw_writes_no_rows(self, capsys):
+        code, out, _ = run(["sample", "normal(0,1).transform(exp)", "10", "--seed", "0"], capsys)
+        assert code == 2
+        assert out == ""
 
     def test_negative_count(self, capsys):
         code, _, _ = run(["sample", "normal(0,1)", "-3"], capsys)

@@ -23,7 +23,7 @@ from msglen import (
     log,
     polar2cartesian,
 )
-from msglen.functions import Cts2Cts
+from msglen.functions import ComponentPermutation, Componentwise, Cts2Cts, inv
 from msglen.models import (
     bounded_uniform,
     independent_rd,
@@ -275,6 +275,39 @@ def test_transform_rejects(case, stage):
     target = family if stage == "family" else family(sp)
     with pytest.raises(TransformError):
         target.transform(f)
+
+
+_PLANE = independent_rd([normal, normal])(((0.5, 1.0), (1.0, 2.0)))
+_STATES = multistate(0, 3)((0.1, 0.2, 0.3, 0.4))
+
+# (model, function, datum in the function's domain): one case per function
+# class member the transform wrapper must serve.
+TRANSFORM_IDENTITY_CASES = {
+    "normal log": (normal((0.3, 1.2)), log, CtsDatum(1.7, 0.01)),
+    "normal exp": (normal((0.3, 1.2)), exp, CtsDatum(-0.4, 0.02)),
+    "normal inv": (normal((0.3, 1.2)), inv, CtsDatum(-2.5, 0.001)),
+    "normal linear": (normal((0.3, 1.2)), linear(2.0, -1.0), CtsDatum(0.8, 0.05)),
+    "normal compose": (normal((0.3, 1.2)), compose(log, linear(2.0, 3.0)), CtsDatum(1.1, 0.01)),
+    "plane polar2cartesian": (_PLANE, polar2cartesian, VecDatum((1.3, 0.7), (0.01, 0.02))),
+    "plane cartesian2polar": (_PLANE, cartesian2polar, VecDatum((0.4, -1.1), (0.01, 0.02))),
+    "plane componentwise": (_PLANE, Componentwise([log, exp]), VecDatum((1.3, 0.2), (0.01, 0.02))),
+    "plane permute": (_PLANE, ComponentPermutation([1, 0]), VecDatum((0.4, -1.1), (0.01, 0.02))),
+    "multistate reverse": (_STATES, ReversePermutation(0, 3), DiscreteDatum(1)),
+    "multistate rotate": (_STATES, Rotation(0, 3, 1), DiscreteDatum(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORM_IDENTITY_CASES))
+def test_transformed_cost_is_cost_of_mapped_datum(case):
+    # The wrapper's density rule agrees with the function's AoM propagation.
+    m, f, d = TRANSFORM_IDENTITY_CASES[case]
+    assert abs(m.transform(f).nl_pr(d) - m.nl_pr(f.apply(d))) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_pr_value_outside_space_rejected(k):
+    with pytest.raises(DomainError):
+        multistate(0, 3)((0.1, 0.2, 0.3, 0.4)).pr_value(k)
 
 
 class TestDiscreteTransform:
