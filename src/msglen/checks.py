@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import functions as fn
 from . import models
@@ -168,6 +167,10 @@ def _jacobian_fd_error(f, v: np.ndarray) -> float:
 def check_normalize() -> list[CheckResult]:
     """Transformed densities still integrate to one; permuted discrete
     probabilities still sum to one."""
+    # Imported here, not at module level: this suite is scipy's only user,
+    # and a cold ``msglen fit``/``eval``/``sample`` should not pay for it.
+    from scipy import integrate
+
     out = []
     log_normal = models.normal.transform(fn.log).parameterise((0.0, 1.0))
     mass, _ = integrate.quad(

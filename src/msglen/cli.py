@@ -22,13 +22,15 @@ import argparse
 import csv
 import io
 import sys
+from collections.abc import Iterable
+from itertools import chain, islice
 
 import numpy as np
 
 from . import functions as fn
 from . import models
 from .checks import SUITES
-from .errors import ModelExprError, MsglenError
+from .errors import CsvError, ModelExprError, MsglenError
 from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
 from .values import ColumnSpec, dataset_from_csv
@@ -232,10 +234,17 @@ def _require_model(target: UPModel | Model) -> Model:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return handle.read()
+    """The whole CSV text of a path, or of stdin for ``-``."""
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except OSError as e:
+        raise CsvError(f"cannot read {name}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise CsvError(f"cannot read {name}: not UTF-8 text (byte {e.start})") from e
 
 
 def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
@@ -275,13 +284,22 @@ def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(pairs: list[tuple[str, object]], fmt: str) -> None:
-    for key, value in pairs:
-        if fmt == "kv":
-            print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
-        else:
-            text = f"{value:.12g}" if isinstance(value, float) else str(value)
-            print(f"{key}: {text}")
+# Lines per stdout write in _emit: one write per line is slow into a pipe,
+# and one write of every line at once holds the whole text in memory.
+_EMIT_BLOCK = 1024
+
+
+def _line(key: str, value: object, fmt: str) -> str:
+    if fmt == "kv":
+        return f"{key}={value!r}\n" if isinstance(value, float) else f"{key}={value}\n"
+    text = f"{value:.12g}" if isinstance(value, float) else str(value)
+    return f"{key}: {text}\n"
+
+
+def _emit(pairs: Iterable[tuple[str, object]], fmt: str) -> None:
+    rest = iter(pairs)
+    while block := list(islice(rest, _EMIT_BLOCK)):
+        sys.stdout.write("".join(_line(key, value, fmt) for key, value in block))
 
 
 def cmd_fit(args) -> int:
@@ -304,13 +322,13 @@ def cmd_eval(args) -> int:
     ds = dataset_from_csv(text, _build_schema(args, target, text))
     scale = 1.0 / LN_2 if args.bits else 1.0
     costs, total = data_costs(target, ds)
-    pairs: list[tuple[str, object]] = [(f"nlpr.{i}", nl * scale) for i, nl in enumerate(costs)]
-    pairs += [
+    per_datum = ((f"nlpr.{i}", nl * scale) for i, nl in enumerate(costs))
+    summary = [
         ("count", len(ds)),
         ("total", total * scale),
         ("units", "bits" if args.bits else "nits"),
     ]
-    _emit(pairs, args.format)
+    _emit(chain(per_datum, summary), args.format)
     return 0
 
 

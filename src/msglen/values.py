@@ -22,7 +22,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
-from .errors import CsvError, DomainError, InvalidDatumError, SchemaError, TransformError
+from .errors import (
+    CsvError,
+    DegenerateTransformError,
+    DomainError,
+    InvalidDatumError,
+    SchemaError,
+    TransformError,
+)
 
 __all__ = [
     "CtsDatum",
@@ -312,7 +319,8 @@ def map_dataset(ds: DataSet, f) -> DataSet:
     """Apply a function object to every item, AoMs included.
 
     The function's data kind must match the dataset's.  An element outside
-    the function's domain raises a DomainError naming the index.
+    the function's domain raises a DomainError, and one where it collapses
+    measure a DegenerateTransformError; either names the index.
     """
     if len(ds) == 0:
         return DataSet((), ds.schema)
@@ -329,4 +337,6 @@ def map_dataset(ds: DataSet, f) -> DataSet:
             out.append(f.apply(item))
         except DomainError as e:
             raise DomainError(f"index {i}: {e}", index=i) from e
+        except DegenerateTransformError as e:
+            raise DegenerateTransformError(f"index {i}: {e}") from e
     return DataSet(tuple(out), ds.schema)

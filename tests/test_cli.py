@@ -1,13 +1,21 @@
 """The msglen command line: fit, eval, sample, check."""
 
 import io
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msglen
+from msglen import cli
 from msglen.cli import main, parse_model_expr
 from msglen.errors import ModelExprError
+from msglen.estimation import data_costs
 from msglen.models import (
     IndependentProductFamily,
     Model,
@@ -15,6 +23,7 @@ from msglen.models import (
     TransformedContinuousFamily,
     UPModel,
 )
+from msglen.values import ColumnSpec, dataset_from_csv
 
 
 def run(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -351,3 +360,108 @@ class TestUsage:
         path = write_csv(tmp_path, "d.csv", "x\n1\n2\n")
         code, _, err = run(["fit", "normal", path, "--col", "nope"], capsys)
         assert code == 2
+
+
+class TestEvalOutput:
+    """eval writes its lines in blocks; the bytes are one line per datum,
+    in order, then the summary."""
+
+    N_ROWS = 2 * cli._EMIT_BLOCK + 5
+
+    def _data(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = "".join(f"{float(x)!r}\n" for x in rng.normal(1.0, 2.0, self.N_ROWS))
+        return write_csv(tmp_path, "d.csv", "x\n" + rows)
+
+    def test_kv_lines_in_order(self, tmp_path, capsys):
+        path = self._data(tmp_path)
+        model = parse_model_expr("normal(1,2)")
+        schema = [ColumnSpec("x", kind="cts", aom_const=0.01)]
+        with open(path) as handle:
+            costs, total = data_costs(model, dataset_from_csv(handle.read(), schema))
+        code, out, _ = run(["eval", "normal(1,2)", path, "--aom-const", "0.01", "--format", "kv"], capsys)
+        assert code == 0
+        expected = "".join(f"nlpr.{i}={c!r}\n" for i, c in enumerate(costs))
+        expected += f"count={self.N_ROWS}\ntotal={total!r}\nunits=nits\n"
+        assert out == expected
+
+    def test_text_lines_in_order(self, tmp_path, capsys):
+        path = self._data(tmp_path)
+        code, out, _ = run(["eval", "normal(1,2)", path, "--aom-const", "0.01", "--bits"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        keys = [line.partition(": ")[0] for line in lines]
+        assert keys == [f"nlpr.{i}" for i in range(self.N_ROWS)] + ["count", "total", "units"]
+        assert lines[-3] == f"count: {self.N_ROWS}" and lines[-1] == "units: bits"
+        assert out.endswith("\n")
+
+
+class TestUnreadableInput:
+    """An input that cannot be read is a data error with one line naming it."""
+
+    def _assert_one_line(self, code, out, err, name):
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = str(tmp_path / "nonexistent.csv")
+        self._assert_one_line(*run(["fit", "normal", path], capsys), path)
+
+    def test_directory(self, tmp_path, capsys):
+        self._assert_one_line(*run(["fit", "normal", str(tmp_path)], capsys), str(tmp_path))
+
+    def test_not_utf8(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        self._assert_one_line(*run(["fit", "normal", str(path)], capsys), str(path))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+        self._assert_one_line(*run(["fit", "normal", "-"], capsys), "stdin")
+
+
+class TestMapErrors:
+    def test_degenerate_map_names_the_row(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "big.csv", "x\n1\n1000\n")
+        code, out, err = run(["fit", "normal.transform(exp)", path], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: index 1: exp has derivative inf")
+
+
+# Run in a fresh interpreter, so that no other test's import of scipy counts.
+_COLD_SCRIPT = r"""
+import contextlib, io, json, sys
+import msglen, msglen.cli as cli
+
+csv_path = sys.argv[1]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["fit", "normal.transform(log)", csv_path]))
+    codes.append(cli.main(["eval", "normal(0,1).transform(log)", csv_path]))
+    codes.append(cli.main(["sample", "normal(0,1).transform(log)", "5", "--seed", "1"]))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+check = io.StringIO()
+with contextlib.redirect_stdout(check):
+    codes.append(cli.main(["check", "normalize"]))
+print(json.dumps({"codes": codes, "scipy": scipy, "check": check.getvalue().splitlines()[-1]}))
+"""
+
+
+class TestColdPath:
+    def test_fit_eval_sample_do_not_import_scipy(self, tmp_path):
+        path = write_csv(tmp_path, "d.csv", "x,aom\n0.5,0.01\n1.5,0.01\n2.5,0.01\n")
+        src = str(Path(msglen.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_SCRIPT, path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["scipy"] == []
+        assert got["codes"] == [0, 0, 0, 0]
+        assert got["check"] == "normalize: 4/4 passed"
