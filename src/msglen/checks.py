@@ -19,7 +19,7 @@ from . import models
 from .estimation import NormalPriors
 from .values import CtsDatum, DataSet, DiscreteDatum, VecDatum, map_dataset
 
-__all__ = ["CheckResult", "SUITES", "run_suite"]
+__all__ = ["CheckResult", "SUITES"]
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,3 @@ SUITES = {
     "normalize": check_normalize,
     "aom": check_aom,
 }
-
-
-def run_suite(name: str) -> list[CheckResult]:
-    return SUITES[name]()

@@ -144,14 +144,6 @@ def _parse_params(sc: _Scanner, family: UPModel):
     return tuple(sc.number_list())
 
 
-# Functions a model expression names without arguments.
-_LIBRARY = {
-    **fn.CTS_LIBRARY,
-    "polar2cartesian": fn.polar2cartesian,
-    "cartesian2polar": fn.cartesian2polar,
-}
-
-
 def _integers(name: str, args: list[float], pos: int) -> list[int]:
     if not all(a.is_integer() for a in args):
         raise ModelExprError(f"{name} takes integer arguments", pos=pos)
@@ -168,10 +160,10 @@ def _parse_function(sc: _Scanner, family: UPModel):
             args = sc.number_list()
             sc.expect(")")
     pos = sc.pos
-    if name in _LIBRARY:
+    if name in fn.LIBRARY:
         if args:
             raise ModelExprError(f"{name} takes no arguments", pos=pos)
-        return _LIBRARY[name]
+        return fn.LIBRARY[name]
     if name == "linear":
         if len(args) != 2:
             raise ModelExprError("linear takes (a,b)", pos=pos)
@@ -238,13 +230,19 @@ def _read_source(path: str) -> str:
     name = "stdin" if path == "-" else path
     try:
         if path == "-":
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            # stdin may decode with surrogateescape, which turns bytes that are
+            # not UTF-8 into lone surrogates; those do not encode back.
+            text.encode("utf-8")
+            return text
         with open(path, "r", encoding="utf-8", newline="") as handle:
             return handle.read()
     except OSError as e:
         raise CsvError(f"cannot read {name}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise CsvError(f"cannot read {name}: not UTF-8 text (byte {e.start})") from e
+    except UnicodeEncodeError as e:
+        raise CsvError(f"cannot read {name}: not UTF-8 text (character {e.start})") from e
 
 
 def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:

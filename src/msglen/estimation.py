@@ -186,9 +186,7 @@ class NormalEstimator(Estimator):
     def __init__(self, family, ps: NormalPriors | None = None):
         super().__init__(family, ps or NormalPriors())
 
-    def _resolved_priors(self, ds: DataSet) -> tuple[float, float, float]:
-        xs = [d.x for d in ds]
-        aoms = [d.aom for d in ds]
+    def _resolved_priors(self, xs: list[float], aoms: list[float]) -> tuple[float, float, float]:
         span = max(xs) - min(xs)
         mu_range = self.ps.mu_range
         if mu_range is None:
@@ -218,13 +216,13 @@ class NormalEstimator(Estimator):
         # The AoM bounds the resolution of the data; an estimated sd below
         # the quantisation noise of the measurements is not supportable.
         sd = max(sd, (math.fsum(aoms) / n) / math.sqrt(12.0))
-        mu_range, s_lo, s_hi = self._resolved_priors(ds)
+        mu_range, s_lo, s_hi = self._resolved_priors(xs, aoms)
         sd = min(max(sd, s_lo), s_hi)
         return NormalModel(mean, sd, msg1=self._msg1(sd, n, mu_range, s_lo, s_hi))
 
     def _model(self, ds: DataSet, sp) -> NormalModel:
         mean, sd = sp
-        mu_range, s_lo, s_hi = self._resolved_priors(ds)
+        mu_range, s_lo, s_hi = self._resolved_priors([d.x for d in ds], [d.aom for d in ds])
         return NormalModel(mean, sd, msg1=self._msg1(sd, len(ds), mu_range, s_lo, s_hi))
 
 

@@ -60,7 +60,7 @@ __all__ = [
     "linear",
     "polar2cartesian",
     "cartesian2polar",
-    "CTS_LIBRARY",
+    "LIBRARY",
     "FUNCTION_CLASS",
 ]
 
@@ -69,21 +69,13 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval with open or closed, possibly infinite, ends."""
+    """An open real interval; either end may be infinite."""
 
     lo: float = -math.inf
     hi: float = math.inf
-    lo_open: bool = True
-    hi_open: bool = True
 
     def contains(self, x: float) -> bool:
-        if math.isnan(x):
-            return False
-        if x < self.lo or (self.lo_open and x == self.lo):
-            return False
-        if x > self.hi or (self.hi_open and x == self.hi):
-            return False
-        return True
+        return self.lo < x < self.hi
 
     def sample(self, rng) -> float:
         """An interior point, for randomized checks; kept away from finite ends."""
@@ -569,9 +561,9 @@ def linear(a: float, b: float = 0.0) -> Linear:
     return Linear(a, b)
 
 
-# Zero-argument scalar functions addressable by name (CLI and model expressions).
-CTS_LIBRARY: dict[str, Cts2Cts] = {
-    f.name: f for f in (identity, log, exp, inv)
+# Zero-argument functions addressable by name (CLI and model expressions).
+LIBRARY: dict[str, Cts2Cts | CtsD2CtsD] = {
+    f.name: f for f in (identity, log, exp, inv, polar2cartesian, cartesian2polar)
 }
 
 # The function class that maps each data kind ("cts", "vec", "discrete", as

@@ -419,6 +419,15 @@ class TestUnreadableInput:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
         self._assert_one_line(*run(["fit", "normal", "-"], capsys), "stdin")
 
+    def test_not_utf8_on_stdin_with_surrogateescape(self, capsys, monkeypatch):
+        # Under a C or C.UTF-8 locale the interpreter decodes stdin this way,
+        # so the bad bytes arrive as lone surrogates, not a decode error.
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="surrogateescape"
+        )
+        monkeypatch.setattr("sys.stdin", stdin)
+        self._assert_one_line(*run(["fit", "normal", "-"], capsys), "stdin")
+
 
 class TestMapErrors:
     def test_degenerate_map_names_the_row(self, tmp_path, capsys):

@@ -136,6 +136,25 @@ class TestCompose:
             assert f.d_dx(x) == pytest.approx(central_diff(f, x), rel=1e-6)
 
 
+EDGE_POINTS = [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+REAL = [True, True, True, True, False, False, False]
+POSITIVE = [False, False, True, False, False, False, False]
+NONZERO = [False, False, True, True, False, False, False]
+
+
+class TestDomainEdges:
+    """Domains are open: zero (of either sign) is outside log's and inv's,
+    and no domain holds an infinity or nan."""
+
+    @pytest.mark.parametrize(
+        "f,expected",
+        zip(CTS_FUNCTIONS, [REAL, POSITIVE, REAL, NONZERO, REAL, POSITIVE]),
+        ids=lambda f: getattr(f, "name", None),
+    )
+    def test_contains_at_edges(self, f, expected):
+        assert [f.contains(x) for x in EDGE_POINTS] == expected
+
+
 class TestApplyScalar:
     def test_log_example(self):
         out = log.apply(CtsDatum(8.0, 0.01))

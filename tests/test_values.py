@@ -152,6 +152,58 @@ class TestCsv:
                 [ColumnSpec("a", aom_const=0.1), ColumnSpec("k", kind="discrete")],
             )
 
+    X = [ColumnSpec("x", aom_const=0.1)]
+    X_E = [ColumnSpec("x", aom_col="e")]
+    K = [ColumnSpec("k", kind="discrete", lo=0, hi=3)]
+
+    # Each case expects the items, or (row, text in the message) of a CsvError.
+    @pytest.mark.parametrize(
+        "text,schema,expected",
+        [
+            ("x\n1\n\n  \n,\n2\n", X, [CtsDatum(1.0, 0.1), CtsDatum(2.0, 0.1)]),
+            ("x\n1\n\n,\nabc\n", X, (2, "'abc' in column 'x'")),
+            ("x,e\n1,0.1\n2\n", X_E, (2, "missing value for column 'e'")),
+            ("x,e\n1,0.1\n2,0\n", X_E, (2, "AoM in column 'e' must be positive")),
+            ("x\n1\ninf\n", X, (2, "non-finite value in column 'x'")),
+            (
+                "a,b\n1,2\n3,4.5\n7,8\n",
+                [ColumnSpec("a"), ColumnSpec("b")],
+                [VecDatum((1.0, 2.0), (2.0, 2.5)), VecDatum((3.0, 4.5), (2.0, 2.5)),
+                 VecDatum((7.0, 8.0), (2.0, 2.5))],
+            ),
+            (
+                "a,b,ea,eb\n1,2,0.1,0.2\n3,4,0.3,0.4\n",
+                [ColumnSpec("a", aom_col="ea"), ColumnSpec("b", aom_col="eb")],
+                [VecDatum((1.0, 2.0), (0.1, 0.2)), VecDatum((3.0, 4.0), (0.3, 0.4))],
+            ),
+            ("k\n1\n\nx\n", K, (2, "'x' in column 'k' as an integer")),
+            ("k\n1\n4\n", K, (2, "value 4 outside bounds [0, 3]")),
+            # Several bad cells: the first by schema column, then by row.
+            ("x,e\n1,0\nabc,0.1\n", X_E, (2, "'abc' in column 'x'")),
+        ],
+        ids=[
+            "blank-lines-skipped",
+            "blank-lines-not-counted",
+            "short-row",
+            "zero-aom",
+            "inf",
+            "vec-inferred-aom-per-column",
+            "vec-aom-column-per-component",
+            "discrete-unparsable",
+            "discrete-out-of-bounds",
+            "first-bad-cell-by-column",
+        ],
+    )
+    def test_ingest_branches(self, text, schema, expected):
+        if isinstance(expected, list):
+            assert list(dataset_from_csv(text, schema)) == expected
+            return
+        row, message = expected
+        with pytest.raises(CsvError) as err:
+            dataset_from_csv(text, schema)
+        assert err.value.row == row
+        assert message in str(err.value)
+
 
 class TestInferDefaultAom:
     def test_single_value_fallback(self):
