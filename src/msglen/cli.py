@@ -12,8 +12,8 @@ MODEL is an expression such as ``normal``, ``uniform:0:3``,
 (``normal(0,1)``) and transformed (``normal.transform(log)``).  CSV is a
 path or ``-`` for stdin; a header row is required.
 
-Exit codes: 0 success, 1 usage or parse error, 2 data or domain error,
-3 a check suite failed.
+Exit codes: 0 success, 1 usage or parse error (or stdout closed early,
+silently), 2 data or domain error, 3 a check suite failed.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from collections.abc import Iterable
 from itertools import chain, islice
@@ -38,6 +39,7 @@ from .values import ColumnSpec, dataset_from_csv
 USAGE_ERROR = 1
 DATA_ERROR = 2
 CHECK_FAILED = 3
+BROKEN_PIPE = 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +437,14 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone (``| head``).  Point stdout at devnull so the
+        # flush at exit does not fail again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except ModelExprError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

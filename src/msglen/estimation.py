@@ -13,12 +13,16 @@ from the two-dimensional lattice constant.  With a flat prior on the mean
 and a 1/sigma prior on the scale, the minimising parameters are the
 sample mean and the (N-1)-denominator standard deviation.
 
-A transformed family estimates by mapping the data through its function
-(AoMs included) and handing the result to the base family's estimator;
-the fitted base model is then wrapped back up.  Built this way, fitting
-then transforming agrees with transforming then fitting on mapped data,
-and the total message length of a dataset is unchanged by mapping it
-through an invertible function.
+Estimators compose as models do.  A leaf estimator (normal, multistate,
+bounded uniform) has one hook, the model for the data, fitted or given.
+A composite is built from its parts' fits: a product's messages are the
+sums of its components' messages on their own columns, and a transformed
+family maps the data through its function (AoMs included), hands it to
+the base family's estimator and carries both messages over, wrapping the
+fitted base model back up.  Built this way, fitting then transforming
+agrees with transforming then fitting on mapped data, and the total
+message length of a dataset is unchanged by mapping it through an
+invertible function.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .models import (
     MultiStateModel,
     NormalModel,
 )
-from .values import CtsDatum, DataSet, map_dataset
+from .values import CtsDatum, DataSet, map_dataset, map_items
 
 __all__ = [
     "LN_2",
@@ -56,7 +60,7 @@ LN_2 = math.log(2.0)
 KAPPA_2 = 5.0 / (36.0 * math.sqrt(3.0))
 
 # The multistate statement cost is ((k-1)/2) ln(N / MULTISTATE_LATTICE_CONSTANT)
-# plus the log volume sqrt(k) / (k-1)! of the probability simplex.
+# plus the log volume ln(sqrt(k) / (k-1)!) of the probability simplex.
 MULTISTATE_LATTICE_CONSTANT = 12.0
 
 
@@ -130,15 +134,25 @@ class NormalPriors:
 class Estimator:
     """Maps datasets of the family's data space to fitted models.
 
-    A subclass supplies ``_fit``, the model that minimises the message, and
-    ``_model``, the model for given statistical parameters; each returns a
-    model carrying its msg1.  Both messages then encode the data the same
-    way, so fitted and alternative parameters compare on equal footing.
+    A leaf estimator supplies one hook, ``_model(ds, sp)``: the model that
+    minimises the message when ``sp`` is None, else the model for the
+    given statistical parameters, carrying its msg1 either way.  Both are
+    scored the same way, so fitted and alternative parameters compare on
+    equal footing.  A composite estimator instead supplies ``_scored`` and
+    builds its fit from its parts' fits.
     """
 
     def __init__(self, family, ps=None):
         self.family = family
         self.ps = ps
+
+    def estimate(self, ds: DataSet) -> FitResult:
+        return self._scored(ds, None)
+
+    def message_length(self, ds: DataSet, sp=()) -> tuple[float, float]:
+        """(msg1, msg2) of stating the given parameters and then the data."""
+        fit = self._scored(ds, sp)
+        return fit.msg1, fit.msg2
 
     def _check(self, ds: DataSet) -> None:
         if len(ds) == 0:
@@ -148,150 +162,116 @@ class Estimator:
                 f"{self.family.name} estimator needs {self.family.kind} data, got {ds.kind}"
             )
 
-    def estimate(self, ds: DataSet) -> FitResult:
+    def _scored(self, ds: DataSet, sp) -> FitResult:
+        """The fitted (sp None) or given model's two-part message for the data."""
         self._check(ds)
         try:
-            model = self._fit(ds)
+            model = self._model(ds, sp)
         except OverflowError:
             raise EstimationError(
                 f"{self.family.name} cannot fit these data: the fit overflows a float"
             ) from None
-        return _scored(model, ds)
-
-    def message_length(self, ds: DataSet, sp=()) -> tuple[float, float]:
-        """(msg1, msg2) of stating the given parameters and then the data."""
-        self._check(ds)
-        fit = _scored(self._model(ds, sp), ds)
-        return fit.msg1, fit.msg2
-
-    def _fit(self, ds: DataSet) -> Model:
-        raise NotImplementedError
+        return FitResult(model, model.msg1, data_costs(model, ds)[1])
 
     def _model(self, ds: DataSet, sp) -> Model:
         raise NotImplementedError
 
 
 def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
-    """Each datum's cost under the model, in nits, and their total, msg2."""
-    costs = [model.nl_pr(d) for d in ds]
+    """Each datum's cost under the model, in nits, and their total, msg2.
+    A datum the model cannot score raises an error naming its index."""
+    costs = map_items(model.nl_pr, ds)
     return costs, math.fsum(costs)
 
 
-def _scored(model: Model, ds: DataSet) -> FitResult:
-    """The model's two-part message for the data."""
-    return FitResult(model, model.msg1, data_costs(model, ds)[1])
-
-
 class NormalEstimator(Estimator):
-    def __init__(self, family, ps: NormalPriors | None = None):
-        super().__init__(family, ps or NormalPriors())
+    """``ps`` is a NormalPriors; None resolves every prior from the data."""
 
-    def _resolved_priors(self, xs: list[float], aoms: list[float]) -> tuple[float, float, float]:
-        span = max(xs) - min(xs)
-        mu_range = self.ps.mu_range
-        if mu_range is None:
-            # Degenerate data has no range; fall back to the AoM scale.
-            mu_range = max(1.1 * span, min(aoms))
-        if self.ps.sigma_bounds is not None:
-            s_lo, s_hi = self.ps.sigma_bounds
-        else:
-            s_lo = min(aoms) / 10.0
-            s_hi = 10.0 * max(span, min(aoms))
-        return mu_range, s_lo, s_hi
-
-    def _msg1(self, sigma: float, n: int, mu_range: float, s_lo: float, s_hi: float) -> float:
-        neg_log_prior = (
-            math.log(mu_range) + math.log(sigma) + math.log(math.log(s_hi / s_lo))
-        )
-        half_log_fisher = 0.5 * math.log(2.0) + math.log(n) - 2.0 * math.log(sigma)
-        return max(0.0, neg_log_prior + half_log_fisher + 1.0 + math.log(KAPPA_2))
-
-    def _fit(self, ds: DataSet) -> NormalModel:
+    def _model(self, ds: DataSet, sp) -> NormalModel:
+        ps = self.ps or NormalPriors()
         xs = [d.x for d in ds]
         aoms = [d.aom for d in ds]
         n = len(xs)
-        mean = math.fsum(xs) / n
-        ss = math.fsum((x - mean) ** 2 for x in xs)
-        sd = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
-        # The AoM bounds the resolution of the data; an estimated sd below
-        # the quantisation noise of the measurements is not supportable.
-        sd = max(sd, (math.fsum(aoms) / n) / math.sqrt(12.0))
-        mu_range, s_lo, s_hi = self._resolved_priors(xs, aoms)
-        sd = min(max(sd, s_lo), s_hi)
-        return NormalModel(mean, sd, msg1=self._msg1(sd, n, mu_range, s_lo, s_hi))
-
-    def _model(self, ds: DataSet, sp) -> NormalModel:
-        mean, sd = sp
-        mu_range, s_lo, s_hi = self._resolved_priors([d.x for d in ds], [d.aom for d in ds])
-        return NormalModel(mean, sd, msg1=self._msg1(sd, len(ds), mu_range, s_lo, s_hi))
+        span = max(xs) - min(xs)
+        mu_range = ps.mu_range
+        if mu_range is None:
+            # Degenerate data has no range; fall back to the AoM scale.
+            mu_range = max(1.1 * span, min(aoms))
+        if ps.sigma_bounds is not None:
+            s_lo, s_hi = ps.sigma_bounds
+        else:
+            s_lo = min(aoms) / 10.0
+            s_hi = 10.0 * max(span, min(aoms))
+        if sp is None:
+            mean = math.fsum(xs) / n
+            ss = math.fsum((x - mean) ** 2 for x in xs)
+            sd = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
+            # The AoM bounds the resolution of the data; an estimated sd below
+            # the quantisation noise of the measurements is not supportable.
+            sd = max(sd, (math.fsum(aoms) / n) / math.sqrt(12.0))
+            sd = min(max(sd, s_lo), s_hi)
+        else:
+            mean, sd = sp
+        neg_log_prior = math.log(mu_range) + math.log(sd) + math.log(math.log(s_hi / s_lo))
+        half_log_fisher = 0.5 * math.log(2.0) + math.log(n) - 2.0 * math.log(sd)
+        msg1 = max(0.0, neg_log_prior + half_log_fisher + 1.0 + math.log(KAPPA_2))
+        return NormalModel(mean, sd, msg1=msg1)
 
 
 class MultiStateEstimator(Estimator):
-    def _counts(self, ds: DataSet) -> list[int]:
-        lo, hi = self.family.lo, self.family.hi
-        counts = [0] * (hi - lo + 1)
-        for d in ds:
-            if not lo <= d.value <= hi:
-                raise DomainError(f"{d.value} is outside the data space [{lo}, {hi}]")
-            counts[d.value - lo] += 1
-        return counts
-
-    def _msg1(self, n: int) -> float:
-        k = self.family.size
-        if k == 1:
-            return 0.0
-        volume = math.sqrt(k) / math.factorial(k - 1)
-        cost = 0.5 * (k - 1) * math.log(n / MULTISTATE_LATTICE_CONSTANT) + math.log(volume)
-        return max(0.0, cost)
-
-    def _fit(self, ds: DataSet) -> MultiStateModel:
-        counts = self._counts(ds)
-        n = len(ds)
-        k = self.family.size
-        probs = [(c + 0.5) / (n + 0.5 * k) for c in counts]
-        return self._model(ds, probs)
-
     def _model(self, ds: DataSet, sp) -> MultiStateModel:
-        return MultiStateModel(self.family.lo, self.family.hi, sp, msg1=self._msg1(len(ds)))
+        lo, hi, k = self.family.lo, self.family.hi, self.family.size
+        n = len(ds)
+        if sp is None:
+            counts = [0] * k
+            for d in ds:
+                if not lo <= d.value <= hi:
+                    raise DomainError(f"{d.value} is outside the data space [{lo}, {hi}]")
+                counts[d.value - lo] += 1
+            sp = [(c + 0.5) / (n + 0.5 * k) for c in counts]
+        # In log space: (k-1)! overflows a float past k = 171.
+        log_volume = 0.5 * math.log(k) - math.lgamma(k)
+        cost = 0.5 * (k - 1) * math.log(n / MULTISTATE_LATTICE_CONSTANT) + log_volume
+        return MultiStateModel(lo, hi, sp, msg1=max(0.0, cost))
 
 
 class BoundedUniformEstimator(Estimator):
     """Nothing to estimate: the statistical parameters are trivial."""
 
-    def _fit(self, ds: DataSet) -> BoundedUniformModel:
-        return BoundedUniformModel(self.family.lo, self.family.hi)
-
     def _model(self, ds: DataSet, sp) -> BoundedUniformModel:
-        return self._fit(ds)
+        return BoundedUniformModel(self.family.lo, self.family.hi)
 
 
 class IndependentProductEstimator(Estimator):
-    """Fits each component family to its own column of the data."""
+    """Fits each component family to its own column of the data.
 
-    def _product(self, ds: DataSet, sp=None) -> IndependentProductModel:
-        """Each component fitted to its column or, given sp, parameterised."""
+    The columns are independent, so the product's messages are the sums of
+    its columns' messages.
+    """
+
+    def __init__(self, family, ps=None):
+        super().__init__(family, ps)
+        dim = family.dim
+        ps = (None,) * dim if ps is None else tuple(ps)
+        if len(ps) != dim:
+            raise EstimationError(f"{family.name} takes {dim} estimator parameter groups")
+        self.parts = [c.estimator(p) for c, p in zip(family.components, ps)]
+
+    def _scored(self, ds: DataSet, sp) -> FitResult:
+        self._check(ds)
         dim = self.family.dim
         if ds[0].dim != dim:
             raise EstimationError(f"{self.family.name} needs {dim}-vectors, got {ds[0].dim}")
-        ps_list = self.ps if self.ps is not None else (None,) * dim
-        if len(ps_list) != dim:
-            raise EstimationError(f"{self.family.name} takes {dim} estimator parameter groups")
         sp = (None,) * dim if sp is None else tuple(sp)
         if len(sp) != dim:
             raise ParameterError(f"{self.family.name} takes {dim} parameter groups, got {len(sp)}")
-        parts = []
-        for j, (component, ps, s) in enumerate(zip(self.family.components, ps_list, sp)):
-            col = DataSet(tuple(CtsDatum(d.components[j], d.aoms[j]) for d in ds))
-            est = component.estimator(ps)
-            parts.append(est._fit(col) if s is None else est._model(col, s))
-        msg1 = sum(p.msg1 for p in parts)
-        return IndependentProductModel(parts, msg1=msg1, name=self.family.name)
-
-    def _fit(self, ds: DataSet) -> IndependentProductModel:
-        return self._product(ds)
-
-    def _model(self, ds: DataSet, sp) -> IndependentProductModel:
-        return self._product(ds, sp)
+        fits = [
+            part._scored(DataSet(tuple(CtsDatum(d.components[j], d.aoms[j]) for d in ds)), s)
+            for j, (part, s) in enumerate(zip(self.parts, sp))
+        ]
+        msg1 = sum(fit.msg1 for fit in fits)
+        model = IndependentProductModel((fit.model for fit in fits), msg1, self.family.name)
+        return FitResult(model, msg1, math.fsum(fit.msg2 for fit in fits))
 
 
 class TransformedEstimator(Estimator):
@@ -302,21 +282,12 @@ class TransformedEstimator(Estimator):
     message for the mapped data.
     """
 
-    def __init__(self, family, base_estimator: Estimator, f):
-        super().__init__(family, base_estimator.ps)
-        self.base_estimator = base_estimator
-        self.f = f
+    def __init__(self, family, ps=None):
+        super().__init__(family, ps)
+        self.base = family.base.estimator(ps)
 
-    def estimate(self, ds: DataSet) -> FitResult:
+    def _scored(self, ds: DataSet, sp) -> FitResult:
         self._check(ds)
-        base_fit = self.base_estimator.estimate(map_dataset(ds, self.f))
-        return FitResult(base_fit.model.transform(self.f), base_fit.msg1, base_fit.msg2)
-
-    def message_length(self, ds: DataSet, sp=()) -> tuple[float, float]:
-        return self.base_estimator.message_length(map_dataset(ds, self.f), sp)
-
-    def _fit(self, ds: DataSet) -> Model:
-        return self.base_estimator._fit(map_dataset(ds, self.f)).transform(self.f)
-
-    def _model(self, ds: DataSet, sp) -> Model:
-        return self.base_estimator._model(map_dataset(ds, self.f), sp).transform(self.f)
+        f = self.family.f
+        fit = self.base._scored(map_dataset(ds, f), sp)
+        return FitResult(fit.model.transform(f), fit.msg1, fit.msg2)

@@ -179,7 +179,7 @@ class Cts2Cts:
             raise DomainError(f"{x!r} is outside the domain of {self.name}")
         try:
             slope = self.d_dx(x)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             slope = math.inf
         if slope == 0.0 or not math.isfinite(slope):
             raise DegenerateTransformError(

@@ -468,7 +468,7 @@ class _TransformedFamily(UPModel):
     def estimator(self, ps=None):
         from .estimation import TransformedEstimator
 
-        return TransformedEstimator(self, self.base.estimator(ps), self.f)
+        return TransformedEstimator(self, ps)
 
 
 class TransformedContinuousFamily(_TransformedFamily, ContinuousFamily):

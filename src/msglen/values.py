@@ -304,6 +304,20 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
     return DataSet(tuple(items), specs)
 
 
+def map_items(fn, ds: DataSet) -> list:
+    """fn of every item, in order.  A DomainError or a
+    DegenerateTransformError raised for an item names its index."""
+    out = []
+    for i, item in enumerate(ds):
+        try:
+            out.append(fn(item))
+        except DomainError as e:
+            raise DomainError(f"index {i}: {e}", index=i) from e
+        except DegenerateTransformError as e:
+            raise DegenerateTransformError(f"index {i}: {e}") from e
+    return out
+
+
 def map_dataset(ds: DataSet, f) -> DataSet:
     """Apply a function object to every item, AoMs included.
 
@@ -320,12 +334,4 @@ def map_dataset(ds: DataSet, f) -> DataSet:
         raise TransformError(
             f"cannot map a {ds.kind} dataset with {type(f).__name__}"
         )
-    out = []
-    for i, item in enumerate(ds):
-        try:
-            out.append(f.apply(item))
-        except DomainError as e:
-            raise DomainError(f"index {i}: {e}", index=i) from e
-        except DegenerateTransformError as e:
-            raise DegenerateTransformError(f"index {i}: {e}") from e
-    return DataSet(tuple(out), ds.schema)
+    return DataSet(tuple(map_items(f.apply, ds)), ds.schema)

@@ -181,6 +181,29 @@ class TestFit:
         assert code == 2
         assert out == "" and len(err.strip().splitlines()) == 1
 
+    def test_fit_text_lines(self, tmp_path, capsys):
+        # mean 7/3, sd sqrt(7/3) (the n-1 form), each to 12 significant digits
+        path = write_csv(tmp_path, "d.csv", "x\n1.0\n2.0\n4.0\n")
+        code, out, err = run(["fit", "normal", path, "--aom-const", "0.1"], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "model: normal",
+            "mean: 2.33333333333",
+            "sd: 1.52752523165",
+            "msg1: 2.77230941791 nits",
+            "msg2: 11.9355176692 nits",
+            "msg: 14.7078270871 nits",
+        ]
+
+    @pytest.mark.parametrize("hi", [171, 999])
+    def test_fit_multistate_past_171_states(self, tmp_path, capsys, hi):
+        # (k-1)! overflows a float past k = 171; the statement cost does not
+        path = write_csv(tmp_path, "d.csv", "k\n0\n1\n")
+        code, out, err = run(["fit", f"multistate:0:{hi}", path, "--format", "kv"], capsys)
+        assert code == 0 and err == ""
+        got = kv(out)
+        assert float(got["msg1"]) == 0.0 and math.isfinite(float(got["msg"]))
+
     def test_fit_rejects_parameterised_model(self, tmp_path, capsys):
         path = write_csv(tmp_path, "d.csv", "x\n1\n2\n")
         code, _, err = run(["fit", "normal(0,1)", path], capsys)
@@ -436,6 +459,18 @@ class TestMapErrors:
         assert code == 2
         assert out == "" and err.startswith("error: index 1: exp has derivative inf")
 
+    @pytest.mark.parametrize(
+        "command", [["fit", "normal.transform(inv)"], ["eval", "normal(0,1).transform(inv)"]]
+    )
+    def test_vanishing_input_to_inv_names_the_row(self, tmp_path, capsys, command):
+        # inv's slope -1/x^2 divides by zero once x*x underflows
+        path = write_csv(tmp_path, "tiny.csv", "x\n2\n1e-200\n")
+        code, out, err = run(command + [path, "--aom-const", "1e-3"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: index 1: inv has derivative inf at 1e-200; the AoM cannot scale by it"
+        ]
+
 
 # Run in a fresh interpreter, so that no other test's import of scipy counts.
 _COLD_SCRIPT = r"""
@@ -474,3 +509,24 @@ class TestColdPath:
         assert got["scipy"] == []
         assert got["codes"] == [0, 0, 0, 0]
         assert got["check"] == "normalize: 4/4 passed"
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_prints_no_traceback(self, tmp_path):
+        rows = "\n".join(f"{0.001 * i:.3f}" for i in range(5000))
+        path = write_csv(tmp_path, "n5k.csv", "x\n" + rows + "\n")
+        src = str(Path(msglen.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "msglen.cli", "eval", "normal(0,1)", path, "--aom-const", "0.1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"nlpr.0: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""

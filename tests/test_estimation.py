@@ -130,6 +130,15 @@ class TestMultiStateEstimator:
         assert fit.msg1 >= 0.0
 
 
+    @pytest.mark.parametrize("k,n", [(2, 50), (10, 1000), (170, 60000)])
+    def test_msg1_matches_factorial_form(self, k, n):
+        # n is large enough that the statement cost is not clipped to 0
+        old = 0.5 * (k - 1) * math.log(n / 12.0) + math.log(math.sqrt(k) / math.factorial(k - 1))
+        assert old > 0.0
+        fit = multistate(0, k - 1).estimator().estimate(DataSet((DiscreteDatum(0),) * n))
+        assert fit.msg1 == pytest.approx(old, rel=1e-12)
+
+
 class TestBoundedUniformEstimator:
     def test_message_is_n_log_size(self):
         ds = DataSet(tuple(DiscreteDatum(v) for v in (0, 1, 3, 2, 2)))
@@ -181,6 +190,27 @@ class TestIndependentProductEstimator:
         assert msg1 == pytest.approx(fit.msg1, abs=1e-9)
         assert msg2 == pytest.approx(fit.msg2, abs=1e-9)
 
+
+    @pytest.mark.parametrize(
+        "components", [[normal, normal], [normal.transform(log), normal]], ids=["rd", "log-rd"]
+    )
+    def test_msg2_is_sum_of_column_fits(self, components):
+        rng = np.random.default_rng(9)
+        items = tuple(
+            VecDatum((math.exp(float(rng.normal(0.5, 0.8))), float(rng.normal(-1.0, 0.5))), aoms)
+            for aoms in [(0.001, 0.01)] * 200
+        )
+        fit = independent_rd(components).estimator().estimate(DataSet(items))
+        columns = []
+        for j, c in enumerate(components):
+            col = DataSet(tuple(CtsDatum(d.components[j], d.aoms[j]) for d in items))
+            columns.append(c.estimator().estimate(col))
+        assert fit.msg2 == pytest.approx(math.fsum(c.msg2 for c in columns), abs=1e-9)
+        assert fit.msg1 == pytest.approx(sum(c.msg1 for c in columns), abs=1e-9)
+
+    def test_wrong_number_of_estimator_parameter_groups(self):
+        with pytest.raises(EstimationError):
+            independent_rd([normal, normal]).estimator((WIDE,))
 
     def test_transformed_component(self):
         # a log-normal column fits as a normal column of the logs
