@@ -61,7 +61,9 @@ def _random_normal_dataset(rng, n: int, mean: float, sd: float) -> DataSet:
     return DataSet(items)
 
 
-def _commute_est_cases(rng):
+def _plain_and_mapped_fits(rng):
+    """For each function f, a normal fit to random data and a fit of the
+    f-transformed normal to the same data mapped through f's inverse."""
     ps = NormalPriors(mu_range=1e4, sigma_bounds=(1e-9, 1e6))
     for f, mean, sd in (
         (fn.log, 0.0, 1.0),
@@ -70,24 +72,25 @@ def _commute_est_cases(rng):
     ):
         n = int(rng.integers(10, 501))
         ds = _random_normal_dataset(rng, n, mean, sd)
-        left = models.normal.estimator(ps).estimate(ds).model.transform(f)
-        right = models.normal.transform(f).estimator(ps).estimate(
+        plain = models.normal.estimator(ps).estimate(ds)
+        mapped = models.normal.transform(f).estimator(ps).estimate(
             map_dataset(ds, f.inverse())
         )
-        yield f, ds, left, right
+        yield f, plain, mapped
 
 
 def check_commute_est() -> list[CheckResult]:
     """Estimating then transforming equals transforming then estimating."""
     rng = np.random.default_rng(20240902)
     out = []
-    for f, ds, left, right in _commute_est_cases(rng):
+    for f, plain, mapped in _plain_and_mapped_fits(rng):
+        left = plain.model.transform(f)
         f_inv = f.inverse()
         worst = 0.0
         for _ in range(50):
             x = float(rng.normal(0.0, 1.0)) if f is fn.log else float(rng.normal(6.0, 0.5))
             d = f_inv.apply(CtsDatum(x, 1e-3))
-            worst = max(worst, abs(left.nl_pr(d) - right.model.nl_pr(d)))
+            worst = max(worst, abs(left.nl_pr(d) - mapped.model.nl_pr(d)))
         out.append(_result(f"estimate/transform commute f={f.name}", worst, 1e-9))
     return out
 
@@ -95,23 +98,10 @@ def check_commute_est() -> list[CheckResult]:
 def check_info() -> list[CheckResult]:
     """Mapping a dataset through an invertible function preserves its
     total two-part message length."""
-    rng = np.random.default_rng(20240903)
-    out = []
-    ps = NormalPriors(mu_range=1e4, sigma_bounds=(1e-9, 1e6))
-    for f, mean, sd in (
-        (fn.log, 0.0, 1.0),
-        (fn.exp, 6.0, 0.5),
-        (fn.linear(3.0, -2.0), 1.0, 2.0),
-    ):
-        n = int(rng.integers(10, 501))
-        ds = _random_normal_dataset(rng, n, mean, sd)
-        plain = models.normal.estimator(ps).estimate(ds)
-        mapped = models.normal.transform(f).estimator(ps).estimate(
-            map_dataset(ds, f.inverse())
-        )
-        dev = abs(plain.msg - mapped.msg)
-        out.append(_result(f"info f={f.name}", dev, 1e-9))
-    return out
+    return [
+        _result(f"info f={f.name}", abs(plain.msg - mapped.msg), 1e-9)
+        for f, plain, mapped in _plain_and_mapped_fits(np.random.default_rng(20240903))
+    ]
 
 
 def check_jacobian() -> list[CheckResult]:

@@ -41,6 +41,10 @@ DATA_ERROR = 2
 CHECK_FAILED = 3
 BROKEN_PIPE = 1
 
+# The most rows ``sample`` draws: every draw is held until all succeed, so
+# memory grows with the count.
+MAX_SAMPLE_COUNT = 10**6
+
 
 # ---------------------------------------------------------------------------
 # Model expressions
@@ -113,8 +117,6 @@ def _parse_base(sc: _Scanner) -> UPModel:
         lo = sc.integer()
         sc.expect(":")
         hi = sc.integer()
-        if lo > hi:
-            raise ModelExprError(f"empty space [{lo}, {hi}]", pos=sc.pos)
         return models.bounded_uniform(lo, hi) if name == "uniform" else models.multistate(lo, hi)
     if name == "rd":
         sc.expect(":")
@@ -122,10 +124,7 @@ def _parse_base(sc: _Scanner) -> UPModel:
         if inner != "normal":
             raise ModelExprError(f"unknown component family {inner!r}", pos=sc.pos)
         sc.expect("^")
-        dim = sc.integer()
-        if dim < 1:
-            raise ModelExprError("dimension must be at least 1", pos=sc.pos)
-        return models.independent_rd([models.normal] * dim)
+        return models.independent_rd([models.normal] * sc.integer())
     raise ModelExprError(f"unknown model family {name!r}", pos=sc.pos)
 
 
@@ -144,12 +143,6 @@ def _parse_params(sc: _Scanner, family: UPModel):
     if isinstance(family, models.BoundedUniformFamily):
         return ()
     return tuple(sc.number_list())
-
-
-def _integers(name: str, args: list[float], pos: int) -> list[int]:
-    if not all(a.is_integer() for a in args):
-        raise ModelExprError(f"{name} takes integer arguments", pos=pos)
-    return [int(a) for a in args]
 
 
 def _parse_function(sc: _Scanner, family: UPModel):
@@ -171,10 +164,7 @@ def _parse_function(sc: _Scanner, family: UPModel):
             raise ModelExprError("linear takes (a,b)", pos=pos)
         return fn.linear(args[0], args[1])
     if name == "permute":
-        perm = _integers(name, args, pos)
-        if sorted(perm) != list(range(len(perm))):
-            raise ModelExprError("permute needs a permutation of 0..D-1", pos=pos)
-        return fn.ComponentPermutation(perm)
+        return fn.ComponentPermutation(args)
     # The permutations of a discrete space take the family's bounds.
     if name == "reverse" and family.kind == "discrete":
         if args:
@@ -183,31 +173,33 @@ def _parse_function(sc: _Scanner, family: UPModel):
     if name == "rotate" and family.kind == "discrete":
         if len(args) != 1:
             raise ModelExprError("rotate takes (k)", pos=pos)
-        return fn.Rotation(family.lo, family.hi, _integers(name, args, pos)[0])
+        return fn.Rotation(family.lo, family.hi, args[0])
     needed = fn.FUNCTION_CLASS[family.kind].__name__
     raise ModelExprError(f"unknown function {name!r} ({family.name} needs a {needed})", pos=pos)
 
 
 def parse_model_expr(text: str) -> UPModel | Model:
-    """Parse a model expression to a family or, with parameters, a model."""
+    """Parse a model expression to a family or, with parameters, a model.
+    An error from a family, model or function constructor is reported as a
+    ModelExprError at the position the parser had reached."""
     sc = _Scanner(text.strip())
-    family = _parse_base(sc)
-    sp = None
-    if sc.take("("):
-        sp = _parse_params(sc, family)
-        sc.expect(")")
-    while sc.take(".transform("):
-        f = _parse_function(sc, family)
-        sc.expect(")")
-        try:
+    try:
+        family = _parse_base(sc)
+        sp = None
+        if sc.take("("):
+            sp = _parse_params(sc, family)
+            sc.expect(")")
+        while sc.take(".transform("):
+            f = _parse_function(sc, family)
+            sc.expect(")")
             family = family.transform(f)
-        except MsglenError as e:
-            raise ModelExprError(str(e), pos=sc.pos) from e
-    if sc.pos != len(sc.text):
-        raise ModelExprError(f"unexpected trailing {sc.text[sc.pos:]!r}", pos=sc.pos)
-    if sp is None:
-        return family
-    return family.parameterise(sp)
+        if sc.pos != len(sc.text):
+            raise ModelExprError(f"unexpected trailing {sc.text[sc.pos:]!r}", pos=sc.pos)
+        return family if sp is None else family.parameterise(sp)
+    except ModelExprError:
+        raise
+    except MsglenError as e:
+        raise ModelExprError(str(e), pos=sc.pos) from e
 
 
 def _require_model(target: UPModel | Model) -> Model:
@@ -351,8 +343,8 @@ _SAMPLE_ROW = {
 
 def cmd_sample(args) -> int:
     target = _require_model(parse_model_expr(args.model))
-    if args.count < 0:
-        raise ModelExprError("count must be non-negative")
+    if not 0 <= args.count <= MAX_SAMPLE_COUNT:
+        raise ModelExprError(f"count must be between 0 and {MAX_SAMPLE_COUNT}, got {args.count}")
     rng = np.random.default_rng(args.seed)
     row = _SAMPLE_ROW[target.kind]
     # Every draw is made before any row is written, so a failed draw

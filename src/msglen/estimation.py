@@ -134,12 +134,13 @@ class NormalPriors:
 class Estimator:
     """Maps datasets of the family's data space to fitted models.
 
-    A leaf estimator supplies one hook, ``_model(ds, sp)``: the model that
-    minimises the message when ``sp`` is None, else the model for the
-    given statistical parameters, carrying its msg1 either way.  Both are
-    scored the same way, so fitted and alternative parameters compare on
-    equal footing.  A composite estimator instead supplies ``_scored`` and
-    builds its fit from its parts' fits.
+    A leaf estimator supplies one hook, ``_model(ds, given)``: the model
+    that minimises the message when ``given`` is None, else the given
+    model restated with its msg1.  Both are scored the same way, so fitted
+    and alternative parameters compare on equal footing.  A composite
+    estimator instead supplies ``_scored`` and builds its fit from its
+    parts' fits.  Given parameters reach either only as the model the
+    family's ``parameterise`` built from them, so they are checked first.
     """
 
     def __init__(self, family, ps=None):
@@ -151,7 +152,7 @@ class Estimator:
 
     def message_length(self, ds: DataSet, sp=()) -> tuple[float, float]:
         """(msg1, msg2) of stating the given parameters and then the data."""
-        fit = self._scored(ds, sp)
+        fit = self._scored(ds, self.family.parameterise(sp))
         return fit.msg1, fit.msg2
 
     def _check(self, ds: DataSet) -> None:
@@ -162,24 +163,27 @@ class Estimator:
                 f"{self.family.name} estimator needs {self.family.kind} data, got {ds.kind}"
             )
 
-    def _scored(self, ds: DataSet, sp) -> FitResult:
-        """The fitted (sp None) or given model's two-part message for the data."""
+    def _scored(self, ds: DataSet, given: Model | None) -> FitResult:
+        """The fitted (given None) or given model's two-part message for the data."""
         self._check(ds)
         try:
-            model = self._model(ds, sp)
+            model = self._model(ds, given)
         except OverflowError:
             raise EstimationError(
                 f"{self.family.name} cannot fit these data: the fit overflows a float"
             ) from None
         return FitResult(model, model.msg1, data_costs(model, ds)[1])
 
-    def _model(self, ds: DataSet, sp) -> Model:
+    def _model(self, ds: DataSet, given: Model | None) -> Model:
         raise NotImplementedError
 
 
 def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
     """Each datum's cost under the model, in nits, and their total, msg2.
-    A datum the model cannot score raises an error naming its index."""
+    Data of another kind raise a DomainError, and a datum the model cannot
+    score raises an error naming its index."""
+    if len(ds) and ds.kind != model.kind:
+        raise DomainError(f"{model.name} scores {model.kind} data, got {ds.kind}")
     costs = map_items(model.nl_pr, ds)
     return costs, math.fsum(costs)
 
@@ -187,7 +191,7 @@ def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
 class NormalEstimator(Estimator):
     """``ps`` is a NormalPriors; None resolves every prior from the data."""
 
-    def _model(self, ds: DataSet, sp) -> NormalModel:
+    def _model(self, ds: DataSet, given: NormalModel | None) -> NormalModel:
         ps = self.ps or NormalPriors()
         xs = [d.x for d in ds]
         aoms = [d.aom for d in ds]
@@ -202,7 +206,7 @@ class NormalEstimator(Estimator):
         else:
             s_lo = min(aoms) / 10.0
             s_hi = 10.0 * max(span, min(aoms))
-        if sp is None:
+        if given is None:
             mean = math.fsum(xs) / n
             ss = math.fsum((x - mean) ** 2 for x in xs)
             sd = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
@@ -211,7 +215,7 @@ class NormalEstimator(Estimator):
             sd = max(sd, (math.fsum(aoms) / n) / math.sqrt(12.0))
             sd = min(max(sd, s_lo), s_hi)
         else:
-            mean, sd = sp
+            mean, sd = given.mean, given.sd
         neg_log_prior = math.log(mu_range) + math.log(sd) + math.log(math.log(s_hi / s_lo))
         half_log_fisher = 0.5 * math.log(2.0) + math.log(n) - 2.0 * math.log(sd)
         msg1 = max(0.0, neg_log_prior + half_log_fisher + 1.0 + math.log(KAPPA_2))
@@ -219,26 +223,28 @@ class NormalEstimator(Estimator):
 
 
 class MultiStateEstimator(Estimator):
-    def _model(self, ds: DataSet, sp) -> MultiStateModel:
+    def _model(self, ds: DataSet, given: MultiStateModel | None) -> MultiStateModel:
         lo, hi, k = self.family.lo, self.family.hi, self.family.size
         n = len(ds)
-        if sp is None:
+        if given is None:
             counts = [0] * k
             for d in ds:
                 if not lo <= d.value <= hi:
                     raise DomainError(f"{d.value} is outside the data space [{lo}, {hi}]")
                 counts[d.value - lo] += 1
-            sp = [(c + 0.5) / (n + 0.5 * k) for c in counts]
+            probs = [(c + 0.5) / (n + 0.5 * k) for c in counts]
+        else:
+            probs = given.probs
         # In log space: (k-1)! overflows a float past k = 171.
         log_volume = 0.5 * math.log(k) - math.lgamma(k)
         cost = 0.5 * (k - 1) * math.log(n / MULTISTATE_LATTICE_CONSTANT) + log_volume
-        return MultiStateModel(lo, hi, sp, msg1=max(0.0, cost))
+        return MultiStateModel(lo, hi, probs, msg1=max(0.0, cost))
 
 
 class BoundedUniformEstimator(Estimator):
     """Nothing to estimate: the statistical parameters are trivial."""
 
-    def _model(self, ds: DataSet, sp) -> BoundedUniformModel:
+    def _model(self, ds: DataSet, given: BoundedUniformModel | None) -> BoundedUniformModel:
         return BoundedUniformModel(self.family.lo, self.family.hi)
 
 
@@ -257,17 +263,15 @@ class IndependentProductEstimator(Estimator):
             raise EstimationError(f"{family.name} takes {dim} estimator parameter groups")
         self.parts = [c.estimator(p) for c, p in zip(family.components, ps)]
 
-    def _scored(self, ds: DataSet, sp) -> FitResult:
+    def _scored(self, ds: DataSet, given: IndependentProductModel | None) -> FitResult:
         self._check(ds)
         dim = self.family.dim
         if ds[0].dim != dim:
             raise EstimationError(f"{self.family.name} needs {dim}-vectors, got {ds[0].dim}")
-        sp = (None,) * dim if sp is None else tuple(sp)
-        if len(sp) != dim:
-            raise ParameterError(f"{self.family.name} takes {dim} parameter groups, got {len(sp)}")
+        parts_given = (None,) * dim if given is None else given.components
         fits = [
-            part._scored(DataSet(tuple(CtsDatum(d.components[j], d.aoms[j]) for d in ds)), s)
-            for j, (part, s) in enumerate(zip(self.parts, sp))
+            part._scored(DataSet(tuple(CtsDatum(d.components[j], d.aoms[j]) for d in ds)), g)
+            for j, (part, g) in enumerate(zip(self.parts, parts_given))
         ]
         msg1 = sum(fit.msg1 for fit in fits)
         model = IndependentProductModel((fit.model for fit in fits), msg1, self.family.name)
@@ -286,8 +290,8 @@ class TransformedEstimator(Estimator):
         super().__init__(family, ps)
         self.base = family.base.estimator(ps)
 
-    def _scored(self, ds: DataSet, sp) -> FitResult:
+    def _scored(self, ds: DataSet, given: Model | None) -> FitResult:
         self._check(ds)
         f = self.family.f
-        fit = self.base._scored(map_dataset(ds, f), sp)
+        fit = self.base._scored(map_dataset(ds, f), None if given is None else given.base)
         return FitResult(fit.model.transform(f), fit.msg1, fit.msg2)

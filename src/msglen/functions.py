@@ -15,11 +15,11 @@ Three kinds of function can transform data and models:
 * ``DiscreteBijection``: a permutation of a bounded integer space, or a
   pairing with another space of the same size.
 
-All three share the protocol that transformed models are built on:
-``contains(value)`` (is the value in the function's domain), ``f(value)``
-(the map itself), ``nl_jacobian_det(value)`` (-ln |det J|, which is
--ln |f'(x)| for a scalar map and 0 for a bijection of integers) and
-``inverse()``.
+All three subclass ``Function`` and share the protocol that transformed
+models are built on: ``contains(value)`` (is the value in the function's
+domain), ``f(value)`` (the map itself), ``nl_jacobian_det(value)``
+(-ln |det J|, which is -ln |f'(x)| for a scalar map and 0 for a bijection
+of integers) and ``inverse()``.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -43,6 +43,8 @@ from .values import CtsDatum, DiscreteDatum, VecDatum
 __all__ = [
     "Interval",
     "Domain",
+    "IntegerSpace",
+    "Function",
     "Cts2Cts",
     "Linear",
     "Composed",
@@ -123,6 +125,36 @@ class Domain:
         return cls(Interval(hi=0.0), Interval(lo=0.0))
 
 
+class IntegerSpace:
+    """The bounded integer space [lo, hi], within the signed 64-bit range
+    that numpy draws integers from."""
+
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ParameterError(f"empty space [{lo}, {hi}]")
+        if lo < -(2**63) or hi > 2**63 - 1:
+            raise ParameterError(f"[{lo}, {hi}] is outside the signed 64-bit range")
+        self.lo = int(lo)
+        self.hi = int(hi)
+
+    @property
+    def size(self) -> int:
+        return self.hi - self.lo + 1
+
+    def space(self) -> range:
+        return range(self.lo, self.hi + 1)
+
+    def contains(self, k: int) -> bool:
+        return self.lo <= k <= self.hi
+
+
+def _integer(what: str, value) -> int:
+    """value as an int; a non-integral or non-finite value is a ParameterError."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ParameterError(f"{what} takes integer arguments, got {value!r}")
+    return int(value)
+
+
 class _PreimageDomain(Domain):
     """Points of `inner`'s domain whose image lands in `outer`'s domain."""
 
@@ -148,10 +180,23 @@ class _PreimageDomain(Domain):
         raise DomainError("could not sample the composed domain")
 
 
-class Cts2Cts:
-    """A scalar function with a pointwise derivative; may declare an inverse."""
+class Function:
+    """The paper's class Function: a named map of one data kind.  Its
+    ``inverse()`` raises NotInvertibleError unless a one-to-one subclass
+    overrides it."""
 
     name = "?"
+
+    def inverse(self) -> "Function":
+        raise NotInvertibleError(f"{self.name} declares no inverse")
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.name}>"
+
+
+class Cts2Cts(Function):
+    """A scalar function with a pointwise derivative; may declare an inverse."""
+
     domain: Domain = Domain.real()
 
     def apply_x(self, x: float) -> float:
@@ -160,17 +205,11 @@ class Cts2Cts:
     def d_dx(self, x: float) -> float:
         raise NotImplementedError
 
-    def inverse(self) -> "Cts2Cts":
-        raise NotInvertibleError(f"{self.name} declares no inverse")
-
     def contains(self, x: float) -> bool:
         return self.domain.contains(x)
 
     def __call__(self, x: float) -> float:
         return self.apply_x(x)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}>"
 
     def _slope(self, x: float) -> float:
         """f'(x) for x in the domain; a zero, non-finite or overflowing
@@ -299,10 +338,9 @@ def compose(outer: Cts2Cts, inner: Cts2Cts) -> Cts2Cts:
     return Composed(outer, inner)
 
 
-class CtsD2CtsD:
+class CtsD2CtsD(Function):
     """An R^D -> R^D map with a Jacobian; may declare an inverse."""
 
-    name = "?"
     dim = 0
 
     def apply_v(self, v) -> np.ndarray:
@@ -319,17 +357,11 @@ class CtsD2CtsD:
             raise DegenerateTransformError(f"{self.name} has a singular Jacobian at {v}")
         return float(-logabs)
 
-    def inverse(self) -> "CtsD2CtsD":
-        raise NotInvertibleError(f"{self.name} declares no inverse")
-
     def contains(self, v) -> bool:
         return True
 
     def __call__(self, v) -> np.ndarray:
         return self.apply_v(v)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}>"
 
     def apply(self, d: VecDatum) -> VecDatum:
         """Map a measured vector datum, propagating its component AoMs.
@@ -456,7 +488,7 @@ class ComponentPermutation(CtsD2CtsD):
     """Reorder components; the Jacobian is a permutation matrix."""
 
     def __init__(self, perm: "list[int] | tuple[int, ...]"):
-        perm = tuple(int(i) for i in perm)
+        perm = tuple(_integer("permute", i) for i in perm)
         if sorted(perm) != list(range(len(perm))):
             raise ParameterError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
         self.perm = perm
@@ -483,29 +515,11 @@ class ComponentPermutation(CtsD2CtsD):
         return ComponentPermutation(inverse_perm)
 
 
-class DiscreteBijection:
+class DiscreteBijection(IntegerSpace, Function):
     """A one-to-one map of the bounded integer space [lo, hi] onto itself."""
-
-    name = "?"
-
-    def __init__(self, lo: int, hi: int):
-        if lo > hi:
-            raise ParameterError(f"empty space [{lo}, {hi}]")
-        self.lo = int(lo)
-        self.hi = int(hi)
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
 
     def apply_i(self, k: int) -> int:
         raise NotImplementedError
-
-    def inverse(self) -> "DiscreteBijection":
-        raise NotInvertibleError(f"{self.name} declares no inverse")
-
-    def contains(self, k: int) -> bool:
-        return self.lo <= k <= self.hi
 
     def nl_jacobian_det(self, k: int) -> float:
         """A bijection of integers moves no probability mass: 0 nits."""
@@ -539,7 +553,7 @@ class Rotation(DiscreteBijection):
 
     def __init__(self, lo: int, hi: int, shift: int):
         super().__init__(lo, hi)
-        self.shift = int(shift)
+        self.shift = _integer("rotate", shift)
         self.name = f"rotate({self.shift})[{lo},{hi}]"
 
     def apply_i(self, k: int) -> int:
@@ -562,13 +576,13 @@ def linear(a: float, b: float = 0.0) -> Linear:
 
 
 # Zero-argument functions addressable by name (CLI and model expressions).
-LIBRARY: dict[str, Cts2Cts | CtsD2CtsD] = {
+LIBRARY: dict[str, Function] = {
     f.name: f for f in (identity, log, exp, inv, polar2cartesian, cartesian2polar)
 }
 
 # The function class that maps each data kind ("cts", "vec", "discrete", as
 # in DataSet.kind and the models' ``kind``) and so transforms its models.
-FUNCTION_CLASS: dict[str, type] = {
+FUNCTION_CLASS: dict[str, type[Function]] = {
     "cts": Cts2Cts,
     "vec": CtsD2CtsD,
     "discrete": DiscreteBijection,

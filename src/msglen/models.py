@@ -36,11 +36,12 @@ import math
 import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
-from .functions import FUNCTION_CLASS
+from .functions import FUNCTION_CLASS, IntegerSpace
 from .values import CtsDatum, DiscreteDatum, VecDatum
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
+    "MAX_STATES",
     "UPModel",
     "Model",
     "DiscreteFamily",
@@ -64,6 +65,11 @@ HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # AoM attached to random continuous draws; samples are synthetic, so their
 # measurement accuracy is an annotation rather than a propagated quantity.
 DEFAULT_SAMPLE_AOM = 1e-6
+
+# The most states a multistate family may have.  A fit holds a count and a
+# probability per state and reports each, so its memory and time grow with
+# the space rather than the data; a larger space is rejected up front.
+MAX_STATES = 10**6
 
 
 # What fixes each kind's data space besides the kind itself; a transforming
@@ -118,20 +124,10 @@ class UPModel:
         return f"<{type(self).__name__} {self.name}>"
 
 
-class DiscreteFamily(UPModel):
+class DiscreteFamily(IntegerSpace, UPModel):
     """Families over the bounded integer space [lo, hi]."""
 
     kind = "discrete"
-
-    def __init__(self, lo: int, hi: int):
-        if lo > hi:
-            raise ParameterError(f"empty data space [{lo}, {hi}]")
-        self.lo = int(lo)
-        self.hi = int(hi)
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
 
 
 class ContinuousFamily(UPModel):
@@ -189,6 +185,10 @@ class MultiStateFamily(DiscreteFamily):
     def __init__(self, lo: int, hi: int):
         super().__init__(lo, hi)
         self.name = f"multistate:{self.lo}:{self.hi}"
+        if self.size > MAX_STATES:
+            raise ParameterError(
+                f"{self.name} has {self.size} states; at most {MAX_STATES} are supported"
+            )
 
     def parameterise(self, sp) -> "MultiStateModel":
         return MultiStateModel(self.lo, self.hi, sp)
@@ -292,23 +292,12 @@ class Model:
         return f"<{type(self).__name__} {self.name}({ps})>"
 
 
-class DiscreteModel(Model):
+class DiscreteModel(IntegerSpace, Model):
     kind = "discrete"
 
     def __init__(self, lo: int, hi: int, msg1: float = 0.0):
-        super().__init__(msg1)
-        self.lo = int(lo)
-        self.hi = int(hi)
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-    def space(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    def contains(self, k: int) -> bool:
-        return self.lo <= k <= self.hi
+        IntegerSpace.__init__(self, lo, hi)
+        Model.__init__(self, msg1)
 
     pr_value = Model.pdf
 
@@ -505,7 +494,7 @@ class _TransformedModel(Model):
             return False
         try:
             return self.base.contains(self.f(v))
-        except (ValueError, OverflowError):
+        except (ValueError, ArithmeticError):
             return False
 
     def nl_pdf(self, v) -> float:
@@ -515,7 +504,7 @@ class _TransformedModel(Model):
         v = self.base.random_v(rng)
         try:
             return self._f_inv(v)
-        except (ValueError, OverflowError):
+        except (ValueError, ArithmeticError):
             raise DomainError(
                 f"{self.name} cannot draw: {self.base.name} drew {v!r}, "
                 f"which is outside the image of {self.f.name}"

@@ -305,16 +305,16 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
 
 
 def map_items(fn, ds: DataSet) -> list:
-    """fn of every item, in order.  A DomainError or a
-    DegenerateTransformError raised for an item names its index."""
+    """fn of every item, in order.  A DomainError, DegenerateTransformError
+    or InvalidDatumError raised for an item names its index."""
     out = []
     for i, item in enumerate(ds):
         try:
             out.append(fn(item))
         except DomainError as e:
             raise DomainError(f"index {i}: {e}", index=i) from e
-        except DegenerateTransformError as e:
-            raise DegenerateTransformError(f"index {i}: {e}") from e
+        except (DegenerateTransformError, InvalidDatumError) as e:
+            raise type(e)(f"index {i}: {e}") from e
     return out
 
 
@@ -322,8 +322,9 @@ def map_dataset(ds: DataSet, f) -> DataSet:
     """Apply a function object to every item, AoMs included.
 
     The function's data kind must match the dataset's.  An element outside
-    the function's domain raises a DomainError, and one where it collapses
-    measure a DegenerateTransformError; either names the index.
+    the function's domain raises a DomainError, one where it collapses
+    measure a DegenerateTransformError, and one whose image or AoM
+    overflows a float an InvalidDatumError; each names the index.
     """
     if len(ds) == 0:
         return DataSet((), ds.schema)

@@ -530,3 +530,109 @@ class TestBrokenPipe:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b""
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestConstructorErrors:
+    """The constructors check model expressions; the parser reports what
+    they reject as a usage error at the position it had reached."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "uniform:-1:9223372036854775808",
+            "uniform:-9223372036854775809:0",
+            "normal(0,-1)",
+            "normal(0,1,2)",
+            "uniform:3:0(0.5)",
+            "multistate:0:1(0.7,0.7)",
+            "rd:normal^0(0,1)",
+            "rd:normal^2(0,1;0,0)",
+            "normal(0,1).transform(linear(0,1))",
+            "rd:normal^2(0,1;0,1).transform(permute(0,0))",
+            "multistate:0:1000000(0.5,0.5)",
+        ],
+    )
+    def test_sample_exits_1_with_one_line(self, expr, capsys):
+        code, out, err = run(["sample", expr, "1"], capsys)
+        assert code == 1 and out == "" and _one_error_line(err)
+        assert "(at column " in err
+
+    def test_full_int64_space_samples(self, capsys):
+        lo, hi = -(2**63), 2**63 - 1
+        code, out, _ = run(["sample", f"uniform:{lo}:{hi}", "5", "--seed", "0"], capsys)
+        assert code == 0
+        assert all(lo <= int(k) <= hi for k in out.splitlines()[1:])
+
+    def test_bounds_beyond_int64_do_not_fit(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", "k\n1\n2\n")
+        code, _, err = run(["fit", "uniform:0:100000000000000000000", path], capsys)
+        assert code == 1 and _one_error_line(err) and "64-bit" in err
+
+    def test_state_limit(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", "k\n0\n1\n")
+        code, out, err = run(["fit", "multistate:0:1000000", path], capsys)
+        assert code == 1 and out == "" and _one_error_line(err) and "1000001 states" in err
+
+    def test_sample_count_limit(self, capsys):
+        code, out, err = run(["sample", "normal(0,1)", str(cli.MAX_SAMPLE_COUNT + 1)], capsys)
+        assert code == 1 and out == "" and _one_error_line(err)
+
+
+class TestOverflowingMapNamesTheRow:
+    """A map whose image or AoM overflows a float names the row."""
+
+    def test_image_overflows(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", "x\n1\n1e300\n")
+        code, out, err = run(
+            ["fit", "normal.transform(linear(1e10,0))", path, "--aom-const", "1"], capsys
+        )
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert err.startswith("error: index 1: x must be finite")
+
+    def test_aom_overflows(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", "x,aom\n1,1\n2,1e300\n")
+        code, out, err = run(
+            ["fit", "normal.transform(linear(1e10,0))", path, "--aom-col", "aom"], capsys
+        )
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert err.startswith("error: index 1: aom must be finite")
+
+
+class TestBranches:
+    def test_permuted_sample_swaps_the_base_columns(self, capsys):
+        code, base, _ = run(["sample", "rd:normal^2(0,1;5,1)", "3", "--seed", "0"], capsys)
+        assert code == 0
+        code, permuted, _ = run(
+            ["sample", "rd:normal^2(0,1;5,1).transform(permute(1,0))", "3", "--seed", "0"],
+            capsys,
+        )
+        assert code == 0
+        swapped = []
+        for line in base.splitlines()[1:]:
+            x1, x2, a1, a2 = line.split(",")
+            swapped.append(",".join([x2, x1, a2, a1]))
+        assert permuted == "x1,x2,aom1,aom2\n" + "\n".join(swapped) + "\n"
+
+    def test_image_overflow_is_outside_the_support(self, capsys, monkeypatch):
+        code, out, err = run(
+            ["eval", "normal(0,1).transform(exp)", "-", "--aom-const", "0.1"],
+            capsys,
+            stdin_text="x\n1000\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert err.startswith("error: index 0: ") and "outside the support" in err
+
+    def test_one_column_product_eval_is_data_error(self, capsys, monkeypatch):
+        code, out, err = run(
+            ["eval", "rd:normal^1(0,1)", "-", "--aom-const", "0.1"],
+            capsys,
+            stdin_text="x\n0.5\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == "" and _one_error_line(err)

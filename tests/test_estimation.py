@@ -12,6 +12,7 @@ from msglen import (
     DomainError,
     EstimationError,
     NormalPriors,
+    ParameterError,
     VecDatum,
     cartesian2polar,
     exp,
@@ -20,7 +21,7 @@ from msglen import (
     log,
     map_dataset,
 )
-from msglen.estimation import LN_2, FitResult
+from msglen.estimation import LN_2, FitResult, data_costs
 from msglen.models import NormalModel, bounded_uniform, independent_rd, multistate, normal
 
 WIDE = NormalPriors(mu_range=1e4, sigma_bounds=(1e-9, 1e6))
@@ -315,3 +316,46 @@ class TestFitResult:
         fit = normal.estimator(WIDE).estimate(normal_dataset(rng, 20, 0, 1))
         text = fit.text()
         assert "model: normal" in text and "mean:" in text and "msg:" in text
+
+
+class TestGivenParameters:
+    """message_length checks the caller's parameters with the family's
+    parameterise before any estimator reads them."""
+
+    DS = DataSet((CtsDatum(0.0, 0.1), CtsDatum(1.0, 0.1)))
+
+    @pytest.mark.parametrize("sp", [(0.0, -1.0), (0.0, 0.0), (1, 2, 3), ()])
+    def test_bad_normal_parameters(self, sp):
+        with pytest.raises(ParameterError):
+            normal.estimator().message_length(self.DS, sp)
+        with pytest.raises(ParameterError):
+            normal.transform(exp).estimator().message_length(self.DS, sp)
+
+    def test_uniform_takes_no_parameters(self):
+        ds = DataSet((DiscreteDatum(1),))
+        with pytest.raises(ParameterError):
+            bounded_uniform(0, 3).estimator().message_length(ds, (1.0,))
+        assert bounded_uniform(0, 3).estimator().message_length(ds) == (0.0, math.log(4.0))
+
+    def test_bad_multistate_parameters(self):
+        ds = DataSet((DiscreteDatum(1),))
+        with pytest.raises(ParameterError):
+            multistate(0, 1).estimator().message_length(ds, (0.7, 0.7))
+
+    @pytest.mark.parametrize("sp", [((0, 1),), ((0, 1), (0, -1)), ((0, 1), (0, 1), (0, 1))])
+    def test_bad_product_parameters(self, sp):
+        ds = DataSet((VecDatum((0.0, 1.0), (0.1, 0.1)), VecDatum((1.0, 0.0), (0.1, 0.1))))
+        with pytest.raises(ParameterError):
+            independent_rd([normal, normal]).estimator().message_length(ds, sp)
+
+    def test_product_rejects_wrong_dimension(self):
+        ds = DataSet((VecDatum((0.0, 1.0, 2.0), (0.1, 0.1, 0.1)),) * 2)
+        with pytest.raises(EstimationError):
+            independent_rd([normal, normal]).estimator().estimate(ds)
+
+
+def test_scoring_data_of_another_kind_is_a_domain_error():
+    # a one-column CSV reads as scalar data, which a 1-D product cannot score
+    model = independent_rd([normal])(((0.0, 1.0),))
+    with pytest.raises(DomainError):
+        data_costs(model, DataSet((CtsDatum(0.0, 0.1),)))

@@ -26,7 +26,15 @@ from msglen import (
     log,
     polar2cartesian,
 )
-from msglen.functions import Cts2Cts, CtsD2CtsD
+from msglen.functions import (
+    FUNCTION_CLASS,
+    LIBRARY,
+    Cts2Cts,
+    CtsD2CtsD,
+    DiscreteBijection,
+    Function,
+    IntegerSpace,
+)
 from msglen.values import DiscreteDatum
 
 CTS_FUNCTIONS = [identity, log, exp, inv, linear(2.0, 1.0), compose(linear(2.0, 0.0), log)]
@@ -386,3 +394,68 @@ class TestConstructors:
     def test_permutation_validated(self):
         with pytest.raises(ParameterError):
             ComponentPermutation([0, 0])
+
+
+class TestFunctionBase:
+    """Every function class is a Function: the name, the repr and the
+    default inverse live there once."""
+
+    def test_function_classes_subclass_function(self):
+        assert set(FUNCTION_CLASS.values()) == {Cts2Cts, CtsD2CtsD, DiscreteBijection}
+        assert all(issubclass(cls, Function) for cls in FUNCTION_CLASS.values())
+        assert all(isinstance(f, Function) for f in LIBRARY.values())
+
+    def test_discrete_bijection_repr(self):
+        assert repr(Rotation(0, 3, 1)) == "<Rotation rotate(1)[0,3]>"
+        assert repr(ReversePermutation(0, 3)) == "<ReversePermutation reverse[0,3]>"
+
+    def test_default_inverse_declares_none(self):
+        for f in (Cts2Cts(), CtsD2CtsD(), DiscreteBijection(0, 1)):
+            with pytest.raises(NotInvertibleError, match="declares no inverse"):
+                f.inverse()
+
+
+class TestIntegerSpace:
+    def test_members(self):
+        s = IntegerSpace(-2, 3)
+        assert s.size == 6 and list(s.space()) == [-2, -1, 0, 1, 2, 3]
+        assert s.contains(-2) and s.contains(3) and not s.contains(4)
+
+    @pytest.mark.parametrize("lo, hi", [(3, 0), (-(2**63) - 1, 0), (0, 2**63)])
+    def test_empty_or_beyond_int64_rejected(self, lo, hi):
+        with pytest.raises(ParameterError):
+            IntegerSpace(lo, hi)
+        with pytest.raises(ParameterError):
+            Rotation(lo, hi, 1)
+
+    def test_int64_range_accepted(self):
+        g = ReversePermutation(-(2**63), 2**63 - 1)
+        assert g.size == 2**64 and g.apply_i(-(2**63)) == 2**63 - 1
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Rotation(0, 3, 1.5),
+            lambda: Rotation(0, 3, math.inf),
+            lambda: Rotation(0, 3, math.nan),
+            lambda: ComponentPermutation([1.5, 0]),
+            lambda: ComponentPermutation([1e400, 0]),
+            lambda: ComponentPermutation([np.float32(0.5), 0]),
+        ],
+        ids=["rotate-1.5", "rotate-inf", "rotate-nan", "permute-1.5", "permute-1e400", "permute-f32"],
+    )
+    def test_non_integral_rejected(self, make):
+        with pytest.raises(ParameterError, match="integer"):
+            make()
+
+    def test_integral_values_accepted(self):
+        assert Rotation(0, 3, 2.0).shift == 2
+        assert Rotation(0, 3, np.int64(-1)).shift == -1
+        assert ComponentPermutation([1.0, 0.0]).perm == (1, 0)
+
+
+def test_tiny_negative_angle_maps_to_zero():
+    # atan2 gives -1e-17, whose remainder mod 2*pi rounds up to 2*pi itself
+    assert cartesian2polar.apply_v([1.0, -1e-17])[1] == 0.0

@@ -25,6 +25,8 @@ from msglen import (
 )
 from msglen.functions import ComponentPermutation, Componentwise, Cts2Cts, inv
 from msglen.models import (
+    MAX_STATES,
+    BoundedUniformModel,
     bounded_uniform,
     independent_rd,
     multistate,
@@ -402,3 +404,34 @@ class TestNormalisation:
         ys = [math.log(m.random(rng).x) for _ in range(n)]
         assert abs(np.mean(ys)) < 3.0 / math.sqrt(n)
         assert abs(np.std(ys, ddof=1) - 1.0) < 3.0 / math.sqrt(2 * n)
+
+
+class TestDataSpaces:
+    def test_multistate_state_limit(self):
+        assert MAX_STATES == 10**6
+        with pytest.raises(ParameterError, match="states"):
+            multistate(0, MAX_STATES)
+
+    @pytest.mark.parametrize("lo, hi", [(3, 0), (0, 2**63), (-(2**63) - 1, 0)])
+    def test_discrete_models_check_their_space(self, lo, hi):
+        with pytest.raises(ParameterError):
+            BoundedUniformModel(lo, hi)
+        with pytest.raises(ParameterError):
+            bounded_uniform(lo, hi)
+
+    def test_full_int64_uniform_draws(self):
+        m = bounded_uniform(-(2**63), 2**63 - 1)(())
+        rng = np.random.default_rng(0)
+        assert all(m.contains(m.random_v(rng)) for _ in range(10))
+
+    def test_product_rejects_wrong_dimension(self):
+        m = independent_rd([normal, normal])(((0, 1), (0, 1)))
+        with pytest.raises(DomainError):
+            m.nl_pr(VecDatum((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)))
+
+    def test_draw_onto_a_pole_of_the_inverse(self):
+        # sd = 5e-324 rounds the first draw of seed 0 (z = 0.126) to 0.0, where
+        # inv (its own inverse) divides by zero
+        m = normal((0.0, 5e-324)).transform(inv)
+        with pytest.raises(DomainError, match="cannot draw"):
+            m.random(np.random.default_rng(0))
