@@ -34,15 +34,15 @@ from .checks import SUITES
 from .errors import CsvError, ModelExprError, MsglenError
 from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
-from .values import ColumnSpec, dataset_from_csv
+from .values import ColumnSpec, DataSet, VecDatum, dataset_from_csv
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 CHECK_FAILED = 3
 BROKEN_PIPE = 1
 
-# The most rows ``sample`` draws: every draw is held until all succeed, so
-# memory grows with the count.
+# The most values ``sample`` draws (rows times the dimension): every draw is
+# held until all succeed, so memory grows with the count.
 MAX_SAMPLE_COUNT = 10**6
 
 
@@ -101,9 +101,9 @@ class _Scanner:
         except ValueError:
             raise ModelExprError("expected a number", pos=start) from None
 
-    def number_list(self, sep: str = ",") -> list[float]:
+    def number_list(self) -> list[float]:
         out = [self.number()]
-        while self.take(sep):
+        while self.take(","):
             out.append(self.number())
         return out
 
@@ -124,7 +124,9 @@ def _parse_base(sc: _Scanner) -> UPModel:
         if inner != "normal":
             raise ModelExprError(f"unknown component family {inner!r}", pos=sc.pos)
         sc.expect("^")
-        return models.independent_rd([models.normal] * sc.integer())
+        # A generator: the family reads at most models.MAX_DIM + 1 components,
+        # and range (unlike itertools.repeat) takes a count past 2^63.
+        return models.independent_rd(models.normal for _ in range(sc.integer()))
     raise ModelExprError(f"unknown model family {name!r}", pos=sc.pos)
 
 
@@ -271,6 +273,16 @@ def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
     return specs
 
 
+def _read_dataset(args, target: UPModel | Model) -> DataSet:
+    """The CSV data for target, read as its flags say.  One continuous column
+    read for a vector target (dimension 1) becomes 1-vectors."""
+    text = _read_source(args.csv)
+    ds = dataset_from_csv(text, _build_schema(args, target, text))
+    if target.kind == "vec" and ds.kind == "cts":
+        ds = DataSet(tuple(VecDatum((d.x,), (d.aom,)) for d in ds), ds.schema)
+    return ds
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -298,8 +310,7 @@ def cmd_fit(args) -> int:
     target = parse_model_expr(args.model)
     if isinstance(target, Model):
         raise ModelExprError("fit takes an unparameterised model; drop the parameters")
-    text = _read_source(args.csv)
-    ds = dataset_from_csv(text, _build_schema(args, target, text))
+    ds = _read_dataset(args, target)
     result = target.estimator().estimate(ds)
     if args.format == "kv":
         _emit(list(result.kv(bits=args.bits).items()), "kv")
@@ -310,8 +321,7 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     target = _require_model(parse_model_expr(args.model))
-    text = _read_source(args.csv)
-    ds = dataset_from_csv(text, _build_schema(args, target, text))
+    ds = _read_dataset(args, target)
     scale = 1.0 / LN_2 if args.bits else 1.0
     costs, total = data_costs(target, ds)
     per_datum = ((f"nlpr.{i}", nl * scale) for i, nl in enumerate(costs))
@@ -343,8 +353,12 @@ _SAMPLE_ROW = {
 
 def cmd_sample(args) -> int:
     target = _require_model(parse_model_expr(args.model))
-    if not 0 <= args.count <= MAX_SAMPLE_COUNT:
-        raise ModelExprError(f"count must be between 0 and {MAX_SAMPLE_COUNT}, got {args.count}")
+    dim = target.dim if target.kind == "vec" else 1
+    if not 0 <= args.count * dim <= MAX_SAMPLE_COUNT:
+        raise ModelExprError(
+            f"sample draws 0 to {MAX_SAMPLE_COUNT} values (rows x dimension), "
+            f"got {args.count} x {dim}"
+        )
     rng = np.random.default_rng(args.seed)
     row = _SAMPLE_ROW[target.kind]
     # Every draw is made before any row is written, so a failed draw

@@ -4,6 +4,8 @@
 class MsglenError(Exception):
     """Base class for every error raised by this library."""
 
+    index = None  # the dataset item a per-row error is about (values.map_items)
+
 
 class InvalidDatumError(MsglenError):
     """A datum violates its invariants (non-finite value, non-positive AoM)."""
@@ -11,10 +13,6 @@ class InvalidDatumError(MsglenError):
 
 class DomainError(MsglenError):
     """A value lies outside the domain or data space it is used in."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class DegenerateTransformError(MsglenError):

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, EstimationError, ParameterError
+from .functions import _real
 from .models import (
     BoundedUniformModel,
     IndependentProductModel,
@@ -123,10 +124,13 @@ class NormalPriors:
     sigma_bounds: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.mu_range is not None and self.mu_range <= 0:
+        if self.mu_range is not None and _real("mu_range", self.mu_range) <= 0:
             raise ParameterError("mu_range must be positive")
         if self.sigma_bounds is not None:
-            lo, hi = self.sigma_bounds
+            try:
+                lo, hi = (_real("sigma_bounds", b) for b in self.sigma_bounds)
+            except (TypeError, ValueError):
+                raise ParameterError("sigma_bounds takes two numbers (lo, hi)") from None
             if not (0 < lo < hi):
                 raise ParameterError("sigma_bounds must satisfy 0 < lo < hi")
 
@@ -274,7 +278,7 @@ class IndependentProductEstimator(Estimator):
             for j, (part, g) in enumerate(zip(self.parts, parts_given))
         ]
         msg1 = sum(fit.msg1 for fit in fits)
-        model = IndependentProductModel((fit.model for fit in fits), msg1, self.family.name)
+        model = IndependentProductModel((fit.model for fit in fits), msg1)
         return FitResult(model, msg1, math.fsum(fit.msg2 for fit in fits))
 
 

@@ -28,6 +28,7 @@ addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +131,13 @@ class IntegerSpace:
     that numpy draws integers from."""
 
     def __init__(self, lo: int, hi: int):
+        lo, hi = _integer("a discrete space", lo), _integer("a discrete space", hi)
         if lo > hi:
             raise ParameterError(f"empty space [{lo}, {hi}]")
         if lo < -(2**63) or hi > 2**63 - 1:
             raise ParameterError(f"[{lo}, {hi}] is outside the signed 64-bit range")
-        self.lo = int(lo)
-        self.hi = int(hi)
+        self.lo = lo
+        self.hi = hi
 
     @property
     def size(self) -> int:
@@ -148,11 +150,24 @@ class IntegerSpace:
         return self.lo <= k <= self.hi
 
 
+def _real(what: str, value) -> float:
+    """value as a float; anything but a finite real number is a ParameterError."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{what} takes finite real arguments, got {reprlib.repr(value)}")
+
+
 def _integer(what: str, value) -> int:
-    """value as an int; a non-integral or non-finite value is a ParameterError."""
-    if not (isinstance(value, int) or float(value).is_integer()):
-        raise ParameterError(f"{what} takes integer arguments, got {value!r}")
-    return int(value)
+    """value as an int; anything but an integral number is a ParameterError."""
+    try:
+        if isinstance(value, int) or _real(what, value).is_integer():
+            return int(value)
+    except ParameterError:
+        pass
+    raise ParameterError(f"{what} takes integer arguments, got {reprlib.repr(value)}")
 
 
 class _PreimageDomain(Domain):
@@ -298,10 +313,10 @@ class Linear(Cts2Cts):
     """x -> a*x + b with a != 0."""
 
     def __init__(self, a: float, b: float = 0.0):
-        if a == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
-            raise ParameterError(f"linear needs finite a != 0 and finite b, got ({a}, {b})")
-        self.a = float(a)
-        self.b = float(b)
+        self.a = _real("linear", a)
+        self.b = _real("linear", b)
+        if self.a == 0.0:
+            raise ParameterError(f"linear needs a != 0, got ({self.a}, {self.b})")
         self.name = f"linear({self.a:g},{self.b:g})"
 
     def apply_x(self, x: float) -> float:
@@ -339,7 +354,8 @@ def compose(outer: Cts2Cts, inner: Cts2Cts) -> Cts2Cts:
 
 
 class CtsD2CtsD(Function):
-    """An R^D -> R^D map with a Jacobian; may declare an inverse."""
+    """An R^D -> R^D map with a Jacobian; may declare an inverse.  Its
+    methods take any length-D sequence of floats."""
 
     dim = 0
 
@@ -373,25 +389,22 @@ class CtsD2CtsD(Function):
         """
         if d.dim != self.dim:
             raise DomainError(f"{self.name} maps R^{self.dim}, got a {d.dim}-vector")
-        v = np.asarray(d.components, dtype=float)
+        v = d.components
         if not self.contains(v):
-            raise DomainError(f"{tuple(v)} is outside the domain of {self.name}")
+            raise DomainError(f"{v} is outside the domain of {self.name}")
         nlj = self.nl_jacobian_det(v)
-        raw = np.abs(self.jacobian(v)) @ np.asarray(d.aoms, dtype=float)
+        raw = np.abs(self.jacobian(v)) @ d.aoms
         if np.any(raw == 0.0) or not np.all(np.isfinite(raw)):
-            raise DegenerateTransformError(
-                f"{self.name} collapses an AoM component at {tuple(v)}"
-            )
+            raise DegenerateTransformError(f"{self.name} collapses an AoM component at {v}")
         log_target = -nlj + math.fsum(math.log(a) for a in d.aoms)
         log_scale = (log_target - float(np.sum(np.log(raw)))) / self.dim
         out_aoms = np.exp(log_scale + np.log(raw))
         got = float(np.sum(np.log(out_aoms)))
         if abs(got - log_target) > 1e-9 * max(1.0, abs(log_target)):
             raise DegenerateTransformError(
-                f"{self.name} failed to preserve the AoM volume at {tuple(v)}"
+                f"{self.name} failed to preserve the AoM volume at {v}"
             )
-        out = self.apply_v(v)
-        return VecDatum(tuple(float(c) for c in out), tuple(float(a) for a in out_aoms))
+        return VecDatum(self.apply_v(v), out_aoms)
 
 
 class Polar2Cartesian(CtsD2CtsD):
@@ -401,20 +414,20 @@ class Polar2Cartesian(CtsD2CtsD):
     dim = 2
 
     def contains(self, v) -> bool:
-        r, theta = float(v[0]), float(v[1])
+        r, theta = v
         return r > 0.0 and 0.0 <= theta < TWO_PI
 
     def apply_v(self, v) -> np.ndarray:
-        r, theta = float(v[0]), float(v[1])
+        r, theta = v
         return np.array([r * math.cos(theta), r * math.sin(theta)])
 
     def jacobian(self, v) -> np.ndarray:
-        r, theta = float(v[0]), float(v[1])
+        r, theta = v
         c, s = math.cos(theta), math.sin(theta)
         return np.array([[c, -r * s], [s, r * c]])
 
     def nl_jacobian_det(self, v) -> float:
-        r = float(v[0])
+        r = v[0]
         if r <= 0.0:
             raise DegenerateTransformError("polar2cartesian needs r > 0")
         return -math.log(r)
@@ -430,25 +443,27 @@ class Cartesian2Polar(CtsD2CtsD):
     dim = 2
 
     def contains(self, v) -> bool:
-        return math.hypot(float(v[0]), float(v[1])) > 0.0
+        return math.hypot(*v) > 0.0
 
     def apply_v(self, v) -> np.ndarray:
-        x, y = float(v[0]), float(v[1])
+        x, y = v
         theta = math.atan2(y, x) % TWO_PI
         if theta >= TWO_PI:  # tiny negative angles round up to 2*pi
             theta = 0.0
         return np.array([math.hypot(x, y), theta])
 
     def jacobian(self, v) -> np.ndarray:
-        x, y = float(v[0]), float(v[1])
+        x, y = v
         r = math.hypot(x, y)
         if r == 0.0:
             raise DomainError("cartesian2polar is singular at the origin")
         r2 = r * r
+        if r2 == 0.0:
+            raise DegenerateTransformError(f"the Jacobian of cartesian2polar overflows at {v}")
         return np.array([[x / r, y / r], [-y / r2, x / r2]])
 
     def nl_jacobian_det(self, v) -> float:
-        r = math.hypot(float(v[0]), float(v[1]))
+        r = math.hypot(*v)
         if r == 0.0:
             raise DegenerateTransformError("cartesian2polar is singular at the origin")
         return math.log(r)
@@ -469,16 +484,16 @@ class Componentwise(CtsD2CtsD):
         self.name = f"componentwise({','.join(p.name for p in parts)})"
 
     def contains(self, v) -> bool:
-        return all(p.contains(float(x)) for p, x in zip(self.parts, v))
+        return all(p.contains(x) for p, x in zip(self.parts, v))
 
     def apply_v(self, v) -> np.ndarray:
-        return np.array([p.apply_x(float(x)) for p, x in zip(self.parts, v)])
+        return np.array([p.apply_x(x) for p, x in zip(self.parts, v)])
 
     def jacobian(self, v) -> np.ndarray:
-        return np.diag([p.d_dx(float(x)) for p, x in zip(self.parts, v)])
+        return np.diag([p.d_dx(x) for p, x in zip(self.parts, v)])
 
     def nl_jacobian_det(self, v) -> float:
-        return math.fsum(p.nl_jacobian_det(float(x)) for p, x in zip(self.parts, v))
+        return math.fsum(p.nl_jacobian_det(x) for p, x in zip(self.parts, v))
 
     def inverse(self) -> CtsD2CtsD:
         return Componentwise([p.inverse() for p in self.parts])

@@ -32,16 +32,19 @@ negative logs (nits); plain probabilities are exponentiated views.
 from __future__ import annotations
 
 import math
+import reprlib
+from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
-from .functions import FUNCTION_CLASS, IntegerSpace
+from .functions import FUNCTION_CLASS, IntegerSpace, _real
 from .values import CtsDatum, DiscreteDatum, VecDatum
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
     "MAX_STATES",
+    "MAX_DIM",
     "UPModel",
     "Model",
     "DiscreteFamily",
@@ -70,6 +73,11 @@ DEFAULT_SAMPLE_AOM = 1e-6
 # probability per state and reports each, so its memory and time grow with
 # the space rather than the data; a larger space is rejected up front.
 MAX_STATES = 10**6
+
+# The most components a product family may have.  A product holds a
+# component and a data column per dimension, so a larger one is rejected
+# before its components are built.
+MAX_DIM = 10**6
 
 
 # What fixes each kind's data space besides the kind itself; a transforming
@@ -152,8 +160,8 @@ class NormalFamily(ContinuousFamily):
         try:
             mu, sigma = sp
         except (TypeError, ValueError):
-            raise ParameterError(f"normal takes (mean, sd), got {sp!r}") from None
-        return NormalModel(float(mu), float(sigma))
+            raise ParameterError(f"normal takes (mean, sd), got {reprlib.repr(sp)}") from None
+        return NormalModel(mu, sigma)
 
     def estimator(self, ps=None):
         from .estimation import NormalEstimator
@@ -199,13 +207,24 @@ class MultiStateFamily(DiscreteFamily):
         return MultiStateEstimator(self, ps)
 
 
+def _product_name(components) -> str:
+    """rd:normal^D when every component is a normal, else rd:(a,b,...)."""
+    names = [c.name for c in components]
+    if set(names) == {"normal"}:
+        return f"rd:normal^{len(names)}"
+    return f"rd:({','.join(names)})"
+
+
 class IndependentProductFamily(VectorFamily):
     """Independent continuous components; the pdf is the product of the parts."""
 
     def __init__(self, components):
-        components = tuple(components)
+        # At most one component past the limit is taken from the iterable.
+        components = tuple(islice(components, MAX_DIM + 1))
         if not components:
             raise ParameterError("a product family needs at least one component")
+        if len(components) > MAX_DIM:
+            raise ParameterError(f"a product family has at most {MAX_DIM} components")
         for c in components:
             if not isinstance(c, ContinuousFamily):
                 raise ParameterError(
@@ -213,11 +232,7 @@ class IndependentProductFamily(VectorFamily):
                 )
         self.components = components
         self.dim = len(components)
-        names = {c.name for c in components}
-        if names == {"normal"}:
-            self.name = f"rd:normal^{self.dim}"
-        else:
-            self.name = f"rd:({','.join(c.name for c in components)})"
+        self.name = _product_name(components)
 
     def parameterise(self, sp) -> "IndependentProductModel":
         sp = tuple(sp)
@@ -226,7 +241,7 @@ class IndependentProductFamily(VectorFamily):
                 f"{self.name} takes {self.dim} parameter groups, got {len(sp)}"
             )
         parts = tuple(c.parameterise(s) for c, s in zip(self.components, sp))
-        return IndependentProductModel(parts, name=self.name)
+        return IndependentProductModel(parts)
 
     def estimator(self, ps=None):
         from .estimation import IndependentProductEstimator
@@ -342,8 +357,7 @@ class VectorModel(Model):
         return self.nl_pdf(v) - math.fsum(math.log(a) for a in d.aoms)
 
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> VecDatum:
-        v = self.random_v(rng)
-        return VecDatum(tuple(float(x) for x in v), (float(aom),) * self.dim)
+        return VecDatum(self.random_v(rng), (aom,) * self.dim)
 
 
 class NormalModel(ContinuousModel):
@@ -351,10 +365,10 @@ class NormalModel(ContinuousModel):
 
     def __init__(self, mean: float, sd: float, msg1: float = 0.0):
         super().__init__(msg1)
-        if not (math.isfinite(mean) and math.isfinite(sd)) or sd <= 0.0:
-            raise ParameterError(f"normal needs finite mean and sd > 0, got ({mean}, {sd})")
-        self.mean = mean
-        self.sd = sd
+        self.mean = _real("normal", mean)
+        self.sd = _real("normal", sd)
+        if self.sd <= 0.0:
+            raise ParameterError(f"normal needs sd > 0, got ({self.mean}, {self.sd})")
 
     def nl_pdf(self, x: float) -> float:
         z = (x - self.mean) / self.sd
@@ -368,8 +382,8 @@ class NormalModel(ContinuousModel):
 
 
 class BoundedUniformModel(DiscreteModel):
-    def __init__(self, lo: int, hi: int, msg1: float = 0.0):
-        super().__init__(lo, hi, msg1)
+    def __init__(self, lo: int, hi: int):
+        super().__init__(lo, hi)
         self.name = f"uniform:{self.lo}:{self.hi}"
         self._nl = math.log(self.size)
 
@@ -385,15 +399,17 @@ class MultiStateModel(DiscreteModel):
         super().__init__(lo, hi, msg1)
         self.name = f"multistate:{self.lo}:{self.hi}"
         try:
-            probs = tuple(float(p) for p in probs)
+            probs = tuple(_real("multistate", p) for p in probs)
         except TypeError:
-            raise ParameterError(f"multistate takes a probability per state, got {probs!r}")
+            raise ParameterError(
+                f"multistate takes a probability per state, got {reprlib.repr(probs)}"
+            ) from None
         if len(probs) != self.size:
             raise ParameterError(
                 f"need {self.size} probabilities for [{self.lo}, {self.hi}], got {len(probs)}"
             )
-        if any(p < 0.0 or not math.isfinite(p) for p in probs):
-            raise ParameterError("probabilities must be finite and non-negative")
+        if any(p < 0.0 for p in probs):
+            raise ParameterError("probabilities must be non-negative")
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"probabilities sum to {total!r}, not 1")
@@ -413,11 +429,11 @@ class MultiStateModel(DiscreteModel):
 
 
 class IndependentProductModel(VectorModel):
-    def __init__(self, components, msg1: float = 0.0, name: str | None = None):
+    def __init__(self, components, msg1: float = 0.0):
         super().__init__(msg1)
         self.components = tuple(components)
         self.dim = len(self.components)
-        self.name = name or f"rd:({','.join(c.name for c in self.components)})"
+        self.name = _product_name(self.components)
 
     def contains(self, v) -> bool:
         return all(c.contains(float(x)) for c, x in zip(self.components, v))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
@@ -44,9 +45,13 @@ __all__ = [
 
 
 def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise InvalidDatumError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    """value as a float; anything but a finite real number is invalid."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidDatumError(f"{name} must be finite, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -306,15 +311,15 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
 
 def map_items(fn, ds: DataSet) -> list:
     """fn of every item, in order.  A DomainError, DegenerateTransformError
-    or InvalidDatumError raised for an item names its index."""
+    or InvalidDatumError raised for an item names its index (``.index``)."""
     out = []
     for i, item in enumerate(ds):
         try:
             out.append(fn(item))
-        except DomainError as e:
-            raise DomainError(f"index {i}: {e}", index=i) from e
-        except (DegenerateTransformError, InvalidDatumError) as e:
-            raise type(e)(f"index {i}: {e}") from e
+        except (DomainError, DegenerateTransformError, InvalidDatumError) as e:
+            err = type(e)(f"index {i}: {e}")
+            err.index = i
+            raise err from e
     return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import msglen
-from msglen import cli
+from msglen import cli, models
 from msglen.cli import main, parse_model_expr
 from msglen.errors import ModelExprError
 from msglen.estimation import data_costs
@@ -628,11 +628,79 @@ class TestBranches:
         assert code == 2 and out == "" and _one_error_line(err)
         assert err.startswith("error: index 0: ") and "outside the support" in err
 
-    def test_one_column_product_eval_is_data_error(self, capsys, monkeypatch):
-        code, out, err = run(
-            ["eval", "rd:normal^1(0,1)", "-", "--aom-const", "0.1"],
-            capsys,
-            stdin_text="x\n0.5\n",
-            monkeypatch=monkeypatch,
-        )
+    def test_vector_domain_error_shows_plain_floats(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", "x1,x2\n0,0\n")
+        code, out, err = run(["fit", "rd:normal^2.transform(cartesian2polar)", path], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: index 0: (0.0, 0.0) is outside the domain of cartesian2polar\n"
+
+    def test_polar_jacobian_overflow_names_the_row(self, tmp_path, capsys):
+        # r = 1e-200 squares to 0.0, so 1/r^2 would divide by zero
+        path = write_csv(tmp_path, "d.csv", "x1,x2\n1,1\n1e-200,0\n")
+        code, out, err = run(["fit", "rd:normal^2.transform(cartesian2polar)", path], capsys)
         assert code == 2 and out == "" and _one_error_line(err)
+        assert err.startswith("error: index 1: the Jacobian of cartesian2polar overflows")
+
+
+class TestOneDimensionalProduct:
+    """rd:normal^1 reads one continuous column as 1-vectors."""
+
+    def test_sample_fit_round_trip_matches_normal(self, tmp_path, capsys):
+        code, out, _ = run(["sample", "rd:normal^1(2,0.5)", "5", "--seed", "1"], capsys)
+        assert code == 0 and out.splitlines()[0] == "x1,aom1"
+        path = write_csv(tmp_path, "one.csv", out)
+        code, out, _ = run(["fit", "rd:normal^1", path, "--aom-col", "aom1", "--format", "kv"], capsys)
+        product = kv(out)
+        code2, out, _ = run(["fit", "normal", path, "--aom-col", "aom1", "--format", "kv"], capsys)
+        scalar = kv(out)
+        assert code == code2 == 0 and product["model"] == "rd:normal^1"
+        assert product["param.0.mean"] == scalar["param.mean"]
+        assert product["param.0.sd"] == scalar["param.sd"]
+        for key in ("msg1", "msg2"):
+            assert product[key] == scalar[key]
+
+    def test_eval_matches_normal(self, capsys, monkeypatch):
+        rows = "x\n0.5\n-1.25\n"
+        argv = ["-", "--aom-const", "0.1", "--format", "kv"]
+        code, product, _ = run(["eval", "rd:normal^1(0,1)"] + argv, capsys, rows, monkeypatch)
+        code2, scalar, _ = run(["eval", "normal(0,1)"] + argv, capsys, rows, monkeypatch)
+        assert code == code2 == 0 and product == scalar
+
+
+class TestDimensionLimit:
+    """A product family has at most models.MAX_DIM components, and sample
+    counts values (rows times the dimension) against MAX_SAMPLE_COUNT."""
+
+    @pytest.mark.parametrize("dim", [10**6 + 1, 10**9, 10**18, 10**20])
+    def test_huge_dimension_is_usage_error(self, dim, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", "a,b\n1,2\n3,4\n")
+        code, out, err = run(["fit", f"rd:normal^{dim}", path], capsys)
+        assert code == 1 and out == "" and _one_error_line(err)
+        assert f"at most {models.MAX_DIM} components" in err
+
+    def test_sample_counts_values(self, capsys):
+        limit = cli.MAX_SAMPLE_COUNT
+        code, out, err = run(["sample", "rd:normal^2(0,1;0,1)", str(limit // 2 + 1)], capsys)
+        assert code == 1 and out == "" and _one_error_line(err)
+
+
+class TestExpressionErrors:
+    """Each malformed expression is a usage error with one line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "normal.transform()"], "expected a name"),
+            (["fit", "uniform:a:3"], "expected an integer"),
+            (["fit", "rd:uniform^2"], "unknown component family"),
+            (["eval", "normal(0,1).transform(log(2))"], "log takes no arguments"),
+            (["eval", "normal(0,1).transform(linear(1))"], "linear takes (a,b)"),
+            (["fit", "uniform:0:3.transform(reverse(1))"], "reverse takes no arguments"),
+            (["fit", "normal", "--aom-col", "e1", "--aom-col", "e2"], "once per data column"),
+        ],
+    )
+    def test_exits_1_with_one_line(self, argv, message, capsys, monkeypatch):
+        csv_text = "x,e1,e2\n1,0.1,0.1\n2,0.1,0.1\n"
+        argv = argv[:2] + ["-"] + argv[2:]
+        code, out, err = run(argv, capsys, csv_text, monkeypatch)
+        assert code == 1 and out == "" and _one_error_line(err) and message in err

@@ -355,7 +355,34 @@ class TestGivenParameters:
 
 
 def test_scoring_data_of_another_kind_is_a_domain_error():
-    # a one-column CSV reads as scalar data, which a 1-D product cannot score
+    # scalar data reach a 1-D product only from the library: the CLI reads a
+    # one-column CSV for a vector model as 1-vectors
     model = independent_rd([normal])(((0.0, 1.0),))
     with pytest.raises(DomainError):
         data_costs(model, DataSet((CtsDatum(0.0, 0.1),)))
+
+
+def test_multistate_message_length_with_given_probabilities():
+    ds = DataSet(tuple(DiscreteDatum(k) for k in (0, 1, 1, 2, 2, 2)))
+    family = multistate(0, 2)
+    probs = (0.2, 0.3, 0.5)
+    msg1, msg2 = family.estimator().message_length(ds, probs)
+    # msg1 depends on the space and the count, not on the probabilities
+    assert msg1 == family.estimator().estimate(ds).msg1
+    assert msg2 == pytest.approx(math.fsum(-math.log(probs[d.value]) for d in ds), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"mu_range": 0.0},
+        {"mu_range": -1.0},
+        {"sigma_bounds": (0.0, 1.0)},
+        {"sigma_bounds": (2.0, 1.0)},
+        {"sigma_bounds": (1.0, 2.0, 3.0)},
+        {"sigma_bounds": 5.0},
+    ],
+)
+def test_normal_priors_rejected(kwargs):
+    with pytest.raises(ParameterError):
+        NormalPriors(**kwargs)

@@ -459,3 +459,20 @@ class TestIntegerArguments:
 def test_tiny_negative_angle_maps_to_zero():
     # atan2 gives -1e-17, whose remainder mod 2*pi rounds up to 2*pi itself
     assert cartesian2polar.apply_v([1.0, -1e-17])[1] == 0.0
+
+
+def test_componentwise_needs_a_function():
+    with pytest.raises(ParameterError):
+        Componentwise([])
+
+
+@pytest.mark.parametrize("f", VECTOR_FUNCTIONS, ids=lambda f: f.name)
+def test_vector_methods_take_any_sequence(f):
+    v = (1.5, 0.75)
+    for seq in (list(v), np.array(v)):
+        assert f.contains(seq) == f.contains(v)
+        assert np.array_equal(f.apply_v(seq), f.apply_v(v))
+        assert np.array_equal(f.jacobian(seq), f.jacobian(v))
+        assert f.nl_jacobian_det(seq) == f.nl_jacobian_det(v)
+    out = f.apply(VecDatum(v, (0.01, 0.02)))
+    assert all(type(c) is float for c in out.components + out.aoms)

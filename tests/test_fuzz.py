@@ -51,7 +51,9 @@ def families(draw):
     if which == "normal":
         return "normal", "cts", 1, None
     if which == "rd":
-        dim = draw(mostly(st.integers(1, 3), st.integers(-1, 0)))
+        # Rarely a dimension past the product limit (models.MAX_DIM).
+        huge = st.sampled_from([10**6 + 1, 10**9, 10**18])
+        dim = draw(mostly(st.integers(1, 3), mostly(st.integers(-1, 0), huge)))
         return f"rd:normal^{dim}", "vec", dim, None
     lo = draw(BOUNDS)
     hi = draw(mostly(st.integers(0, 4).map(lambda k: lo + k), BOUNDS))
@@ -66,7 +68,7 @@ def parameters(draw, base, kind, dim, bounds):
     if base == "normal":
         return f"({draw(NUMBERS)},{draw(POSITIVE)})"
     if kind == "vec":
-        groups = [f"{draw(NUMBERS)},{draw(POSITIVE)}" for _ in range(max(dim, 1))]
+        groups = [f"{draw(NUMBERS)},{draw(POSITIVE)}" for _ in range(min(max(dim, 1), 3))]
         return "(" + ";".join(groups) + ")"
     if base.startswith("uniform"):
         return "()"
@@ -112,7 +114,7 @@ BAD_CELLS = st.one_of(NUMBERS, st.sampled_from(["", "x", "1,2"]))
 @st.composite
 def csv_texts(draw, kind, dim):
     """CSV text with a header and a few rows for the data kind."""
-    ncols = max(dim, 1)
+    ncols = min(max(dim, 1), 3)
     with_aom = kind != "discrete" and draw(st.booleans())
     header = [f"x{j}" for j in range(ncols)] + (["aom"] if with_aom else [])
     if kind == "discrete":

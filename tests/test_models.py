@@ -1,6 +1,7 @@
 """Model hierarchy: parameterisation, densities, transforms, sampling."""
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from msglen import (
     CtsDatum,
     DiscreteDatum,
     DomainError,
+    MsglenError,
+    NormalPriors,
     ParameterError,
     ReversePermutation,
     Rotation,
@@ -25,8 +28,12 @@ from msglen import (
 )
 from msglen.functions import ComponentPermutation, Componentwise, Cts2Cts, inv
 from msglen.models import (
+    MAX_DIM,
     MAX_STATES,
     BoundedUniformModel,
+    IndependentProductModel,
+    MultiStateModel,
+    NormalModel,
     bounded_uniform,
     independent_rd,
     multistate,
@@ -435,3 +442,79 @@ class TestDataSpaces:
         m = normal((0.0, 5e-324)).transform(inv)
         with pytest.raises(DomainError, match="cannot draw"):
             m.random(np.random.default_rng(0))
+
+
+class TestProducts:
+    def test_name_has_one_rule(self):
+        built = IndependentProductModel([NormalModel(0, 1), NormalModel(0, 1)])
+        family = independent_rd([normal, normal])
+        assert built.name == family.name == family(((0, 1), (0, 1))).name == "rd:normal^2"
+        mixed = independent_rd([normal, normal.transform(log)])
+        assert mixed.name == mixed(((0, 1), (0, 1))).name == "rd:(normal,normal.transform(log))"
+
+    def test_dimension_limit_reads_at_most_one_component_past_it(self):
+        assert MAX_DIM == 10**6
+        with pytest.raises(ParameterError, match="at most"):
+            independent_rd(repeat(normal))  # endless: only MAX_DIM + 1 are read
+
+    def test_components_must_be_continuous(self):
+        with pytest.raises(ParameterError, match="continuous"):
+            independent_rd([multistate(0, 1)])
+
+
+class TestMultiStateModelChecks:
+    def test_probabilities_must_be_iterable(self):
+        with pytest.raises(ParameterError, match="a probability per state"):
+            MultiStateModel(0, 1, 5)
+
+    def test_negative_probability(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            multistate(0, 2)((1.5, -0.5, 0.0))
+
+
+class TestRepr:
+    def test_family_and_model(self):
+        assert repr(normal) == "<NormalFamily normal>"
+        assert repr(normal((0, 2))) == "<NormalModel normal(mean=0, sd=2)>"
+        assert repr(multistate(0, 1)((0.25, 0.75))) == (
+            "<MultiStateModel multistate:0:1(p0=0.25, p1=0.75)>"
+        )
+
+
+# Constructors given a number that is not a finite real (or not an integer,
+# where one is needed).
+BAD_NUMBERS = {
+    "normal-str": lambda: normal.parameterise(("a", 1)),
+    "normal-huge-int": lambda: normal.parameterise((10**400, 1)),
+    "normal-none": lambda: normal.parameterise((1, None)),
+    "multistate-str": lambda: multistate(0, 3).parameterise(("a", 1, 1, 1)),
+    "multistate-model-none": lambda: MultiStateModel(0, 1, (None, 1.0)),
+    "linear-str": lambda: linear("a", 1),
+    "linear-huge-int": lambda: linear(10**400, 0),
+    "permute-str": lambda: ComponentPermutation(["a", 0]),
+    "rotate-str": lambda: Rotation(0, 3, "x"),
+    "rotate-none": lambda: Rotation(0, 3, None),
+    "multistate-fractional-bound": lambda: multistate(0.5, 3),
+    "uniform-fractional-bound": lambda: bounded_uniform(0, 2.9),
+    "multistate-nan-bound": lambda: multistate(float("nan"), 3),
+    "cts-str": lambda: CtsDatum("a", 1.0),
+    "cts-none": lambda: CtsDatum(None, 1.0),
+    "cts-huge-int": lambda: CtsDatum(10**400, 1.0),
+    "vec-str": lambda: VecDatum(("a",), (1.0,)),
+    "priors-str": lambda: NormalPriors(mu_range="a"),
+    "priors-bounds-str": lambda: NormalPriors(sigma_bounds=("a", 1.0)),
+    "priors-bounds-one": lambda: NormalPriors(sigma_bounds=(1.0,)),
+}
+
+
+class TestNumbersAreChecked:
+    """A number that is not a finite real (or not an integer, where one is
+    needed) is a MsglenError with a one-line message, never a bare
+    TypeError, ValueError or OverflowError, nor silently truncated."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+    def test_rejected(self, case):
+        with pytest.raises(MsglenError) as err:
+            BAD_NUMBERS[case]()
+        message = str(err.value)
+        assert "\n" not in message and len(message) < 120

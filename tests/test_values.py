@@ -11,6 +11,7 @@ from msglen import (
     CsvError,
     CtsDatum,
     DataSet,
+    DegenerateTransformError,
     DiscreteDatum,
     DomainError,
     InvalidDatumError,
@@ -264,3 +265,40 @@ class TestMapDataset:
         base = map_dataset(DataSet((CtsDatum(2.0, aom),)), log)[0]
         scaled = map_dataset(DataSet((CtsDatum(2.0, aom * factor),)), log)[0]
         assert scaled.aom == pytest.approx(base.aom * factor, rel=1e-12)
+
+
+class TestChecks:
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            [],
+            [ColumnSpec("x", kind="text")],
+            [ColumnSpec("a", kind="discrete"), ColumnSpec("b", kind="discrete")],
+        ],
+        ids=["no-columns", "unknown-kind", "two-discrete"],
+    )
+    def test_bad_schema(self, schema):
+        with pytest.raises(SchemaError):
+            dataset_from_csv("a,b\n1,2\n", schema)
+
+    def test_dataset_of_plain_numbers(self):
+        with pytest.raises(InvalidDatumError, match="unsupported"):
+            DataSet((1, 2))
+
+    def test_fractional_discrete_value(self):
+        with pytest.raises(InvalidDatumError):
+            DiscreteDatum(1.5)
+
+
+@pytest.mark.parametrize(
+    "ds, f, error",
+    [
+        (DataSet((CtsDatum(1.0, 0.1), CtsDatum(1000.0, 0.1))), exp, DegenerateTransformError),
+        (DataSet((CtsDatum(1.0, 0.1), CtsDatum(1e300, 1.0))), linear(1e10, 0.0), InvalidDatumError),
+    ],
+    ids=["degenerate", "invalid"],
+)
+def test_every_per_row_error_carries_its_index(ds, f, error):
+    with pytest.raises(error) as err:
+        map_dataset(ds, f)
+    assert err.value.index == 1 and str(err.value).startswith("index 1: ")
