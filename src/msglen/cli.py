@@ -34,7 +34,7 @@ from .checks import SUITES
 from .errors import CsvError, ModelExprError, MsglenError
 from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
-from .values import ColumnSpec, DataSet, VecDatum, dataset_from_csv
+from .values import ColumnSpec, DataSet, dataset_from_csv
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -279,7 +279,7 @@ def _read_dataset(args, target: UPModel | Model) -> DataSet:
     text = _read_source(args.csv)
     ds = dataset_from_csv(text, _build_schema(args, target, text))
     if target.kind == "vec" and ds.kind == "cts":
-        ds = DataSet(tuple(VecDatum((d.x,), (d.aom,)) for d in ds), ds.schema)
+        ds = DataSet.continuous(ds.x.reshape(-1, 1), ds.aom.reshape(-1, 1), ds.schema)
     return ds
 
 

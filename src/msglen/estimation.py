@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, EstimationError, ParameterError
 from .functions import _real
 from .models import (
@@ -39,7 +41,7 @@ from .models import (
     MultiStateModel,
     NormalModel,
 )
-from .values import CtsDatum, DataSet, map_dataset, map_items
+from .values import DataSet, map_dataset, map_items
 
 __all__ = [
     "LN_2",
@@ -172,7 +174,7 @@ class Estimator:
         self._check(ds)
         try:
             model = self._model(ds, given)
-        except OverflowError:
+        except (OverflowError, FloatingPointError):
             raise EstimationError(
                 f"{self.family.name} cannot fit these data: the fit overflows a float"
             ) from None
@@ -185,10 +187,23 @@ class Estimator:
 def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
     """Each datum's cost under the model, in nits, and their total, msg2.
     Data of another kind raise a DomainError, and a datum the model cannot
-    score raises an error naming its index."""
-    if len(ds) and ds.kind != model.kind:
+    score raises an error naming its index.
+
+    The costs are scored a column at a time (``model.nl_pr_col``) and come
+    back as Python floats."""
+    if len(ds) == 0:
+        return [], 0.0
+    if ds.kind != model.kind:
         raise DomainError(f"{model.name} scores {model.kind} data, got {ds.kind}")
-    costs = map_items(model.nl_pr, ds)
+    with np.errstate(all="ignore"):
+        costs = model.nl_pr_col(ds)
+    doubted = np.flatnonzero(~np.isfinite(costs)).tolist()
+    costs = costs.tolist()
+    # The per-datum nl_pr decides each row the columns could not score: it
+    # raises the row's own error, naming the row, or gives its cost (which
+    # may be infinite, as for a state of probability 0).
+    for i, cost in zip(doubted, map_items(model.nl_pr, ds, doubted)):
+        costs[i] = cost
     return costs, math.fsum(costs)
 
 
@@ -197,26 +212,30 @@ class NormalEstimator(Estimator):
 
     def _model(self, ds: DataSet, given: NormalModel | None) -> NormalModel:
         ps = self.ps or NormalPriors()
-        xs = [d.x for d in ds]
-        aoms = [d.aom for d in ds]
+        xs, aoms = ds.x, ds.aom
         n = len(xs)
-        span = max(xs) - min(xs)
+        span = float(xs.max()) - float(xs.min())
+        min_aom = float(aoms.min())
         mu_range = ps.mu_range
         if mu_range is None:
             # Degenerate data has no range; fall back to the AoM scale.
-            mu_range = max(1.1 * span, min(aoms))
+            mu_range = max(1.1 * span, min_aom)
         if ps.sigma_bounds is not None:
             s_lo, s_hi = ps.sigma_bounds
         else:
-            s_lo = min(aoms) / 10.0
-            s_hi = 10.0 * max(span, min(aoms))
+            s_lo = min_aom / 10.0
+            s_hi = 10.0 * max(span, min_aom)
         if given is None:
-            mean = math.fsum(xs) / n
-            ss = math.fsum((x - mean) ** 2 for x in xs)
+            # fsum over Python floats: exact sums, so the fit does not depend
+            # on the order numpy would add in.
+            mean = math.fsum(xs.tolist()) / n
+            # As Python's ** does, a deviation whose square overflows raises.
+            with np.errstate(over="raise"):
+                ss = math.fsum(np.square(xs - mean).tolist())
             sd = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
             # The AoM bounds the resolution of the data; an estimated sd below
             # the quantisation noise of the measurements is not supportable.
-            sd = max(sd, (math.fsum(aoms) / n) / math.sqrt(12.0))
+            sd = max(sd, (math.fsum(aoms.tolist()) / n) / math.sqrt(12.0))
             sd = min(max(sd, s_lo), s_hi)
         else:
             mean, sd = given.mean, given.sd
@@ -232,10 +251,10 @@ class MultiStateEstimator(Estimator):
         n = len(ds)
         if given is None:
             counts = [0] * k
-            for d in ds:
-                if not lo <= d.value <= hi:
-                    raise DomainError(f"{d.value} is outside the data space [{lo}, {hi}]")
-                counts[d.value - lo] += 1
+            for v in ds.values:
+                if not lo <= v <= hi:
+                    raise DomainError(f"{v} is outside the data space [{lo}, {hi}]")
+                counts[v - lo] += 1
             probs = [(c + 0.5) / (n + 0.5 * k) for c in counts]
         else:
             probs = given.probs
@@ -270,11 +289,11 @@ class IndependentProductEstimator(Estimator):
     def _scored(self, ds: DataSet, given: IndependentProductModel | None) -> FitResult:
         self._check(ds)
         dim = self.family.dim
-        if ds[0].dim != dim:
-            raise EstimationError(f"{self.family.name} needs {dim}-vectors, got {ds[0].dim}")
+        if ds.dim != dim:
+            raise EstimationError(f"{self.family.name} needs {dim}-vectors, got {ds.dim}")
         parts_given = (None,) * dim if given is None else given.components
         fits = [
-            part._scored(DataSet(tuple(CtsDatum(d.components[j], d.aoms[j]) for d in ds)), g)
+            part._scored(DataSet.continuous(ds.x[:, j], ds.aom[:, j]), g)
             for j, (part, g) in enumerate(zip(self.parts, parts_given))
         ]
         msg1 = sum(fit.msg1 for fit in fits)

@@ -19,7 +19,9 @@ All three subclass ``Function`` and share the protocol that transformed
 models are built on: ``contains(value)`` (is the value in the function's
 domain), ``f(value)`` (the map itself), ``nl_jacobian_det(value)``
 (-ln |det J|, which is -ln |f'(x)| for a scalar map and 0 for a bijection
-of integers) and ``inverse()``.
+of integers) and ``inverse()``.  The first three have column forms
+(``contains_col``, ``f_col``, ``nl_jacobian_det_col``) that answer for a
+whole column of values at once; ``map_dataset`` and scoring use them.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -39,7 +41,7 @@ from .errors import (
     NotInvertibleError,
     ParameterError,
 )
-from .values import CtsDatum, DiscreteDatum, VecDatum
+from .values import CtsDatum, DiscreteDatum, VecDatum, each_value
 
 __all__ = [
     "Interval",
@@ -108,6 +110,13 @@ class Domain:
             if iv.contains(x):
                 return True
         return False
+
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        """contains of every value of an array, as a bool array."""
+        ok = np.zeros(x.shape, dtype=bool)
+        for iv in self.intervals:
+            ok |= (iv.lo < x) & (x < iv.hi)
+        return ok
 
     def sample(self, rng) -> float:
         iv = self.intervals[int(rng.integers(len(self.intervals)))]
@@ -187,6 +196,12 @@ class _PreimageDomain(Domain):
         except (OverflowError, ValueError):
             return False
 
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        # An image that overflows is inf, which no open interval contains.
+        return self.inner.domain.contains_col(x) & self.outer_domain.contains_col(
+            self.inner.f_col(x)
+        )
+
     def sample(self, rng) -> float:
         for _ in range(200):
             x = self.inner.domain.sample(rng)
@@ -198,7 +213,18 @@ class _PreimageDomain(Domain):
 class Function:
     """The paper's class Function: a named map of one data kind.  Its
     ``inverse()`` raises NotInvertibleError unless a one-to-one subclass
-    overrides it."""
+    overrides it.
+
+    Each method of the value protocol has a column form, named with a
+    ``_col`` suffix, that answers for a whole column of values at once (a
+    float64 array of shape (N,) or (N, D), or a tuple of ints), and
+    ``map_col`` maps a dataset's columns.  The column forms give nothing
+    meaningful outside the domain, where callers mask them with
+    ``contains_col``; inside it, a value the per-value method rejects
+    gives a non-finite result.  The defaults loop over the per-value
+    methods, so a subclass needs only those; the library's functions
+    override the column forms with numpy, for speed.
+    """
 
     name = "?"
 
@@ -245,6 +271,27 @@ class Cts2Cts(Function):
         """-ln |f'(x)|, in nits: the 1 x 1 case of the vector maps' rule."""
         return -math.log(abs(self._slope(x)))
 
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        return self.domain.contains_col(x)
+
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        return np.array(each_value(self.apply_x, x, math.nan), dtype=np.float64)
+
+    def d_dx_col(self, x: np.ndarray) -> np.ndarray:
+        return np.array(each_value(self.d_dx, x, math.nan), dtype=np.float64)
+
+    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
+        return -np.log(np.abs(self.d_dx_col(x)))
+
+    def map_col(self, ds) -> tuple:
+        """The columns (x, aom) of a scalar dataset mapped as ``apply`` maps
+        one datum, and a bool array of the rows that mapped cleanly."""
+        x = ds.x
+        y = self.f_col(x)
+        aom = ds.aom * np.abs(self.d_dx_col(x))
+        ok = self.contains_col(x) & np.isfinite(y) & np.isfinite(aom) & (aom > 0.0)
+        return (y, aom), ok
+
     def apply(self, d: CtsDatum) -> CtsDatum:
         """Map a measured datum; the AoM scales by |f'(x)|."""
         slope = self._slope(d.x)
@@ -264,6 +311,11 @@ class Identity(Cts2Cts):
     def d_dx(self, x: float) -> float:
         return 1.0
 
+    f_col = apply_x
+
+    def d_dx_col(self, x: np.ndarray) -> np.ndarray:
+        return np.ones_like(x)
+
     def inverse(self) -> Cts2Cts:
         return self
 
@@ -278,6 +330,11 @@ class Log(Cts2Cts):
     def d_dx(self, x: float) -> float:
         return 1.0 / x
 
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        return np.log(x)
+
+    d_dx_col = d_dx
+
     def inverse(self) -> Cts2Cts:
         return exp
 
@@ -290,6 +347,11 @@ class Exp(Cts2Cts):
 
     def d_dx(self, x: float) -> float:
         return math.exp(x)
+
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(x)
+
+    d_dx_col = f_col
 
     def inverse(self) -> Cts2Cts:
         return log
@@ -304,6 +366,10 @@ class Reciprocal(Cts2Cts):
 
     def d_dx(self, x: float) -> float:
         return -1.0 / (x * x)
+
+    # The per-value arithmetic, on arrays.
+    f_col = apply_x
+    d_dx_col = d_dx
 
     def inverse(self) -> Cts2Cts:
         return self
@@ -325,6 +391,11 @@ class Linear(Cts2Cts):
     def d_dx(self, x: float) -> float:
         return self.a
 
+    f_col = apply_x
+
+    def d_dx_col(self, x: np.ndarray) -> np.ndarray:
+        return np.full_like(x, self.a)
+
     def inverse(self) -> Cts2Cts:
         return Linear(1.0 / self.a, -self.b / self.a)
 
@@ -343,6 +414,12 @@ class Composed(Cts2Cts):
 
     def d_dx(self, x: float) -> float:
         return self.outer.d_dx(self.inner.apply_x(x)) * self.inner.d_dx(x)
+
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        return self.outer.f_col(self.inner.f_col(x))
+
+    def d_dx_col(self, x: np.ndarray) -> np.ndarray:
+        return self.outer.d_dx_col(self.inner.f_col(x)) * self.inner.d_dx_col(x)
 
     def inverse(self) -> Cts2Cts:
         return Composed(self.inner.inverse(), self.outer.inverse())
@@ -378,6 +455,43 @@ class CtsD2CtsD(Function):
 
     def __call__(self, v) -> np.ndarray:
         return self.apply_v(v)
+
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        return np.array(each_value(self.contains, x, False), dtype=bool)
+
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        nan = np.full(self.dim, math.nan)
+        return np.array(each_value(self.apply_v, x, nan), dtype=np.float64)
+
+    def jacobian_col(self, x: np.ndarray) -> np.ndarray:
+        """The (N, D, D) stack of the rows' Jacobians."""
+        nan = np.full((self.dim, self.dim), math.nan)
+        return np.array(each_value(self.jacobian, x, nan), dtype=np.float64)
+
+    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
+        return np.array(each_value(self.nl_jacobian_det, x, math.nan), dtype=np.float64)
+
+    def map_col(self, ds) -> tuple:
+        """The columns (x, aom) of a vector dataset mapped as ``apply`` maps
+        one datum, and a bool array of the rows that mapped cleanly."""
+        x, aom = ds.x, ds.aom
+        if ds.dim != self.dim:
+            return (x, aom), np.zeros(len(x), dtype=bool)
+        nlj = self.nl_jacobian_det_col(x)
+        raw = (np.abs(self.jacobian_col(x)) * aom[:, None, :]).sum(axis=2)
+        log_raw = np.log(raw)
+        log_target = -nlj + np.log(aom).sum(axis=1)
+        log_scale = (log_target - log_raw.sum(axis=1)) / self.dim
+        out_aoms = np.exp(log_scale[:, None] + log_raw)
+        got = np.log(out_aoms).sum(axis=1)
+        y = self.f_col(x)
+        ok = (
+            self.contains_col(x)
+            & np.all(np.isfinite(raw) & (raw != 0.0), axis=1)
+            & (np.abs(got - log_target) <= 1e-9 * np.maximum(1.0, np.abs(log_target)))
+            & np.all(np.isfinite(y) & np.isfinite(out_aoms) & (out_aoms > 0.0), axis=1)
+        )
+        return (y, out_aoms), ok
 
     def apply(self, d: VecDatum) -> VecDatum:
         """Map a measured vector datum, propagating its component AoMs.
@@ -432,6 +546,22 @@ class Polar2Cartesian(CtsD2CtsD):
             raise DegenerateTransformError("polar2cartesian needs r > 0")
         return -math.log(r)
 
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        r, theta = x[:, 0], x[:, 1]
+        return (r > 0.0) & (0.0 <= theta) & (theta < TWO_PI)
+
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        r, theta = x[:, 0], x[:, 1]
+        return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+
+    def jacobian_col(self, x: np.ndarray) -> np.ndarray:
+        r, theta = x[:, 0], x[:, 1]
+        c, s = np.cos(theta), np.sin(theta)
+        return _stack_2x2(c, -r * s, s, r * c)
+
+    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
+        return -np.log(x[:, 0])
+
     def inverse(self) -> CtsD2CtsD:
         return cartesian2polar
 
@@ -468,8 +598,38 @@ class Cartesian2Polar(CtsD2CtsD):
             raise DegenerateTransformError("cartesian2polar is singular at the origin")
         return math.log(r)
 
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        return np.hypot(x[:, 0], x[:, 1]) > 0.0
+
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        theta = np.arctan2(x[:, 1], x[:, 0]) % TWO_PI
+        theta[theta >= TWO_PI] = 0.0  # tiny negative angles round up to 2*pi
+        return np.column_stack((np.hypot(x[:, 0], x[:, 1]), theta))
+
+    def jacobian_col(self, x: np.ndarray) -> np.ndarray:
+        # At the origin, or where r*r underflows, the entries are not finite.
+        xs, ys = x[:, 0], x[:, 1]
+        r = np.hypot(xs, ys)
+        r2 = r * r
+        return _stack_2x2(xs / r, ys / r, -ys / r2, xs / r2)
+
+    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
+        return np.log(np.hypot(x[:, 0], x[:, 1]))
+
     def inverse(self) -> CtsD2CtsD:
         return polar2cartesian
+
+
+def _floats(v) -> tuple:
+    # The parts are scalar functions, which rely on Python float arithmetic
+    # raising ZeroDivisionError or OverflowError; a numpy scalar (as in the
+    # array an enclosing vector map returns) would warn and give inf instead.
+    return tuple(map(float, v))
+
+
+def _stack_2x2(a, b, c, d) -> np.ndarray:
+    """The (N, 2, 2) stack of the matrices [[a, b], [c, d]], from columns."""
+    return np.stack((np.stack((a, b), axis=-1), np.stack((c, d), axis=-1)), axis=1)
 
 
 class Componentwise(CtsD2CtsD):
@@ -484,16 +644,34 @@ class Componentwise(CtsD2CtsD):
         self.name = f"componentwise({','.join(p.name for p in parts)})"
 
     def contains(self, v) -> bool:
-        return all(p.contains(x) for p, x in zip(self.parts, v))
+        return all(p.contains(x) for p, x in zip(self.parts, _floats(v)))
 
     def apply_v(self, v) -> np.ndarray:
-        return np.array([p.apply_x(x) for p, x in zip(self.parts, v)])
+        return np.array([p.apply_x(x) for p, x in zip(self.parts, _floats(v))])
 
     def jacobian(self, v) -> np.ndarray:
-        return np.diag([p.d_dx(x) for p, x in zip(self.parts, v)])
+        return np.diag([p.d_dx(x) for p, x in zip(self.parts, _floats(v))])
 
     def nl_jacobian_det(self, v) -> float:
-        return math.fsum(p.nl_jacobian_det(x) for p, x in zip(self.parts, v))
+        return math.fsum(p.nl_jacobian_det(x) for p, x in zip(self.parts, _floats(v)))
+
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        ok = np.ones(len(x), dtype=bool)
+        for j, p in enumerate(self.parts):
+            ok &= p.contains_col(x[:, j])
+        return ok
+
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        return np.column_stack([p.f_col(x[:, j]) for j, p in enumerate(self.parts)])
+
+    def jacobian_col(self, x: np.ndarray) -> np.ndarray:
+        jac = np.zeros((len(x), self.dim, self.dim))
+        for j, p in enumerate(self.parts):
+            jac[:, j, j] = p.d_dx_col(x[:, j])
+        return jac
+
+    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
+        return sum(p.nl_jacobian_det_col(x[:, j]) for j, p in enumerate(self.parts))
 
     def inverse(self) -> CtsD2CtsD:
         return Componentwise([p.inverse() for p in self.parts])
@@ -523,6 +701,18 @@ class ComponentPermutation(CtsD2CtsD):
     def nl_jacobian_det(self, v) -> float:
         return 0.0
 
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        return np.ones(len(x), dtype=bool)
+
+    def f_col(self, x: np.ndarray) -> np.ndarray:
+        return x[:, list(self.perm)]
+
+    def jacobian_col(self, x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.jacobian(None), (len(x), self.dim, self.dim))
+
+    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros(len(x))
+
     def inverse(self) -> CtsD2CtsD:
         inverse_perm = [0] * self.dim
         for i, j in enumerate(self.perm):
@@ -542,6 +732,22 @@ class DiscreteBijection(IntegerSpace, Function):
 
     def __call__(self, k: int) -> int:
         return self.apply_i(k)
+
+    def contains_col(self, values) -> np.ndarray:
+        return np.array(each_value(self.contains, values, False), dtype=bool)
+
+    def f_col(self, values) -> tuple:
+        return tuple(each_value(self.apply_i, values, None))
+
+    def nl_jacobian_det_col(self, values) -> np.ndarray:
+        return np.zeros(len(values))
+
+    def map_col(self, ds) -> tuple:
+        """The mapped column (values,) of a discrete dataset, and a bool
+        array of the rows that mapped cleanly."""
+        mapped = self.f_col(ds.values)
+        ok = self.contains_col(ds.values) & np.array([k is not None for k in mapped])
+        return (mapped,), ok
 
     def apply(self, d: DiscreteDatum) -> DiscreteDatum:
         if not self.contains(d.value):

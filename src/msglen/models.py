@@ -12,7 +12,10 @@ Every parameterised model answers the same value-level questions, for a
 bare value of its data space (a float, a D-vector or an integer):
 ``contains(v)``, ``nl_pdf(v)`` (the negative log density, or probability
 for discrete data) and ``random_v(rng)``; ``pdf`` is defined once from
-them, and ``nl_pr``/``random`` wrap them for measured data.
+them, and ``nl_pr``/``random`` wrap them for measured data.  The column
+forms ``contains_col``, ``nl_pdf_col`` and ``nl_pr_col`` answer for a
+whole column of a dataset at once; their defaults loop over the
+per-value methods, and the library's models override them with numpy.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
 from .functions import FUNCTION_CLASS, IntegerSpace, _real
-from .values import CtsDatum, DiscreteDatum, VecDatum
+from .values import CtsDatum, DiscreteDatum, VecDatum, each_value
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
@@ -278,6 +281,20 @@ class Model:
         """One random value of the data space, without an AoM."""
         raise NotImplementedError
 
+    def contains_col(self, values) -> np.ndarray:
+        """contains of every value of a column, as a bool array."""
+        return np.array(each_value(self.contains, values, False), dtype=bool)
+
+    def nl_pdf_col(self, values) -> np.ndarray:
+        """nl_pdf of every value of a column; outside the support it gives
+        nothing meaningful, and where nl_pdf raises it gives NaN."""
+        return np.array(each_value(self.nl_pdf, values, math.nan), dtype=np.float64)
+
+    def nl_pr_col(self, ds) -> np.ndarray:
+        """nl_pr of every datum of a dataset of the model's kind, as an
+        array; NaN where a datum is outside the support or cannot be scored."""
+        raise NotImplementedError
+
     def pdf(self, v) -> float:
         if not self.contains(v):
             raise DomainError(f"{v!r} is outside the support of {self.name}")
@@ -321,6 +338,9 @@ class DiscreteModel(IntegerSpace, Model):
             raise DomainError(f"{d.value} is outside the data space [{self.lo}, {self.hi}]")
         return self.nl_pdf(d.value)
 
+    def nl_pr_col(self, ds) -> np.ndarray:
+        return np.where(self.contains_col(ds.values), self.nl_pdf_col(ds.values), math.nan)
+
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> DiscreteDatum:
         return DiscreteDatum(self.random_v(rng))
 
@@ -340,6 +360,13 @@ class ContinuousModel(Model):
             raise DomainError(f"{d.x!r} is outside the support of {self.name}")
         return self.nl_pdf(d.x) - math.log(d.aom)
 
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        return np.isfinite(x)
+
+    def nl_pr_col(self, ds) -> np.ndarray:
+        costs = self.nl_pdf_col(ds.x) - np.log(ds.aom)
+        return np.where(self.contains_col(ds.x), costs, math.nan)
+
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> CtsDatum:
         return CtsDatum(self.random_v(rng), aom)
 
@@ -355,6 +382,12 @@ class VectorModel(Model):
         if not self.contains(v):
             raise DomainError(f"{v} is outside the support of {self.name}")
         return self.nl_pdf(v) - math.fsum(math.log(a) for a in d.aoms)
+
+    def nl_pr_col(self, ds) -> np.ndarray:
+        if ds.dim != self.dim:
+            return np.full(len(ds), math.nan)
+        costs = self.nl_pdf_col(ds.x) - np.log(ds.aom).sum(axis=1)
+        return np.where(self.contains_col(ds.x), costs, math.nan)
 
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> VecDatum:
         return VecDatum(self.random_v(rng), (aom,) * self.dim)
@@ -373,6 +406,9 @@ class NormalModel(ContinuousModel):
     def nl_pdf(self, x: float) -> float:
         z = (x - self.mean) / self.sd
         return HALF_LN_TWO_PI + math.log(self.sd) + 0.5 * z * z
+
+    # The same arithmetic on arrays, so each value comes out bit for bit.
+    nl_pdf_col = nl_pdf
 
     def random_v(self, rng) -> float:
         return float(rng.normal(self.mean, self.sd))
@@ -440,6 +476,15 @@ class IndependentProductModel(VectorModel):
 
     def nl_pdf(self, v) -> float:
         return math.fsum(c.nl_pdf(float(x)) for c, x in zip(self.components, v))
+
+    def contains_col(self, x: np.ndarray) -> np.ndarray:
+        ok = np.ones(len(x), dtype=bool)
+        for j, c in enumerate(self.components):
+            ok &= c.contains_col(x[:, j])
+        return ok
+
+    def nl_pdf_col(self, x: np.ndarray) -> np.ndarray:
+        return sum(c.nl_pdf_col(x[:, j]) for j, c in enumerate(self.components))
 
     def random_v(self, rng) -> np.ndarray:
         return np.array([c.random_v(rng) for c in self.components])
@@ -515,6 +560,12 @@ class _TransformedModel(Model):
 
     def nl_pdf(self, v) -> float:
         return self.base.nl_pdf(self.f(v)) + self.f.nl_jacobian_det(v)
+
+    def contains_col(self, values) -> np.ndarray:
+        return self.f.contains_col(values) & self.base.contains_col(self.f.f_col(values))
+
+    def nl_pdf_col(self, values) -> np.ndarray:
+        return self.base.nl_pdf_col(self.f.f_col(values)) + self.f.nl_jacobian_det_col(values)
 
     def random_v(self, rng):
         v = self.base.random_v(rng)

@@ -8,10 +8,11 @@ finite information cost in nits.  Multivariate data carry one AoM per
 component; the product of the AoMs is the volume of the little box the
 measurement pins down.
 
-Datasets are immutable, homogeneous sequences of data.  ``map_dataset``
-applies a function object elementwise using its AoM-propagating ``apply``,
-so a mapped dataset keeps track of how the measurement intervals stretch
-or shrink under the map.
+Datasets are immutable, homogeneous sequences of data, held as columns
+(numpy arrays of values and AoMs, or a tuple of ints); each datum is a
+view of one row.  ``map_dataset`` maps the columns by a function object's
+AoM-propagating column map, so a mapped dataset keeps track of how the
+measurement intervals stretch or shrink under the map.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ import reprlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
+import numpy as np
+
 from .errors import (
     CsvError,
     DegenerateTransformError,
     DomainError,
     InvalidDatumError,
+    MsglenError,
     SchemaError,
     TransformError,
 )
@@ -133,60 +137,199 @@ class ColumnSpec:
     hi: int | None = None
 
 
-@dataclass(frozen=True)
 class DataSet:
-    """An immutable, homogeneous sequence of data items."""
+    """An immutable, homogeneous dataset, held as columns.
 
-    items: tuple = ()
-    schema: tuple[ColumnSpec, ...] | None = None
+    Continuous data are the float64 arrays ``x`` and ``aom``, shaped (N,)
+    for scalars ("cts") and (N, D) for D-vectors ("vec"); discrete data
+    are ``values``, a tuple of ints.  Columns are validated once, when the
+    dataset is built.  The items (``CtsDatum``, ``VecDatum`` or
+    ``DiscreteDatum``) are views of one row each, built on first use and
+    kept; mapping, fitting and scoring read the columns and build none.
 
-    def __post_init__(self) -> None:
-        items = tuple(self.items)
-        if items:
-            first = type(items[0])
-            if first not in (CtsDatum, VecDatum, DiscreteDatum):
-                raise InvalidDatumError(f"unsupported item type {first.__name__}")
-            if any(type(it) is not first for it in items):
-                raise InvalidDatumError("dataset items must all be the same kind")
-            if first is VecDatum:
-                dim = items[0].dim
-                if any(it.dim != dim for it in items):
-                    raise InvalidDatumError("vector data must share one dimension")
-        object.__setattr__(self, "items", items)
-        if self.schema is not None:
-            object.__setattr__(self, "schema", tuple(self.schema))
+    ``DataSet(items, schema)`` builds the columns from data items;
+    ``DataSet.continuous`` and ``DataSet.discrete`` take the columns.
+    """
+
+    __slots__ = ("kind", "x", "aom", "values", "schema", "_items")
+
+    def __init__(self, items=(), schema=None):
+        items = tuple(items)
+        first = type(items[0]) if items else None
+        if items and first not in (CtsDatum, VecDatum, DiscreteDatum):
+            raise InvalidDatumError(f"unsupported item type {first.__name__}")
+        if any(type(it) is not first for it in items):
+            raise InvalidDatumError("dataset items must all be the same kind")
+        if first is DiscreteDatum:
+            self._set_discrete(tuple(d.value for d in items))
+        elif first is CtsDatum:
+            self._set_continuous([d.x for d in items], [d.aom for d in items])
+        elif first is VecDatum:
+            if len({d.dim for d in items}) > 1:
+                raise InvalidDatumError("vector data must share one dimension")
+            self._set_continuous([d.components for d in items], [d.aoms for d in items])
+        else:
+            self._set_empty()
+        self.schema = None if schema is None else tuple(schema)
+        self._items = items or None
+
+    @classmethod
+    def continuous(cls, x, aom, schema=None) -> "DataSet":
+        """A dataset of the columns ``x`` and ``aom``: (N,) for scalar data,
+        (N, D) for D-vectors.  Both are copied."""
+        ds = cls._of_columns(schema)
+        ds._set_continuous(x, aom)
+        return ds
+
+    @classmethod
+    def discrete(cls, values, schema=None) -> "DataSet":
+        """A dataset of the integer column ``values``."""
+        ds = cls._of_columns(schema)
+        ds._set_discrete(tuple(values))
+        return ds
+
+    @classmethod
+    def _of_columns(cls, schema) -> "DataSet":
+        ds = cls.__new__(cls)
+        ds.schema = None if schema is None else tuple(schema)
+        ds._items = None
+        return ds
+
+    def _set_empty(self) -> None:
+        self.kind, self.x, self.aom, self.values = "empty", None, None, None
+
+    def _set_continuous(self, x, aom) -> None:
+        try:
+            x = np.array(x, dtype=np.float64)
+            aom = np.array(aom, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidDatumError("continuous columns must hold real numbers") from None
+        if x.shape != aom.shape or x.ndim not in (1, 2):
+            raise InvalidDatumError(
+                f"values of shape {x.shape} need AoMs of the same shape, (N,) or (N, D); "
+                f"got {aom.shape}"
+            )
+        if len(x) == 0:
+            return self._set_empty()
+        if x.ndim == 2 and x.shape[1] < 1:
+            raise InvalidDatumError("a vector datum needs at least one component")
+        bad = ~(np.isfinite(x) & np.isfinite(aom) & (aom > 0.0))
+        if bad.any():
+            # The row's own datum says what is wrong with it.
+            i = int(np.flatnonzero(bad.reshape(len(x), -1).any(axis=1))[0])
+            try:
+                (CtsDatum if x.ndim == 1 else VecDatum)(x[i].tolist(), aom[i].tolist())
+            except InvalidDatumError as e:
+                raise _at_index(e, i) from e
+        x.flags.writeable = aom.flags.writeable = False
+        self.kind = "cts" if x.ndim == 1 else "vec"
+        self.x, self.aom, self.values = x, aom, None
+
+    def _set_discrete(self, values: tuple) -> None:
+        if not values:
+            return self._set_empty()
+        for i, v in enumerate(values):
+            if not isinstance(v, int):
+                try:
+                    DiscreteDatum(v)
+                except InvalidDatumError as e:
+                    raise _at_index(e, i) from e
+        self.kind, self.x, self.aom, self.values = "discrete", None, None, values
 
     @property
-    def kind(self) -> str:
-        """One of "cts", "vec", "discrete" or "empty"."""
-        if not self.items:
-            return "empty"
-        return {CtsDatum: "cts", VecDatum: "vec", DiscreteDatum: "discrete"}[
-            type(self.items[0])
-        ]
+    def dim(self) -> int:
+        """The dimension D of vector data."""
+        return self.x.shape[1]
+
+    @property
+    def items(self) -> tuple:
+        """The data items, one view per row; built on first use and kept."""
+        if self._items is None:
+            self._items = tuple(self._views(slice(None)))
+        return self._items
+
+    def _views(self, rows: slice) -> list:
+        """Datum views of the rows in a slice."""
+        if self.kind == "discrete":
+            return [_view(DiscreteDatum, value=v) for v in self.values[rows]]
+        if self.kind == "empty":
+            return []
+        xs, aoms = self.x[rows].tolist(), self.aom[rows].tolist()
+        if self.kind == "cts":
+            return [_view(CtsDatum, x=x, aom=a) for x, a in zip(xs, aoms)]
+        return [_view(VecDatum, components=tuple(x), aoms=tuple(a)) for x, a in zip(xs, aoms)]
 
     def __len__(self) -> int:
-        return len(self.items)
+        if self.kind == "empty":
+            return 0
+        return len(self.values) if self.kind == "discrete" else len(self.x)
 
     def __iter__(self) -> Iterator:
         return iter(self.items)
 
     def __getitem__(self, i):
-        return self.items[i]
+        if self._items is not None or not isinstance(i, int):
+            return self.items[i]
+        # One row, without building the others.
+        i = range(len(self))[i]
+        return self._views(slice(i, i + 1))[0]
+
+    def __repr__(self) -> str:
+        return f"<DataSet {self.kind}, {len(self)} rows>"
 
 
-def infer_default_aom(values: Sequence[float]) -> float:
+def _view(cls, **fields):
+    """A datum of cls whose fields are already valid (they come from a
+    dataset's validated columns), built without checking them again."""
+    d = object.__new__(cls)
+    for name, value in fields.items():
+        # Set as the dataclass's own __init__ sets them: writing __dict__
+        # would give each view a dict of its own, about twice the memory,
+        # and stop the class's later instances sharing their keys.
+        object.__setattr__(d, name, value)
+    return d
+
+
+def _at_index(e: MsglenError, i: int) -> MsglenError:
+    """e, reworded to name the dataset row it is about, with ``.index = i``."""
+    err = type(e)(f"index {i}: {e}")
+    err.index = i
+    return err
+
+
+def each_value(fn, column, fill) -> list:
+    """fn of every value of a column, in the form the per-value methods
+    take: a float, a tuple of floats for a vector row, or an int.
+
+    A value fn raises on gives ``fill``, which the caller picks so that the
+    row counts as one the column forms cannot answer (NaN, or False for a
+    membership test).  Such rows go to the per-datum path, which raises
+    fn's own error for them; so any exception is caught here, and none is
+    lost.
+    """
+    if isinstance(column, np.ndarray):
+        column = map(tuple, column.tolist()) if column.ndim == 2 else column.tolist()
+    out = []
+    for v in column:
+        try:
+            out.append(fn(v))
+        except Exception:
+            out.append(fill)
+    return out
+
+
+def infer_default_aom(values) -> float:
     """Granularity of a column: smallest positive gap between distinct
     sorted values, floored at 1e-6 of the value range.
 
     Falls back to 1e-6 of the value scale when there are fewer than two
     distinct values (no gap to measure).
     """
-    distinct = sorted(set(values))
-    if len(distinct) >= 2:
-        gap = min(b - a for a, b in zip(distinct, distinct[1:]))
-        return max(gap, 1e-6 * (distinct[-1] - distinct[0]))
-    scale = abs(distinct[0]) if distinct else 0.0
+    distinct = np.unique(np.asarray(values, dtype=np.float64))
+    if distinct.size >= 2:
+        gap = float(np.diff(distinct).min())
+        return max(gap, 1e-6 * float(distinct[-1] - distinct[0]))
+    scale = abs(float(distinct[0])) if distinct.size else 0.0
     return 1e-6 * max(1.0, scale)
 
 
@@ -289,7 +432,7 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
                 )
             return v
 
-        return DataSet(tuple(map(DiscreteDatum, column(s.name, bounded))), specs)
+        return DataSet.discrete(column(s.name, bounded), specs)
 
     xs, aoms = [], []
     for s in specs:
@@ -299,32 +442,30 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
         else:
             aom = s.aom_const if s.aom_const is not None else infer_default_aom(xs[-1])
             aoms.append([aom] * len(rows))
-    # Free the raw cells before building the items, so the two are never held
-    # together (a cold 10^5-row fit peaks about 3 MB lower).
+    # Free the raw cells before building the columns, so the two are never
+    # held together.
     rows.clear()
     if len(specs) == 1:
-        items = map(CtsDatum, xs[0], aoms[0])
-    else:
-        items = map(VecDatum, zip(*xs), zip(*aoms))
-    return DataSet(tuple(items), specs)
+        return DataSet.continuous(xs[0], aoms[0], specs)
+    return DataSet.continuous(np.column_stack(xs), np.column_stack(aoms), specs)
 
 
-def map_items(fn, ds: DataSet) -> list:
-    """fn of every item, in order.  A DomainError, DegenerateTransformError
-    or InvalidDatumError raised for an item names its index (``.index``)."""
+def map_items(fn, ds: DataSet, rows=None) -> list:
+    """fn of every item, or of the items at the indices ``rows``, in order.
+    A DomainError, DegenerateTransformError or InvalidDatumError raised for
+    an item names its index (``.index``)."""
     out = []
-    for i, item in enumerate(ds):
+    for i, item in enumerate(ds) if rows is None else ((i, ds[i]) for i in rows):
         try:
             out.append(fn(item))
         except (DomainError, DegenerateTransformError, InvalidDatumError) as e:
-            err = type(e)(f"index {i}: {e}")
-            err.index = i
-            raise err from e
+            raise _at_index(e, i) from e
     return out
 
 
 def map_dataset(ds: DataSet, f) -> DataSet:
-    """Apply a function object to every item, AoMs included.
+    """Apply a function object to every row, AoMs included, by its column
+    map (``f.map_col``).
 
     The function's data kind must match the dataset's.  An element outside
     the function's domain raises a DomainError, one where it collapses
@@ -340,4 +481,14 @@ def map_dataset(ds: DataSet, f) -> DataSet:
         raise TransformError(
             f"cannot map a {ds.kind} dataset with {type(f).__name__}"
         )
-    return DataSet(tuple(map_items(f.apply, ds)), ds.schema)
+    with np.errstate(all="ignore"):
+        columns, ok = f.map_col(ds)
+    doubted = np.flatnonzero(~ok).tolist()
+    if doubted:
+        # The per-datum map is the reference: the first of these rows that it
+        # rejects raises its own error, naming the row.  Should it reject none,
+        # it maps the whole dataset.
+        map_items(f.apply, ds, doubted)
+        return DataSet(map_items(f.apply, ds), ds.schema)
+    build = DataSet.discrete if ds.kind == "discrete" else DataSet.continuous
+    return build(*columns, ds.schema)

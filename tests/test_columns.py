@@ -1,0 +1,346 @@
+"""The column path agrees with the per-value path it replaces.
+
+``map_dataset`` and ``data_costs`` work on whole columns; ``Function.apply``
+and ``Model.nl_pr`` work on one datum.  These tests hold the two to each
+other: the same values (to 1e-12 relative, since numpy's ufuncs and
+``math`` may round the last digit differently), the same errors with the
+same messages and row index, and no datum built on the column path.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from msglen import (
+    ComponentPermutation,
+    Componentwise,
+    CtsDatum,
+    DataSet,
+    DegenerateTransformError,
+    DiscreteDatum,
+    DomainError,
+    InvalidDatumError,
+    ReversePermutation,
+    Rotation,
+    VecDatum,
+    cartesian2polar,
+    compose,
+    exp,
+    identity,
+    independent_rd,
+    inv,
+    linear,
+    log,
+    map_dataset,
+    multistate,
+    normal,
+    polar2cartesian,
+)
+from msglen import bounded_uniform
+from msglen.estimation import data_costs
+from msglen.functions import Cts2Cts, CtsD2CtsD
+from msglen.values import map_items
+
+REL = 1e-12
+N = 200
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= REL * max(abs(a), abs(b), 1e-300)
+
+
+def _scalar_rows(rng, lo, hi):
+    return [CtsDatum(float(x), 10.0 ** float(rng.uniform(-5, -1))) for x in rng.uniform(lo, hi, N)]
+
+
+def _vector_rows(rng, first, second):
+    aoms = 10.0 ** rng.uniform(-5, -2, (N, 2))
+    return [
+        VecDatum((float(a), float(b)), tuple(e.tolist()))
+        for a, b, e in zip(rng.uniform(*first, N), rng.uniform(*second, N), aoms)
+    ]
+
+
+# Each function with a sampler of N data in its domain.
+FUNCTIONS = {
+    "identity": (identity, lambda rng: _scalar_rows(rng, -50.0, 50.0)),
+    "log": (log, lambda rng: _scalar_rows(rng, 1e-3, 1e3)),
+    "exp": (exp, lambda rng: _scalar_rows(rng, -50.0, 50.0)),
+    "inv": (inv, lambda rng: _scalar_rows(rng, 0.01, 100.0)),
+    "linear": (linear(-3.0, 2.0), lambda rng: _scalar_rows(rng, -50.0, 50.0)),
+    "compose": (compose(exp, log), lambda rng: _scalar_rows(rng, 1e-3, 1e3)),
+    "polar2cartesian": (
+        polar2cartesian, lambda rng: _vector_rows(rng, (1e-2, 1e2), (0.0, 2.0 * math.pi))
+    ),
+    "cartesian2polar": (cartesian2polar, lambda rng: _vector_rows(rng, (-5, 5), (-5, 5))),
+    "componentwise": (
+        Componentwise([log, exp]), lambda rng: _vector_rows(rng, (1e-2, 1e2), (-5, 5))
+    ),
+    "permute": (ComponentPermutation([1, 0]), lambda rng: _vector_rows(rng, (-5, 5), (-5, 5))),
+    "reverse": (
+        ReversePermutation(-3, 7), lambda rng: [DiscreteDatum(int(k)) for k in rng.integers(-3, 8, N)]
+    ),
+    "rotate": (
+        Rotation(-3, 7, 4), lambda rng: [DiscreteDatum(int(k)) for k in rng.integers(-3, 8, N)]
+    ),
+}
+
+
+def _fields(d) -> tuple:
+    if isinstance(d, CtsDatum):
+        return (d.x, d.aom)
+    if isinstance(d, VecDatum):
+        return d.components + d.aoms
+    return (d.value,)
+
+
+def _assert_rows_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert all(_close(a, b) for a, b in zip(_fields(g), _fields(w))), (g, w)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_map_dataset_agrees_with_apply(name):
+    f, sample = FUNCTIONS[name]
+    ds = DataSet(sample(np.random.default_rng(sorted(FUNCTIONS).index(name))))
+    _assert_rows_close(list(map_dataset(ds, f)), [f.apply(d) for d in ds])
+
+
+def _error_of(call):
+    try:
+        call()
+    except (DomainError, DegenerateTransformError, InvalidDatumError) as e:
+        return type(e), str(e), e.index
+    raise AssertionError("no error was raised")
+
+
+# A function, a good datum, and a datum it cannot map.
+BAD_ROWS = {
+    "out-of-domain": (log, CtsDatum(2.0, 0.1), CtsDatum(-1.0, 0.1)),
+    "origin": (cartesian2polar, VecDatum((1.0, 2.0), (0.1, 0.1)), VecDatum((0.0, 0.0), (0.1, 0.1))),
+    "exp-overflow": (exp, CtsDatum(1.0, 0.1), CtsDatum(800.0, 0.1)),
+    "inv-tiny": (inv, CtsDatum(2.0, 0.1), CtsDatum(1e-200, 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+@given(n=st.integers(1, 12), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_bad_row_raises_the_per_datum_error(case, n, data):
+    f, good, bad = BAD_ROWS[case]
+    at = data.draw(st.integers(0, n - 1))
+    rows = [good] * n
+    rows[at] = bad
+    ds = DataSet(rows)
+    want = _error_of(lambda: map_items(f.apply, ds))
+    assert want[2] == at
+    assert _error_of(lambda: map_dataset(DataSet(rows), f)) == want
+
+
+def _plane(rng):
+    return DataSet(_vector_rows(rng, (1.0, 5.0), (1.0, 5.0)))
+
+
+# Each model with a sampler of data in its support and a datum outside it
+# (None where the support is everything).
+MODELS = {
+    "normal": (normal((1.0, 2.0)), lambda rng: DataSet(_scalar_rows(rng, -5, 7)), None),
+    "lognormal": (
+        normal.transform(log)((0.5, 0.6)),
+        lambda rng: DataSet(_scalar_rows(rng, 0.1, 9.0)),
+        CtsDatum(-1.0, 0.1),
+    ),
+    "polar": (
+        independent_rd([normal, normal])(((3.0, 0.5), (0.8, 0.2))).transform(cartesian2polar),
+        _plane,
+        VecDatum((0.0, 0.0), (0.1, 0.1)),
+    ),
+    "permuted": (
+        independent_rd([normal, normal])(((3.0, 0.5), (2.0, 1.0))).transform(
+            ComponentPermutation([1, 0])
+        ),
+        _plane,
+        None,
+    ),
+    "multistate": (
+        multistate(0, 3)((0.1, 0.2, 0.3, 0.4)),
+        lambda rng: DataSet([DiscreteDatum(int(k)) for k in rng.integers(0, 4, N)]),
+        DiscreteDatum(7),
+    ),
+    "uniform": (
+        bounded_uniform(0, 3)(()),
+        lambda rng: DataSet([DiscreteDatum(int(k)) for k in rng.integers(0, 4, N)]),
+        DiscreteDatum(-1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_data_costs_agree_with_nl_pr(name):
+    model, sample, bad = MODELS[name]
+    ds = sample(np.random.default_rng(len(name)))
+    costs, total = data_costs(model, ds)
+    want = [model.nl_pr(d) for d in ds]
+    assert all(type(c) is float for c in costs)
+    assert all(_close(c, w) for c, w in zip(costs, want))
+    assert _close(total, math.fsum(want))
+    if bad is not None:
+        rows = list(ds)
+        rows[N // 2] = bad
+        assert _error_of(lambda: data_costs(model, DataSet(rows))) == _error_of(
+            lambda: map_items(model.nl_pr, DataSet(rows))
+        )
+
+
+class Doubtful(Cts2Cts):
+    """linear(2, 1) whose column map gives NaN at 3.0, where apply is fine."""
+
+    name = "doubtful"
+
+    def apply_x(self, x):
+        return 2.0 * x + 1.0
+
+    def d_dx(self, x):
+        return 2.0
+
+    def f_col(self, x):
+        return np.where(x == 3.0, math.nan, 2.0 * x + 1.0)
+
+
+def test_rows_the_columns_doubt_but_apply_accepts_are_mapped_by_apply():
+    ds = DataSet.continuous([1.0, 3.0, 5.0], [0.1, 0.1, 0.1])
+    out = map_dataset(ds, Doubtful())
+    assert list(out) == [CtsDatum(3.0, 0.2), CtsDatum(7.0, 0.2), CtsDatum(11.0, 0.2)]
+
+
+def test_infinite_cost_comes_from_the_per_datum_path():
+    model = multistate(0, 1)((0.0, 1.0))
+    costs, total = data_costs(model, DataSet([DiscreteDatum(1), DiscreteDatum(0)]))
+    assert costs == [model.nl_pr(DiscreteDatum(1)), math.inf] and total == math.inf
+
+
+class Twice(Cts2Cts):
+    """x -> 2x + 1 through the per-value methods only."""
+
+    name = "twice"
+
+    def apply_x(self, x):
+        return 2.0 * x + 1.0
+
+    def d_dx(self, x):
+        return 2.0
+
+    def inverse(self):
+        return linear(0.5, -0.5)
+
+
+class Swap(CtsD2CtsD):
+    """(a, b) -> (b, a) through the per-value methods only."""
+
+    name = "swap"
+    dim = 2
+
+    def apply_v(self, v):
+        return np.array([v[1], v[0]])
+
+    def jacobian(self, v):
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def inverse(self):
+        return self
+
+
+@pytest.mark.parametrize(
+    "f, library, ds, model",
+    [
+        (Twice(), linear(2.0, 1.0), DataSet(_scalar_rows(np.random.default_rng(1), -5, 5)),
+         normal((0.0, 3.0))),
+        (Swap(), ComponentPermutation([1, 0]), _plane(np.random.default_rng(2)),
+         independent_rd([normal, normal])(((3.0, 0.5), (2.0, 1.0)))),
+    ],
+    ids=["Cts2Cts", "CtsD2CtsD"],
+)
+def test_subclass_with_per_value_methods_only(f, library, ds, model):
+    _assert_rows_close(list(map_dataset(ds, f)), list(map_dataset(ds, library)))
+    got = data_costs(model.transform(f), ds)[0]
+    want = data_costs(model.transform(library), ds)[0]
+    assert all(_close(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "x, aom",
+    [
+        ([1.0, math.nan], [0.1, 0.1]),
+        ([1.0, math.inf], [0.1, 0.1]),
+        ([1.0, 2.0], [0.1, math.inf]),
+        ([1.0, 2.0], [0.1, 0.0]),
+        ([1.0, 2.0], [-0.1, 0.1]),
+        ([1.0, 2.0], [0.1]),
+        ([[1.0, 2.0]], [[0.1], [0.2]]),
+        ([[1.0, 2.0], [3.0, math.nan]], [[0.1, 0.1], [0.1, 0.1]]),
+        ([[], []], [[], []]),
+        ([["a"]], [[0.1]]),
+    ],
+    ids=["nan", "inf", "inf-aom", "zero-aom", "negative-aom", "short-aom",
+         "shape-mismatch", "vector-nan", "no-components", "not-a-number"],
+)
+def test_column_validation(x, aom):
+    with pytest.raises(InvalidDatumError):
+        DataSet.continuous(x, aom)
+
+
+def test_bad_column_value_names_its_row():
+    with pytest.raises(InvalidDatumError) as err:
+        DataSet.continuous([1.0, 2.0, math.nan], [0.1, 0.1, 0.1])
+    assert err.value.index == 2 and str(err.value) == "index 2: x must be finite, got nan"
+
+
+def test_columns_are_read_only():
+    ds = DataSet.continuous([1.0, 2.0], [0.1, 0.1])
+    with pytest.raises(ValueError):
+        ds.x[0] = 5.0
+
+
+def test_rows_are_views_of_the_columns():
+    ds = DataSet.continuous([[1.0, 2.0], [3.0, 4.0]], [[0.1, 0.2], [0.3, 0.4]])
+    assert ds[-1] == VecDatum((3.0, 4.0), (0.3, 0.4))
+    assert ds._items is None  # one row was built, not the dataset's items
+    assert list(ds) == [VecDatum((1.0, 2.0), (0.1, 0.2)), VecDatum((3.0, 4.0), (0.3, 0.4))]
+    assert ds[1] is ds.items[1]
+    with pytest.raises(IndexError):
+        DataSet.continuous([1.0], [0.1])[1]
+
+
+@pytest.mark.parametrize(
+    "family, ds",
+    [
+        (independent_rd([normal, normal]).transform(cartesian2polar),
+         DataSet.continuous([[1.0, 2.0], [3.0, 1.0], [2.0, 2.5]], [[0.1, 0.1]] * 3)),
+        (normal.transform(log), DataSet.continuous([1.0, 2.0, 4.0], [0.01, 0.02, 0.01])),
+        (multistate(0, 3).transform(Rotation(0, 3, 1)), DataSet.discrete((0, 1, 1, 3))),
+    ],
+    ids=["polar", "lognormal", "multistate"],
+)
+def test_the_column_path_builds_no_items(family, ds):
+    fit = family.estimator().estimate(ds)
+    data_costs(fit.model, ds)
+    map_dataset(ds, family.f)
+    assert ds._items is None
+
+
+def test_nested_vector_transform_degenerates_without_a_warning():
+    model = (
+        independent_rd([normal])(((0, 1),))
+        .transform(Componentwise([inv]))
+        .transform(ComponentPermutation([0]))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateTransformError) as err:
+            model.nl_pr(VecDatum((1e-200,), (1e-3,)))
+    assert "np.float64" not in str(err.value)
