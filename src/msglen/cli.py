@@ -31,7 +31,7 @@ import numpy as np
 from . import functions as fn
 from . import models
 from .checks import SUITES
-from .errors import CsvError, ModelExprError, MsglenError
+from .errors import CsvError, InvalidDatumError, ModelExprError, MsglenError
 from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
 from .values import ColumnSpec, DataSet, dataset_from_csv
@@ -41,8 +41,9 @@ DATA_ERROR = 2
 CHECK_FAILED = 3
 BROKEN_PIPE = 1
 
-# The most values ``sample`` draws (rows times the dimension): every draw is
-# held until all succeed, so memory grows with the count.
+# The most values ``sample`` draws (rows times the dimension): the draws are
+# held as float64 columns (a tuple of ints for discrete data) until all
+# succeed, so memory grows with the count.
 MAX_SAMPLE_COUNT = 10**6
 
 
@@ -288,8 +289,9 @@ def _read_dataset(args, target: UPModel | Model) -> DataSet:
 # ---------------------------------------------------------------------------
 
 
-# Lines per stdout write in _emit: one write per line is slow into a pipe,
-# and one write of every line at once holds the whole text in memory.
+# Lines per stdout write in _emit and _write_sample: one write per line is
+# slow into a pipe, and one write of every line at once holds the whole text
+# in memory.
 _EMIT_BLOCK = 1024
 
 
@@ -343,12 +345,35 @@ def _sample_header(model: Model) -> list[str]:
     return ["x", "aom"]
 
 
-# One CSV row per drawn datum, by data kind.
-_SAMPLE_ROW = {
-    "cts": lambda d: f"{d.x!r},{d.aom!r}",
-    "vec": lambda d: ",".join(map(repr, d.components + d.aoms)),
-    "discrete": lambda d: str(d.value),
-}
+def _sample_dataset(model: Model, drawn, aom: float) -> DataSet:
+    """The drawn column as a dataset, every continuous value with the AoM
+    aom; building it checks every draw once."""
+    if model.kind == "discrete":
+        return DataSet.discrete(drawn)
+    try:
+        return DataSet.continuous(drawn, np.full(drawn.shape, aom))
+    except InvalidDatumError as e:
+        # The invalid datum's own error: a drawn datum has no input row to name.
+        raise (e.__cause__ or e) from None
+
+
+def _write_sample(ds: DataSet, aom: float) -> None:
+    """Write the CSV rows of a drawn dataset to stdout, _EMIT_BLOCK rows at a
+    time.  Every continuous row ends in the same AoM, formatted once."""
+    if len(ds) == 0:
+        return
+    if ds.kind == "discrete":
+        cells, text, tail = ds.values, str, "\n"
+    elif ds.kind == "cts":
+        cells, text, tail = ds.x.tolist(), repr, f",{aom!r}\n"
+    else:
+        cells, tail = ds.x.tolist(), f",{aom!r}" * ds.dim + "\n"
+
+        def text(row: list) -> str:
+            return ",".join(map(repr, row))
+
+    for start in range(0, len(cells), _EMIT_BLOCK):
+        sys.stdout.write(tail.join(map(text, cells[start : start + _EMIT_BLOCK])) + tail)
 
 
 def cmd_sample(args) -> int:
@@ -360,12 +385,11 @@ def cmd_sample(args) -> int:
             f"got {args.count} x {dim}"
         )
     rng = np.random.default_rng(args.seed)
-    row = _SAMPLE_ROW[target.kind]
-    # Every draw is made before any row is written, so a failed draw
-    # leaves stdout empty rather than holding a truncated sample.
-    rows = [",".join(_sample_header(target))]
-    rows += [row(target.random(rng, aom=args.sample_aom)) for _ in range(args.count)]
-    sys.stdout.write("\n".join(rows) + "\n")
+    # Every draw is made and checked before any row is written, so a failed
+    # draw leaves stdout empty rather than holding a truncated sample.
+    ds = _sample_dataset(target, target.random_col(rng, args.count), args.sample_aom)
+    sys.stdout.write(",".join(_sample_header(target)) + "\n")
+    _write_sample(ds, args.sample_aom)
     return 0
 
 

@@ -13,9 +13,11 @@ bare value of its data space (a float, a D-vector or an integer):
 ``contains(v)``, ``nl_pdf(v)`` (the negative log density, or probability
 for discrete data) and ``random_v(rng)``; ``pdf`` is defined once from
 them, and ``nl_pr``/``random`` wrap them for measured data.  The column
-forms ``contains_col``, ``nl_pdf_col`` and ``nl_pr_col`` answer for a
-whole column of a dataset at once; their defaults loop over the
-per-value methods, and the library's models override them with numpy.
+forms ``contains_col``, ``nl_pdf_col``, ``nl_pr_col`` and ``random_col``
+answer for a whole column of a dataset at once; their defaults loop over
+the per-value methods, and the library's models override them with numpy.
+``random_col(rng, n)`` draws from ``rng`` exactly as n ``random_v`` calls
+do, so a seeded sample is the same drawn either way.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -28,8 +30,14 @@ a bijection of integers) and its inverse:
     nl_pdf_mf(v)   = nl_pdf_m(f(v)) + f.nl_jacobian_det(v)
 
 and a transformed model draws random data by drawing from the base model
-and applying f's inverse.  All density arithmetic is carried out on
-negative logs (nits); plain probabilities are exponentiated views.
+and applying f's inverse; its column form draws the base column and
+applies ``f.inverse()``'s column map, and a row that map cannot settle
+(a value outside the inverse's domain or not finite) goes to the
+per-value inverse.  The numpy and ``math`` forms of ``exp``, ``log``,
+``cos`` and ``sin`` may round the last bit differently, so a value drawn
+through one of them may differ from the per-draw value by one ulp.  All
+density arithmetic is carried out on negative logs (nits); plain
+probabilities are exponentiated views.
 """
 
 from __future__ import annotations
@@ -295,6 +303,12 @@ class Model:
         array; NaN where a datum is outside the support or cannot be scored."""
         raise NotImplementedError
 
+    def random_col(self, rng, n: int):
+        """n random values as a column of the model's kind: a float64 array
+        of shape (n,) or (n, D), or a tuple of ints.  It draws from rng
+        exactly as n calls of random_v do."""
+        return np.array([self.random_v(rng) for _ in range(n)], dtype=np.float64)
+
     def pdf(self, v) -> float:
         if not self.contains(v):
             raise DomainError(f"{v!r} is outside the support of {self.name}")
@@ -340,6 +354,9 @@ class DiscreteModel(IntegerSpace, Model):
 
     def nl_pr_col(self, ds) -> np.ndarray:
         return np.where(self.contains_col(ds.values), self.nl_pdf_col(ds.values), math.nan)
+
+    def random_col(self, rng, n: int) -> tuple:
+        return tuple(self.random_v(rng) for _ in range(n))
 
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> DiscreteDatum:
         return DiscreteDatum(self.random_v(rng))
@@ -389,6 +406,9 @@ class VectorModel(Model):
         costs = self.nl_pdf_col(ds.x) - np.log(ds.aom).sum(axis=1)
         return np.where(self.contains_col(ds.x), costs, math.nan)
 
+    def random_col(self, rng, n: int) -> np.ndarray:
+        return super().random_col(rng, n).reshape(n, self.dim)
+
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> VecDatum:
         return VecDatum(self.random_v(rng), (aom,) * self.dim)
 
@@ -413,6 +433,9 @@ class NormalModel(ContinuousModel):
     def random_v(self, rng) -> float:
         return float(rng.normal(self.mean, self.sd))
 
+    def random_col(self, rng, n: int) -> np.ndarray:
+        return rng.normal(self.mean, self.sd, size=n)
+
     def params(self) -> dict:
         return {"mean": self.mean, "sd": self.sd}
 
@@ -428,6 +451,9 @@ class BoundedUniformModel(DiscreteModel):
 
     def random_v(self, rng) -> int:
         return int(rng.integers(self.lo, self.hi + 1))
+
+    def random_col(self, rng, n: int) -> tuple:
+        return tuple(rng.integers(self.lo, self.hi + 1, size=n).tolist())
 
 
 class MultiStateModel(DiscreteModel):
@@ -460,6 +486,11 @@ class MultiStateModel(DiscreteModel):
         u = float(rng.random())
         return self.lo + int(np.searchsorted(self._cum, u))
 
+    def random_col(self, rng, n: int) -> tuple:
+        # The offset is added to Python ints, which cannot overflow.
+        lo = self.lo
+        return tuple(lo + k for k in np.searchsorted(self._cum, rng.random(n)).tolist())
+
     def params(self) -> dict:
         return {f"p{k}": p for k, p in zip(self.space(), self.probs)}
 
@@ -488,6 +519,15 @@ class IndependentProductModel(VectorModel):
 
     def random_v(self, rng) -> np.ndarray:
         return np.array([c.random_v(rng) for c in self.components])
+
+    def random_col(self, rng, n: int) -> np.ndarray:
+        # numpy fills an (n, D) draw row by row, as the per-row loop draws;
+        # drawing other components a column at a time would reorder them.
+        if all(isinstance(c, NormalModel) for c in self.components):
+            means = [c.mean for c in self.components]
+            sds = [c.sd for c in self.components]
+            return rng.normal(means, sds, size=(n, self.dim))
+        return super().random_col(rng, n)
 
     def params(self) -> dict:
         out = {}
@@ -568,7 +608,30 @@ class _TransformedModel(Model):
         return self.base.nl_pdf_col(self.f.f_col(values)) + self.f.nl_jacobian_det_col(values)
 
     def random_v(self, rng):
-        v = self.base.random_v(rng)
+        return self._preimage(self.base.random_v(rng))
+
+    def random_col(self, rng, n: int):
+        drawn = self.base.random_col(rng, n)
+        inv = self._f_inv
+        with np.errstate(all="ignore"):
+            values = inv.f_col(drawn)
+            ok = inv.contains_col(drawn) & _settled(values)
+        doubted = np.flatnonzero(~ok).tolist()
+        if not doubted:
+            return values
+        # The per-value inverse is the reference for these rows: it raises
+        # for the first draw without a preimage, or gives the row's value.
+        values = list(values) if isinstance(values, tuple) else values.copy()
+        for i in doubted:
+            v = drawn[i]
+            # A scalar row as random_v gives it: a Python float, whose
+            # arithmetic raises where numpy's warns, and whose repr is plain.
+            values[i] = self._preimage(float(v) if isinstance(v, np.floating) else v)
+        return tuple(values) if isinstance(drawn, tuple) else values
+
+    def _preimage(self, v):
+        """f's inverse of a value the base model drew, as random_v gives it;
+        a value f's inverse rejects is a DomainError."""
         try:
             return self._f_inv(v)
         except (ValueError, ArithmeticError):
@@ -576,6 +639,15 @@ class _TransformedModel(Model):
                 f"{self.name} cannot draw: {self.base.name} drew {v!r}, "
                 f"which is outside the image of {self.f.name}"
             ) from None
+
+
+def _settled(values) -> np.ndarray:
+    """Which rows of a column a column map settled: a finite value (every
+    component finite, for a vector row), or an int rather than None."""
+    if isinstance(values, tuple):
+        return np.array([k is not None for k in values], dtype=bool)
+    finite = np.isfinite(values)
+    return finite if finite.ndim == 1 else finite.all(axis=1)
 
 
 class TransformedContinuousModel(_TransformedModel, ContinuousModel):

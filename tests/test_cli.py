@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 
 import msglen
 from msglen import cli, models
+from msglen import functions as fn
 from msglen.cli import main, parse_model_expr
-from msglen.errors import ModelExprError
+from msglen.errors import DomainError, InvalidDatumError, ModelExprError
 from msglen.estimation import data_costs
 from msglen.models import (
     IndependentProductFamily,
@@ -353,6 +355,69 @@ class TestSample:
     def test_negative_count(self, capsys):
         code, _, _ = run(["sample", "normal(0,1)", "-3"], capsys)
         assert code == 1
+
+    def test_failed_draw_reports_the_per_draw_error(self, capsys):
+        model = cli._require_model(parse_model_expr("normal(0,1).transform(exp)"))
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError) as want:
+            for _ in range(10):
+                model.random(rng)
+        code, out, err = run(["sample", "normal(0,1).transform(exp)", "10", "--seed", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {want.value}\n"
+        assert "np.float64" not in err and "drew -0.13" in err
+
+    @pytest.mark.parametrize(
+        "expr, aom",
+        [("normal(0,1)", 0.0), ("rd:normal^2(0,1;0,1)", math.nan), ("normal(1e308,1e308)", 0.5)],
+        ids=["zero-aom", "nan-aom", "infinite-draw"],
+    )
+    def test_invalid_datum_reports_the_per_draw_error(self, expr, aom, capsys):
+        model = cli._require_model(parse_model_expr(expr))
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidDatumError) as want:
+            for _ in range(10):
+                model.random(rng, aom)
+        code, out, err = run(["sample", expr, "10", "--sample-aom", repr(aom)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {want.value}\n"
+
+    def test_overflowing_inverse_warns_nothing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["sample", "normal(800,1).transform(log)", "3"], capsys)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "cannot draw" in err
+
+    def test_polar_draws_outside_the_support_are_kept(self, capsys):
+        # The base normal puts mass at r <= 0 and at angles outside [0, 2*pi),
+        # where polar2cartesian (the inverse) is not defined; such draws are
+        # mapped by its formula, as the per-draw path maps them.
+        expr = "rd:normal^2(0,1;0,1).transform(cartesian2polar)"
+        code, out, _ = run(["sample", expr, "5", "--seed", "0"], capsys)
+        assert code == 0
+        model = parse_model_expr(expr)
+        base = model.base.random_col(np.random.default_rng(0), 5)
+        assert not fn.polar2cartesian.contains_col(base).all()
+        rng = np.random.default_rng(0)
+        want = [model.random(rng) for _ in range(5)]
+        got = [[float(c) for c in line.split(",")] for line in out.splitlines()[1:]]
+        np.testing.assert_array_max_ulp(
+            np.array(got), np.array([d.components + d.aoms for d in want]), maxulp=1
+        )
+
+    def test_rows_are_written_in_blocks(self, monkeypatch):
+        writes = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(["sample", "normal(0,1)", "3000", "--seed", "0"]) == 0
+        lines = [text.count("\n") for text in writes]
+        assert lines == [1] + [cli._EMIT_BLOCK] * 2 + [3000 - 2 * cli._EMIT_BLOCK]
 
 
 class TestCheck:

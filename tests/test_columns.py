@@ -1,10 +1,11 @@
 """The column path agrees with the per-value path it replaces.
 
-``map_dataset`` and ``data_costs`` work on whole columns; ``Function.apply``
-and ``Model.nl_pr`` work on one datum.  These tests hold the two to each
-other: the same values (to 1e-12 relative, since numpy's ufuncs and
-``math`` may round the last digit differently), the same errors with the
-same messages and row index, and no datum built on the column path.
+``map_dataset``, ``data_costs`` and ``Model.random_col`` work on whole
+columns; ``Function.apply``, ``Model.nl_pr`` and ``Model.random_v`` work on
+one datum.  These tests hold the two to each other: the same values (to
+1e-12 relative, or one ulp for a draw, since numpy's ufuncs and ``math``
+may round the last digit differently), the same errors with the same
+messages and row index, and no datum built on the column path.
 """
 
 import math
@@ -40,8 +41,10 @@ from msglen import (
     polar2cartesian,
 )
 from msglen import bounded_uniform
+from msglen import cli
 from msglen.estimation import data_costs
-from msglen.functions import Cts2Cts, CtsD2CtsD
+from msglen.functions import Cts2Cts, CtsD2CtsD, Log
+from msglen.models import DEFAULT_SAMPLE_AOM
 from msglen.values import map_items
 
 REL = 1e-12
@@ -344,3 +347,140 @@ def test_nested_vector_transform_degenerates_without_a_warning():
         with pytest.raises(DegenerateTransformError) as err:
             model.nl_pr(VecDatum((1e-200,), (1e-3,)))
     assert "np.float64" not in str(err.value)
+
+
+class ColumnlessExp(Cts2Cts):
+    """exp whose column map settles no row, so every draw takes the per-value inverse."""
+
+    name = "columnless-exp"
+
+    def apply_x(self, x):
+        return math.exp(x)
+
+    def d_dx(self, x):
+        return math.exp(x)
+
+    def f_col(self, x):
+        return np.full_like(x, math.nan)
+
+
+class LogOfColumnlessExp(Log):
+    """log, whose inverse is ColumnlessExp."""
+
+    def inverse(self):
+        return ColumnlessExp()
+
+
+# Every model of MODELS, and the draws random_col treats apart: the full
+# signed 64-bit space, discrete transforms, a product with a component that
+# is not a normal (drawn by the per-row loop), and an inverse whose column
+# map settles no row.
+DRAWN = {
+    **{name: model for name, (model, _, _) in MODELS.items()},
+    "uniform-int64": bounded_uniform(-(2**63), 2**63 - 1)(()),
+    "reversed": multistate(0, 3).transform(ReversePermutation(0, 3))((0.1, 0.2, 0.3, 0.4)),
+    "rotated": multistate(0, 3).transform(Rotation(0, 3, 3))((0.1, 0.2, 0.3, 0.4)),
+    "product-of-lognormal": independent_rd([normal, normal.transform(log)])(
+        ((1.0, 2.0), (0.5, 0.6))
+    ),
+    "columnless-inverse": normal.transform(LogOfColumnlessExp())((0.5, 0.6)),
+}
+
+# The models drawn through exp, log, cos or sin, whose numpy and math forms
+# may round the last bit differently.
+ONE_ULP = {"lognormal", "polar"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 901])
+@pytest.mark.parametrize("name", sorted(DRAWN))
+def test_random_col_draws_as_random_v_does(name, seed):
+    model = DRAWN[name]
+    by_column, by_value = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = model.random_col(by_column, 5 * N)
+    want = [model.random_v(by_value) for _ in range(5 * N)]
+    assert by_column.random() == by_value.random()
+    if model.kind == "discrete":
+        assert type(got) is tuple and got == tuple(want)
+        assert all(type(k) is int for k in got)
+        return
+    want = np.array(want)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    if name in ONE_ULP:
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(DRAWN))
+def test_no_draws_is_an_empty_column(name):
+    model = DRAWN[name]
+    got = model.random_col(np.random.default_rng(0), 0)
+    if model.kind == "discrete":
+        assert got == ()
+    else:
+        assert got.shape == ((0, model.dim) if model.kind == "vec" else (0,))
+
+
+def test_a_draw_without_a_preimage_raises_the_per_draw_error():
+    model = normal.transform(exp)((0.0, 1.0))
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError) as want:
+        for _ in range(N):
+            model.random_v(rng)
+    with pytest.raises(DomainError) as got:
+        model.random_col(np.random.default_rng(0), N)
+    assert str(got.value) == str(want.value)
+    assert "np.float64" not in str(got.value)
+
+
+# Seeded samples that must come out byte for byte as the per-draw path wrote
+# them, and those drawn through exp, log, cos or sin, which may differ by one
+# ulp in a value.
+SAMPLES_EXACT = [
+    "normal(0.5,2)",
+    "normal(0.5,2).transform(linear(3,1))",
+    "rd:normal^3(0,1;5,1;2,3)",
+    "rd:normal^2(0,1;5,1).transform(permute(1,0))",
+    "uniform:-9223372036854775808:9223372036854775807",
+    "multistate:0:3(0.1,0.2,0.3,0.4)",
+    "multistate:0:3(0.1,0.2,0.3,0.4).transform(reverse)",
+    "multistate:0:3(0.1,0.2,0.3,0.4).transform(rotate(2))",
+]
+SAMPLES_ONE_ULP = [
+    "normal(0.9,0.5).transform(log)",
+    "rd:normal^2(3,0.5;0.8,0.2).transform(cartesian2polar)",
+]
+
+
+def _per_draw_sample(expr: str, count: int, seed: int, aom: float) -> str:
+    """The CSV text of a sample drawn and formatted one datum at a time."""
+    model = cli._require_model(cli.parse_model_expr(expr))
+    rng = np.random.default_rng(seed)
+    draws = [model.random(rng, aom) for _ in range(count)]
+    if model.kind == "discrete":
+        return "x\n" + "".join(f"{d.value}\n" for d in draws)
+    if model.kind == "cts":
+        return "x,aom\n" + "".join(f"{d.x!r},{d.aom!r}\n" for d in draws)
+    d = model.dim
+    header = [f"x{j + 1}" for j in range(d)] + [f"aom{j + 1}" for j in range(d)]
+    rows = (",".join(map(repr, d.components + d.aoms)) for d in draws)
+    return ",".join(header) + "\n" + "".join(f"{row}\n" for row in rows)
+
+
+def _cells(text: str) -> np.ndarray:
+    return np.array([[float(c) for c in line.split(",")] for line in text.splitlines()[1:]])
+
+
+@pytest.mark.parametrize("aom", [DEFAULT_SAMPLE_AOM, 0.25])
+@pytest.mark.parametrize("expr", SAMPLES_EXACT + SAMPLES_ONE_ULP)
+def test_sample_writes_the_per_draw_rows(expr, aom, capsys):
+    count, seed = 2500, 901
+    code = cli.main(["sample", expr, str(count), "--seed", str(seed), "--sample-aom", repr(aom)])
+    out = capsys.readouterr().out
+    want = _per_draw_sample(expr, count, seed, aom)
+    assert code == 0
+    if expr in SAMPLES_EXACT:
+        assert out == want
+    else:
+        assert out.splitlines()[0] == want.splitlines()[0]
+        np.testing.assert_array_max_ulp(_cells(out), _cells(want), maxulp=1)
