@@ -31,10 +31,10 @@ import numpy as np
 from . import functions as fn
 from . import models
 from .checks import SUITES
-from .errors import CsvError, InvalidDatumError, ModelExprError, MsglenError
+from .errors import CsvError, ModelExprError, MsglenError
 from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
-from .values import ColumnSpec, DataSet, dataset_from_csv
+from .values import ColumnSpec, CtsDatum, DataSet, dataset_from_csv
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -345,29 +345,38 @@ def _sample_header(model: Model) -> list[str]:
     return ["x", "aom"]
 
 
-def _sample_dataset(model: Model, drawn, aom: float) -> DataSet:
-    """The drawn column as a dataset, every continuous value with the AoM
-    aom; building it checks every draw once."""
-    if model.kind == "discrete":
-        return DataSet.discrete(drawn)
+def _draw_sample(model: Model, seed: int, count: int, aom: float):
+    """count draws from model at seed, as one column (see Model.random_col),
+    each checked as the datum it becomes with the AoM aom.  A draw that
+    fails, or is not a valid datum, raises what drawing one datum at a time
+    raises for it."""
     try:
-        return DataSet.continuous(drawn, np.full(drawn.shape, aom))
-    except InvalidDatumError as e:
-        # The invalid datum's own error: a drawn datum has no input row to name.
-        raise (e.__cause__ or e) from None
+        if count and model.kind != "discrete":
+            CtsDatum(1.0, aom)  # a bad AoM fails before the column is drawn
+        drawn = model.random_col(np.random.default_rng(seed), count)
+        if model.kind == "discrete":
+            DataSet.discrete(drawn)
+        else:
+            DataSet.continuous(drawn, np.broadcast_to(aom, drawn.shape))
+        return drawn
+    except MsglenError:
+        # The per-draw sample from the same seed is the reference: it fails
+        # at the first draw that fails, with that draw's own error.
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            model.random(rng, aom=aom)
+        raise
 
 
-def _write_sample(ds: DataSet, aom: float) -> None:
-    """Write the CSV rows of a drawn dataset to stdout, _EMIT_BLOCK rows at a
+def _write_sample(model: Model, drawn, aom: float) -> None:
+    """Write the CSV rows of a drawn column to stdout, _EMIT_BLOCK rows at a
     time.  Every continuous row ends in the same AoM, formatted once."""
-    if len(ds) == 0:
-        return
-    if ds.kind == "discrete":
-        cells, text, tail = ds.values, str, "\n"
-    elif ds.kind == "cts":
-        cells, text, tail = ds.x.tolist(), repr, f",{aom!r}\n"
+    if model.kind == "discrete":
+        cells, text, tail = drawn, str, "\n"
+    elif model.kind == "cts":
+        cells, text, tail = drawn.tolist(), repr, f",{aom!r}\n"
     else:
-        cells, tail = ds.x.tolist(), f",{aom!r}" * ds.dim + "\n"
+        cells, tail = drawn.tolist(), f",{aom!r}" * model.dim + "\n"
 
         def text(row: list) -> str:
             return ",".join(map(repr, row))
@@ -384,12 +393,11 @@ def cmd_sample(args) -> int:
             f"sample draws 0 to {MAX_SAMPLE_COUNT} values (rows x dimension), "
             f"got {args.count} x {dim}"
         )
-    rng = np.random.default_rng(args.seed)
     # Every draw is made and checked before any row is written, so a failed
     # draw leaves stdout empty rather than holding a truncated sample.
-    ds = _sample_dataset(target, target.random_col(rng, args.count), args.sample_aom)
+    drawn = _draw_sample(target, args.seed, args.count, args.sample_aom)
     sys.stdout.write(",".join(_sample_header(target)) + "\n")
-    _write_sample(ds, args.sample_aom)
+    _write_sample(target, drawn, args.sample_aom)
     return 0
 
 

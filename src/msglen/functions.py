@@ -231,6 +231,18 @@ class Function:
     def inverse(self) -> "Function":
         raise NotInvertibleError(f"{self.name} declares no inverse")
 
+    def image_col(self, values) -> tuple:
+        """f_col of a column, and a bool array of the rows it settled: in
+        the domain, with a finite value (every component finite, for a
+        vector row) or an int rather than None."""
+        y = self.f_col(values)
+        if isinstance(y, tuple):
+            settled = np.array([k is not None for k in y], dtype=bool)
+        else:
+            finite = np.isfinite(y)
+            settled = finite if finite.ndim == 1 else finite.all(axis=1)
+        return y, self.contains_col(values) & settled
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
@@ -287,10 +299,9 @@ class Cts2Cts(Function):
         """The columns (x, aom) of a scalar dataset mapped as ``apply`` maps
         one datum, and a bool array of the rows that mapped cleanly."""
         x = ds.x
-        y = self.f_col(x)
+        y, ok = self.image_col(x)
         aom = ds.aom * np.abs(self.d_dx_col(x))
-        ok = self.contains_col(x) & np.isfinite(y) & np.isfinite(aom) & (aom > 0.0)
-        return (y, aom), ok
+        return (y, aom), ok & np.isfinite(aom) & (aom > 0.0)
 
     def apply(self, d: CtsDatum) -> CtsDatum:
         """Map a measured datum; the AoM scales by |f'(x)|."""
@@ -484,12 +495,11 @@ class CtsD2CtsD(Function):
         log_scale = (log_target - log_raw.sum(axis=1)) / self.dim
         out_aoms = np.exp(log_scale[:, None] + log_raw)
         got = np.log(out_aoms).sum(axis=1)
-        y = self.f_col(x)
-        ok = (
-            self.contains_col(x)
-            & np.all(np.isfinite(raw) & (raw != 0.0), axis=1)
+        y, ok = self.image_col(x)
+        ok &= (
+            np.all(np.isfinite(raw) & (raw != 0.0), axis=1)
             & (np.abs(got - log_target) <= 1e-9 * np.maximum(1.0, np.abs(log_target)))
-            & np.all(np.isfinite(y) & np.isfinite(out_aoms) & (out_aoms > 0.0), axis=1)
+            & np.all(np.isfinite(out_aoms) & (out_aoms > 0.0), axis=1)
         )
         return (y, out_aoms), ok
 
@@ -745,8 +755,7 @@ class DiscreteBijection(IntegerSpace, Function):
     def map_col(self, ds) -> tuple:
         """The mapped column (values,) of a discrete dataset, and a bool
         array of the rows that mapped cleanly."""
-        mapped = self.f_col(ds.values)
-        ok = self.contains_col(ds.values) & np.array([k is not None for k in mapped])
+        mapped, ok = self.image_col(ds.values)
         return (mapped,), ok
 
     def apply(self, d: DiscreteDatum) -> DiscreteDatum:

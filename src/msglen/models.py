@@ -452,9 +452,6 @@ class BoundedUniformModel(DiscreteModel):
     def random_v(self, rng) -> int:
         return int(rng.integers(self.lo, self.hi + 1))
 
-    def random_col(self, rng, n: int) -> tuple:
-        return tuple(rng.integers(self.lo, self.hi + 1, size=n).tolist())
-
 
 class MultiStateModel(DiscreteModel):
     def __init__(self, lo: int, hi: int, probs, msg1: float = 0.0):
@@ -486,11 +483,6 @@ class MultiStateModel(DiscreteModel):
         u = float(rng.random())
         return self.lo + int(np.searchsorted(self._cum, u))
 
-    def random_col(self, rng, n: int) -> tuple:
-        # The offset is added to Python ints, which cannot overflow.
-        lo = self.lo
-        return tuple(lo + k for k in np.searchsorted(self._cum, rng.random(n)).tolist())
-
     def params(self) -> dict:
         return {f"p{k}": p for k, p in zip(self.space(), self.probs)}
 
@@ -519,15 +511,6 @@ class IndependentProductModel(VectorModel):
 
     def random_v(self, rng) -> np.ndarray:
         return np.array([c.random_v(rng) for c in self.components])
-
-    def random_col(self, rng, n: int) -> np.ndarray:
-        # numpy fills an (n, D) draw row by row, as the per-row loop draws;
-        # drawing other components a column at a time would reorder them.
-        if all(isinstance(c, NormalModel) for c in self.components):
-            means = [c.mean for c in self.components]
-            sds = [c.sd for c in self.components]
-            return rng.normal(means, sds, size=(n, self.dim))
-        return super().random_col(rng, n)
 
     def params(self) -> dict:
         out = {}
@@ -612,10 +595,8 @@ class _TransformedModel(Model):
 
     def random_col(self, rng, n: int):
         drawn = self.base.random_col(rng, n)
-        inv = self._f_inv
         with np.errstate(all="ignore"):
-            values = inv.f_col(drawn)
-            ok = inv.contains_col(drawn) & _settled(values)
+            values, ok = self._f_inv.image_col(drawn)
         doubted = np.flatnonzero(~ok).tolist()
         if not doubted:
             return values
@@ -639,15 +620,6 @@ class _TransformedModel(Model):
                 f"{self.name} cannot draw: {self.base.name} drew {v!r}, "
                 f"which is outside the image of {self.f.name}"
             ) from None
-
-
-def _settled(values) -> np.ndarray:
-    """Which rows of a column a column map settled: a finite value (every
-    component finite, for a vector row), or an int rather than None."""
-    if isinstance(values, tuple):
-        return np.array([k is not None for k in values], dtype=bool)
-    finite = np.isfinite(values)
-    return finite if finite.ndim == 1 else finite.all(axis=1)
 
 
 class TransformedContinuousModel(_TransformedModel, ContinuousModel):

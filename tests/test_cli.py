@@ -368,19 +368,40 @@ class TestSample:
         assert "np.float64" not in err and "drew -0.13" in err
 
     @pytest.mark.parametrize(
-        "expr, aom",
-        [("normal(0,1)", 0.0), ("rd:normal^2(0,1;0,1)", math.nan), ("normal(1e308,1e308)", 0.5)],
-        ids=["zero-aom", "nan-aom", "infinite-draw"],
+        "expr, aom, count",
+        [
+            ("normal(0,1)", 0.0, 10),
+            ("rd:normal^2(0,1;0,1)", math.nan, 10),
+            ("normal(1e308,1e308)", 0.5, 10),
+            # Draw 1 has no preimage, but the bad AoM fails on draw 0.
+            ("normal(0,1).transform(exp)", 0.0, 10),
+            # Draw 6 is infinite, and a later draw has no preimage.
+            ("normal(1e308,1e308).transform(exp)", 0.5, 20),
+        ],
+        ids=["zero-aom", "nan-aom", "infinite-draw", "zero-aom-failing-draws", "infinite-then-failed"],
     )
-    def test_invalid_datum_reports_the_per_draw_error(self, expr, aom, capsys):
+    def test_invalid_datum_reports_the_per_draw_error(self, expr, aom, count, capsys):
         model = cli._require_model(parse_model_expr(expr))
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidDatumError) as want:
-            for _ in range(10):
+            for _ in range(count):
                 model.random(rng, aom)
-        code, out, err = run(["sample", expr, "10", "--sample-aom", repr(aom)], capsys)
+        code, out, err = run(["sample", expr, str(count), "--sample-aom", repr(aom)], capsys)
         assert code == 2 and out == ""
         assert err == f"error: {want.value}\n"
+
+    def test_bad_aom_fails_before_the_column_is_drawn(self, monkeypatch, capsys):
+        def no_column(self, rng, n):
+            raise AssertionError("drew a column")
+
+        monkeypatch.setattr(models.NormalModel, "random_col", no_column)
+        code, out, err = run(["sample", "normal(0,1)", "1000000", "--sample-aom", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: aom must be positive, got 0.0\n"
+
+    def test_no_draws_take_any_aom(self, capsys):
+        code, out, _ = run(["sample", "normal(0,1)", "0", "--sample-aom", "0"], capsys)
+        assert code == 0 and out == "x,aom\n"
 
     def test_overflowing_inverse_warns_nothing(self, capsys):
         with warnings.catch_warnings():

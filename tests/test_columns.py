@@ -371,10 +371,9 @@ class LogOfColumnlessExp(Log):
         return ColumnlessExp()
 
 
-# Every model of MODELS, and the draws random_col treats apart: the full
-# signed 64-bit space, discrete transforms, a product with a component that
-# is not a normal (drawn by the per-row loop), and an inverse whose column
-# map settles no row.
+# Every model of MODELS, and draws at the edges of random_col: the full
+# signed 64-bit space, discrete transforms, a product with a transformed
+# component, and an inverse whose column map settles no row.
 DRAWN = {
     **{name: model for name, (model, _, _) in MODELS.items()},
     "uniform-int64": bounded_uniform(-(2**63), 2**63 - 1)(()),
