@@ -22,6 +22,9 @@ domain), ``f(value)`` (the map itself), ``nl_jacobian_det(value)``
 of integers) and ``inverse()``.  The first three have column forms
 (``contains_col``, ``f_col``, ``nl_jacobian_det_col``) that answer for a
 whole column of values at once; ``map_dataset`` and scoring use them.
+Only ``log``, ``exp``, ``linear``, ``cartesian2polar`` and the scalar
+domain test give them with numpy; every other function answers for a
+column through its per-value methods.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -222,8 +225,8 @@ class Function:
     meaningful outside the domain, where callers mask them with
     ``contains_col``; inside it, a value the per-value method rejects
     gives a non-finite result.  The defaults loop over the per-value
-    methods, so a subclass needs only those; the library's functions
-    override the column forms with numpy, for speed.
+    methods, so a subclass needs only those; numpy overrides exist only
+    on the paths a benchmark workload or check suite runs.
     """
 
     name = "?"
@@ -324,9 +327,6 @@ class Identity(Cts2Cts):
 
     f_col = apply_x
 
-    def d_dx_col(self, x: np.ndarray) -> np.ndarray:
-        return np.ones_like(x)
-
     def inverse(self) -> Cts2Cts:
         return self
 
@@ -426,12 +426,6 @@ class Composed(Cts2Cts):
     def d_dx(self, x: float) -> float:
         return self.outer.d_dx(self.inner.apply_x(x)) * self.inner.d_dx(x)
 
-    def f_col(self, x: np.ndarray) -> np.ndarray:
-        return self.outer.f_col(self.inner.f_col(x))
-
-    def d_dx_col(self, x: np.ndarray) -> np.ndarray:
-        return self.outer.d_dx_col(self.inner.f_col(x)) * self.inner.d_dx_col(x)
-
     def inverse(self) -> Cts2Cts:
         return Composed(self.inner.inverse(), self.outer.inverse())
 
@@ -471,13 +465,16 @@ class CtsD2CtsD(Function):
         return np.array(each_value(self.contains, x, False), dtype=bool)
 
     def f_col(self, x: np.ndarray) -> np.ndarray:
+        """The (N, D) array of the rows' images."""
         nan = np.full(self.dim, math.nan)
-        return np.array(each_value(self.apply_v, x, nan), dtype=np.float64)
+        y = np.array(each_value(self.apply_v, x, nan), dtype=np.float64)
+        return y.reshape(len(x), self.dim)
 
     def jacobian_col(self, x: np.ndarray) -> np.ndarray:
         """The (N, D, D) stack of the rows' Jacobians."""
         nan = np.full((self.dim, self.dim), math.nan)
-        return np.array(each_value(self.jacobian, x, nan), dtype=np.float64)
+        jac = np.array(each_value(self.jacobian, x, nan), dtype=np.float64)
+        return jac.reshape(len(x), self.dim, self.dim)
 
     def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
         return np.array(each_value(self.nl_jacobian_det, x, math.nan), dtype=np.float64)
@@ -555,22 +552,6 @@ class Polar2Cartesian(CtsD2CtsD):
         if r <= 0.0:
             raise DegenerateTransformError("polar2cartesian needs r > 0")
         return -math.log(r)
-
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        r, theta = x[:, 0], x[:, 1]
-        return (r > 0.0) & (0.0 <= theta) & (theta < TWO_PI)
-
-    def f_col(self, x: np.ndarray) -> np.ndarray:
-        r, theta = x[:, 0], x[:, 1]
-        return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
-    def jacobian_col(self, x: np.ndarray) -> np.ndarray:
-        r, theta = x[:, 0], x[:, 1]
-        c, s = np.cos(theta), np.sin(theta)
-        return _stack_2x2(c, -r * s, s, r * c)
-
-    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
-        return -np.log(x[:, 0])
 
     def inverse(self) -> CtsD2CtsD:
         return cartesian2polar
@@ -665,24 +646,6 @@ class Componentwise(CtsD2CtsD):
     def nl_jacobian_det(self, v) -> float:
         return math.fsum(p.nl_jacobian_det(x) for p, x in zip(self.parts, _floats(v)))
 
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(x), dtype=bool)
-        for j, p in enumerate(self.parts):
-            ok &= p.contains_col(x[:, j])
-        return ok
-
-    def f_col(self, x: np.ndarray) -> np.ndarray:
-        return np.column_stack([p.f_col(x[:, j]) for j, p in enumerate(self.parts)])
-
-    def jacobian_col(self, x: np.ndarray) -> np.ndarray:
-        jac = np.zeros((len(x), self.dim, self.dim))
-        for j, p in enumerate(self.parts):
-            jac[:, j, j] = p.d_dx_col(x[:, j])
-        return jac
-
-    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
-        return sum(p.nl_jacobian_det_col(x[:, j]) for j, p in enumerate(self.parts))
-
     def inverse(self) -> CtsD2CtsD:
         return Componentwise([p.inverse() for p in self.parts])
 
@@ -710,18 +673,6 @@ class ComponentPermutation(CtsD2CtsD):
 
     def nl_jacobian_det(self, v) -> float:
         return 0.0
-
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        return np.ones(len(x), dtype=bool)
-
-    def f_col(self, x: np.ndarray) -> np.ndarray:
-        return x[:, list(self.perm)]
-
-    def jacobian_col(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.jacobian(None), (len(x), self.dim, self.dim))
-
-    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(len(x))
 
     def inverse(self) -> CtsD2CtsD:
         inverse_perm = [0] * self.dim

@@ -15,9 +15,11 @@ for discrete data) and ``random_v(rng)``; ``pdf`` is defined once from
 them, and ``nl_pr``/``random`` wrap them for measured data.  The column
 forms ``contains_col``, ``nl_pdf_col``, ``nl_pr_col`` and ``random_col``
 answer for a whole column of a dataset at once; their defaults loop over
-the per-value methods, and the library's models override them with numpy.
-``random_col(rng, n)`` draws from ``rng`` exactly as n ``random_v`` calls
-do, so a seeded sample is the same drawn either way.
+the per-value methods.  The normal model overrides them with numpy, and a
+transformed model combines its base's and its function's column forms;
+every other model, the product included, answers through its per-value
+methods.  ``random_col(rng, n)`` draws from ``rng`` exactly as n
+``random_v`` calls do, so a seeded sample is the same drawn either way.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -34,9 +36,9 @@ and applying f's inverse; its column form draws the base column and
 applies ``f.inverse()``'s column map, and a row that map cannot settle
 (a value outside the inverse's domain or not finite) goes to the
 per-value inverse.  The numpy and ``math`` forms of ``exp``, ``log``,
-``cos`` and ``sin`` may round the last bit differently, so a value drawn
-through one of them may differ from the per-draw value by one ulp.  All
-density arithmetic is carried out on negative logs (nits); plain
+``atan2`` and ``hypot`` may round the last bit differently, so a value
+drawn through one of them may differ from the per-draw value by one ulp.
+All density arithmetic is carried out on negative logs (nits); plain
 probabilities are exponentiated views.
 """
 
@@ -474,14 +476,18 @@ class MultiStateModel(DiscreteModel):
             raise ParameterError(f"probabilities sum to {total!r}, not 1")
         self.probs = probs
         self._cum = np.cumsum(probs)
+        # A draw past the last cumulative probability (the sum may fall short
+        # of 1) is the last state with positive probability.
+        self._last = max(i for i, p in enumerate(probs) if p > 0.0)
 
     def nl_pdf(self, k: int) -> float:
         p = self.probs[k - self.lo]
         return math.inf if p == 0.0 else -math.log(p)
 
     def random_v(self, rng) -> int:
-        u = float(rng.random())
-        return self.lo + int(np.searchsorted(self._cum, u))
+        # side="right" never lands on a state of probability 0.
+        i = int(np.searchsorted(self._cum, float(rng.random()), side="right"))
+        return self.lo + min(i, self._last)
 
     def params(self) -> dict:
         return {f"p{k}": p for k, p in zip(self.space(), self.probs)}
@@ -499,15 +505,6 @@ class IndependentProductModel(VectorModel):
 
     def nl_pdf(self, v) -> float:
         return math.fsum(c.nl_pdf(float(x)) for c, x in zip(self.components, v))
-
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(x), dtype=bool)
-        for j, c in enumerate(self.components):
-            ok &= c.contains_col(x[:, j])
-        return ok
-
-    def nl_pdf_col(self, x: np.ndarray) -> np.ndarray:
-        return sum(c.nl_pdf_col(x[:, j]) for j, c in enumerate(self.components))
 
     def random_v(self, rng) -> np.ndarray:
         return np.array([c.random_v(rng) for c in self.components])

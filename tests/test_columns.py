@@ -59,12 +59,11 @@ def _scalar_rows(rng, lo, hi):
     return [CtsDatum(float(x), 10.0 ** float(rng.uniform(-5, -1))) for x in rng.uniform(lo, hi, N)]
 
 
-def _vector_rows(rng, first, second):
-    aoms = 10.0 ** rng.uniform(-5, -2, (N, 2))
-    return [
-        VecDatum((float(a), float(b)), tuple(e.tolist()))
-        for a, b, e in zip(rng.uniform(*first, N), rng.uniform(*second, N), aoms)
-    ]
+def _vector_rows(rng, *ranges):
+    """N vector data, component j drawn uniformly from ranges[j]."""
+    aoms = 10.0 ** rng.uniform(-5, -2, (N, len(ranges)))
+    x = np.column_stack([rng.uniform(lo, hi, N) for lo, hi in ranges])
+    return [VecDatum(tuple(v), tuple(e)) for v, e in zip(x.tolist(), aoms.tolist())]
 
 
 # Each function with a sampler of N data in its domain.
@@ -169,6 +168,23 @@ MODELS = {
         ),
         _plane,
         None,
+    ),
+    "rd-normal3": (
+        independent_rd([normal] * 3)(((0.0, 1.0), (5.0, 2.0), (-3.0, 0.5))),
+        lambda rng: DataSet(_vector_rows(rng, (-3, 3), (0, 10), (-5, -1))),
+        None,
+    ),
+    "componentwise": (
+        independent_rd([normal, normal])(((0.5, 0.6), (2.0, 0.3))).transform(
+            Componentwise([log, exp])
+        ),
+        lambda rng: DataSet(_vector_rows(rng, (0.1, 9.0), (-1.0, 1.5))),
+        VecDatum((-1.0, 0.0), (0.1, 0.1)),
+    ),
+    "polar2cartesian": (
+        independent_rd([normal, normal])(((3.0, 0.5), (0.8, 0.2))).transform(polar2cartesian),
+        lambda rng: DataSet(_vector_rows(rng, (0.5, 5.0), (0.0, 2.0 * math.pi))),
+        VecDatum((-1.0, 1.0), (0.1, 0.1)),
     ),
     "multistate": (
         multistate(0, 3)((0.1, 0.2, 0.3, 0.4)),
@@ -373,7 +389,8 @@ class LogOfColumnlessExp(Log):
 
 # Every model of MODELS, and draws at the edges of random_col: the full
 # signed 64-bit space, discrete transforms, a product with a transformed
-# component, and an inverse whose column map settles no row.
+# component, an inverse whose column map settles no row, and a vector map
+# with per-value methods only.
 DRAWN = {
     **{name: model for name, (model, _, _) in MODELS.items()},
     "uniform-int64": bounded_uniform(-(2**63), 2**63 - 1)(()),
@@ -383,11 +400,14 @@ DRAWN = {
         ((1.0, 2.0), (0.5, 0.6))
     ),
     "columnless-inverse": normal.transform(LogOfColumnlessExp())((0.5, 0.6)),
+    "per-value-swap": independent_rd([normal, normal])(((0.0, 1.0), (5.0, 2.0))).transform(
+        Swap()
+    ),
 }
 
-# The models drawn through exp, log, cos or sin, whose numpy and math forms
-# may round the last bit differently.
-ONE_ULP = {"lognormal", "polar"}
+# The models drawn through a numpy column form of exp, atan2 or hypot, which
+# may round the last bit differently from math's.
+ONE_ULP = {"lognormal", "polar2cartesian"}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 901])
@@ -420,6 +440,12 @@ def test_no_draws_is_an_empty_column(name):
         assert got.shape == ((0, model.dim) if model.kind == "vec" else (0,))
 
 
+def test_per_value_vector_map_of_no_rows_keeps_its_shape():
+    empty = np.empty((0, 2))
+    assert Swap().f_col(empty).shape == (0, 2)
+    assert Swap().jacobian_col(empty).shape == (0, 2, 2)
+
+
 def test_a_draw_without_a_preimage_raises_the_per_draw_error():
     model = normal.transform(exp)((0.0, 1.0))
     rng = np.random.default_rng(0)
@@ -433,22 +459,20 @@ def test_a_draw_without_a_preimage_raises_the_per_draw_error():
 
 
 # Seeded samples that must come out byte for byte as the per-draw path wrote
-# them, and those drawn through exp, log, cos or sin, which may differ by one
-# ulp in a value.
+# them, and those drawn through numpy's exp, which may differ by one ulp in a
+# value.
 SAMPLES_EXACT = [
     "normal(0.5,2)",
     "normal(0.5,2).transform(linear(3,1))",
     "rd:normal^3(0,1;5,1;2,3)",
     "rd:normal^2(0,1;5,1).transform(permute(1,0))",
+    "rd:normal^2(3,0.5;0.8,0.2).transform(cartesian2polar)",
     "uniform:-9223372036854775808:9223372036854775807",
     "multistate:0:3(0.1,0.2,0.3,0.4)",
     "multistate:0:3(0.1,0.2,0.3,0.4).transform(reverse)",
     "multistate:0:3(0.1,0.2,0.3,0.4).transform(rotate(2))",
 ]
-SAMPLES_ONE_ULP = [
-    "normal(0.9,0.5).transform(log)",
-    "rd:normal^2(3,0.5;0.8,0.2).transform(cartesian2polar)",
-]
+SAMPLES_ONE_ULP = ["normal(0.9,0.5).transform(log)"]
 
 
 def _per_draw_sample(expr: str, count: int, seed: int, aom: float) -> str:

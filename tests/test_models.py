@@ -472,6 +472,35 @@ class TestMultiStateModelChecks:
             multistate(0, 2)((1.5, -0.5, 0.0))
 
 
+class _Uniform:
+    """A generator whose random() always gives u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "probs, u, state",
+    [
+        # The probabilities sum to just under 1, and u lies past their sum.
+        ((0.5, 0.4999999995), 0.9999999999, 1),
+        # State 0 has probability 0, and u sits on its cumulative probability.
+        ((0.0, 1.0), 0.0, 1),
+        # Past the sum, with a last state of probability 0.
+        ((0.2, 0.3, 0.4999999995, 0.0), 0.9999999999, 2),
+    ],
+    ids=["past-the-sum", "leading-zero", "trailing-zero"],
+)
+def test_multistate_draws_a_state_with_positive_probability(probs, u, state):
+    m = multistate(0, len(probs) - 1)(probs)
+    assert m.random_v(_Uniform(u)) == state
+    assert m.random_col(_Uniform(u), 3) == (state,) * 3
+    assert m.nl_pr(DiscreteDatum(state)) < math.inf
+
+
 class TestRepr:
     def test_family_and_model(self):
         assert repr(normal) == "<NormalFamily normal>"
