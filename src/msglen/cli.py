@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -31,7 +32,7 @@ import numpy as np
 from . import functions as fn
 from . import models
 from .checks import SUITES
-from .errors import CsvError, ModelExprError, MsglenError
+from .errors import CsvError, DomainError, ModelExprError, MsglenError
 from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
 from .values import ColumnSpec, CtsDatum, DataSet, dataset_from_csv
@@ -349,16 +350,17 @@ def _draw_sample(model: Model, seed: int, count: int, aom: float):
     """count draws from model at seed, as one column (see Model.random_col),
     each checked as the datum it becomes with the AoM aom.  A draw that
     fails, or is not a valid datum, raises what drawing one datum at a time
-    raises for it."""
+    raises for it.  The rows are then scored as ``eval`` scores them, so a
+    row the model cannot score, or one that costs an infinite length, is an
+    error too."""
     try:
         if count and model.kind != "discrete":
             CtsDatum(1.0, aom)  # a bad AoM fails before the column is drawn
         drawn = model.random_col(np.random.default_rng(seed), count)
         if model.kind == "discrete":
-            DataSet.discrete(drawn)
+            ds = DataSet.discrete(drawn)
         else:
-            DataSet.continuous(drawn, np.broadcast_to(aom, drawn.shape))
-        return drawn
+            ds = DataSet.continuous(drawn, np.broadcast_to(aom, drawn.shape))
     except MsglenError:
         # The per-draw sample from the same seed is the reference: it fails
         # at the first draw that fails, with that draw's own error.
@@ -366,6 +368,11 @@ def _draw_sample(model: Model, seed: int, count: int, aom: float):
         for _ in range(count):
             model.random(rng, aom=aom)
         raise
+    costs, total = data_costs(model, ds)
+    if not math.isfinite(total):
+        i = next(i for i, cost in enumerate(costs) if not math.isfinite(cost))
+        raise DomainError(f"index {i}: {model.name} drew a row that costs {costs[i]!r} nits")
+    return drawn
 
 
 def _write_sample(model: Model, drawn, aom: float) -> None:

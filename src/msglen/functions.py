@@ -19,12 +19,13 @@ All three subclass ``Function`` and share the protocol that transformed
 models are built on: ``contains(value)`` (is the value in the function's
 domain), ``f(value)`` (the map itself), ``nl_jacobian_det(value)``
 (-ln |det J|, which is -ln |f'(x)| for a scalar map and 0 for a bijection
-of integers) and ``inverse()``.  The first three have column forms
-(``contains_col``, ``f_col``, ``nl_jacobian_det_col``) that answer for a
-whole column of values at once; ``map_dataset`` and scoring use them.
-Only ``log``, ``exp``, ``linear``, ``cartesian2polar`` and the scalar
-domain test give them with numpy; every other function answers for a
-column through its per-value methods.
+of integers) and ``inverse()``.  The map and its Jacobian have column
+forms (``f_col``, ``nl_jacobian_det_col``) that answer for a whole column
+of values at once; ``map_dataset`` and scoring use them.  A column form
+gives a non-finite value (``None`` for an integer) for every value outside
+the domain or that the per-value method rejects.  Only ``log``, ``exp``,
+``linear`` and ``cartesian2polar`` give them with numpy; every other
+function answers for a column through its per-value methods.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -114,13 +115,6 @@ class Domain:
                 return True
         return False
 
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        """contains of every value of an array, as a bool array."""
-        ok = np.zeros(x.shape, dtype=bool)
-        for iv in self.intervals:
-            ok |= (iv.lo < x) & (x < iv.hi)
-        return ok
-
     def sample(self, rng) -> float:
         iv = self.intervals[int(rng.integers(len(self.intervals)))]
         return iv.sample(rng)
@@ -182,6 +176,12 @@ def _integer(what: str, value) -> int:
     raise ParameterError(f"{what} takes integer arguments, got {reprlib.repr(value)}")
 
 
+def _each_contained(owner, fn, column, fill) -> list:
+    """each_value of fn over a column, with fill for every value outside
+    owner's domain or support (``owner.contains``)."""
+    return each_value(lambda v: fn(v) if owner.contains(v) else fill, column, fill)
+
+
 class _PreimageDomain(Domain):
     """Points of `inner`'s domain whose image lands in `outer`'s domain."""
 
@@ -199,12 +199,6 @@ class _PreimageDomain(Domain):
         except (OverflowError, ValueError):
             return False
 
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        # An image that overflows is inf, which no open interval contains.
-        return self.inner.domain.contains_col(x) & self.outer_domain.contains_col(
-            self.inner.f_col(x)
-        )
-
     def sample(self, rng) -> float:
         for _ in range(200):
             x = self.inner.domain.sample(rng)
@@ -218,15 +212,15 @@ class Function:
     ``inverse()`` raises NotInvertibleError unless a one-to-one subclass
     overrides it.
 
-    Each method of the value protocol has a column form, named with a
-    ``_col`` suffix, that answers for a whole column of values at once (a
-    float64 array of shape (N,) or (N, D), or a tuple of ints), and
-    ``map_col`` maps a dataset's columns.  The column forms give nothing
-    meaningful outside the domain, where callers mask them with
-    ``contains_col``; inside it, a value the per-value method rejects
-    gives a non-finite result.  The defaults loop over the per-value
-    methods, so a subclass needs only those; numpy overrides exist only
-    on the paths a benchmark workload or check suite runs.
+    The map and its Jacobian have column forms, named with a ``_col``
+    suffix, that answer for a whole column of values at once (a float64
+    array of shape (N,) or (N, D), or a tuple of ints), and ``map_col``
+    maps a dataset's columns.  A column form gives a non-finite value, or
+    None for an integer, for every value outside the domain or that the
+    per-value method rejects, so it needs no separate domain test.  The
+    defaults loop over the per-value methods, so a subclass needs only
+    those; numpy overrides exist only on the paths a benchmark workload or
+    check suite runs.
     """
 
     name = "?"
@@ -235,16 +229,16 @@ class Function:
         raise NotInvertibleError(f"{self.name} declares no inverse")
 
     def image_col(self, values) -> tuple:
-        """f_col of a column, and a bool array of the rows it settled: in
-        the domain, with a finite value (every component finite, for a
-        vector row) or an int rather than None."""
+        """f_col of a column, and a bool array of the rows it settled: those
+        with a finite value (every component finite, for a vector row) or an
+        int rather than None."""
         y = self.f_col(values)
         if isinstance(y, tuple):
             settled = np.array([k is not None for k in y], dtype=bool)
         else:
             finite = np.isfinite(y)
             settled = finite if finite.ndim == 1 else finite.all(axis=1)
-        return y, self.contains_col(values) & settled
+        return y, settled
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -286,11 +280,8 @@ class Cts2Cts(Function):
         """-ln |f'(x)|, in nits: the 1 x 1 case of the vector maps' rule."""
         return -math.log(abs(self._slope(x)))
 
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        return self.domain.contains_col(x)
-
     def f_col(self, x: np.ndarray) -> np.ndarray:
-        return np.array(each_value(self.apply_x, x, math.nan), dtype=np.float64)
+        return np.array(_each_contained(self, self.apply_x, x, math.nan), dtype=np.float64)
 
     def d_dx_col(self, x: np.ndarray) -> np.ndarray:
         return np.array(each_value(self.d_dx, x, math.nan), dtype=np.float64)
@@ -461,13 +452,10 @@ class CtsD2CtsD(Function):
     def __call__(self, v) -> np.ndarray:
         return self.apply_v(v)
 
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        return np.array(each_value(self.contains, x, False), dtype=bool)
-
     def f_col(self, x: np.ndarray) -> np.ndarray:
         """The (N, D) array of the rows' images."""
         nan = np.full(self.dim, math.nan)
-        y = np.array(each_value(self.apply_v, x, nan), dtype=np.float64)
+        y = np.array(_each_contained(self, self.apply_v, x, nan), dtype=np.float64)
         return y.reshape(len(x), self.dim)
 
     def jacobian_col(self, x: np.ndarray) -> np.ndarray:
@@ -589,13 +577,12 @@ class Cartesian2Polar(CtsD2CtsD):
             raise DegenerateTransformError("cartesian2polar is singular at the origin")
         return math.log(r)
 
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        return np.hypot(x[:, 0], x[:, 1]) > 0.0
-
     def f_col(self, x: np.ndarray) -> np.ndarray:
+        r = np.hypot(x[:, 0], x[:, 1])
         theta = np.arctan2(x[:, 1], x[:, 0]) % TWO_PI
         theta[theta >= TWO_PI] = 0.0  # tiny negative angles round up to 2*pi
-        return np.column_stack((np.hypot(x[:, 0], x[:, 1]), theta))
+        theta[r == 0.0] = math.nan  # the origin is outside the domain
+        return np.column_stack((r, theta))
 
     def jacobian_col(self, x: np.ndarray) -> np.ndarray:
         # At the origin, or where r*r underflows, the entries are not finite.
@@ -694,11 +681,8 @@ class DiscreteBijection(IntegerSpace, Function):
     def __call__(self, k: int) -> int:
         return self.apply_i(k)
 
-    def contains_col(self, values) -> np.ndarray:
-        return np.array(each_value(self.contains, values, False), dtype=bool)
-
     def f_col(self, values) -> tuple:
-        return tuple(each_value(self.apply_i, values, None))
+        return tuple(_each_contained(self, self.apply_i, values, None))
 
     def nl_jacobian_det_col(self, values) -> np.ndarray:
         return np.zeros(len(values))

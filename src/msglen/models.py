@@ -13,13 +13,15 @@ bare value of its data space (a float, a D-vector or an integer):
 ``contains(v)``, ``nl_pdf(v)`` (the negative log density, or probability
 for discrete data) and ``random_v(rng)``; ``pdf`` is defined once from
 them, and ``nl_pr``/``random`` wrap them for measured data.  The column
-forms ``contains_col``, ``nl_pdf_col``, ``nl_pr_col`` and ``random_col``
-answer for a whole column of a dataset at once; their defaults loop over
-the per-value methods.  The normal model overrides them with numpy, and a
-transformed model combines its base's and its function's column forms;
-every other model, the product included, answers through its per-value
-methods.  ``random_col(rng, n)`` draws from ``rng`` exactly as n
-``random_v`` calls do, so a seeded sample is the same drawn either way.
+forms ``nl_pdf_col``, ``nl_pr_col`` and ``random_col`` answer for a whole
+column of a dataset at once; their defaults loop over the per-value
+methods.  A cost's column form is not finite for a value outside the
+support or one the per-value method rejects.  The normal model overrides
+them with numpy, and a transformed model combines its base's and its
+function's column forms; every other model, the product included, answers
+through its per-value methods.  ``random_col(rng, n)`` draws from ``rng``
+exactly as n ``random_v`` calls do, so a seeded sample is the same drawn
+either way.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -51,8 +53,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
-from .functions import FUNCTION_CLASS, IntegerSpace, _real
-from .values import CtsDatum, DiscreteDatum, VecDatum, each_value
+from .functions import FUNCTION_CLASS, IntegerSpace, _each_contained, _real
+from .values import CtsDatum, DiscreteDatum, VecDatum
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
@@ -291,18 +293,15 @@ class Model:
         """One random value of the data space, without an AoM."""
         raise NotImplementedError
 
-    def contains_col(self, values) -> np.ndarray:
-        """contains of every value of a column, as a bool array."""
-        return np.array(each_value(self.contains, values, False), dtype=bool)
-
     def nl_pdf_col(self, values) -> np.ndarray:
-        """nl_pdf of every value of a column; outside the support it gives
-        nothing meaningful, and where nl_pdf raises it gives NaN."""
-        return np.array(each_value(self.nl_pdf, values, math.nan), dtype=np.float64)
+        """nl_pdf of every value of a column; not finite for a value outside
+        the support or one nl_pdf raises on."""
+        return np.array(_each_contained(self, self.nl_pdf, values, math.nan), dtype=np.float64)
 
     def nl_pr_col(self, ds) -> np.ndarray:
         """nl_pr of every datum of a dataset of the model's kind, as an
-        array; NaN where a datum is outside the support or cannot be scored."""
+        array; not finite where a datum is outside the support or cannot be
+        scored."""
         raise NotImplementedError
 
     def random_col(self, rng, n: int):
@@ -355,7 +354,7 @@ class DiscreteModel(IntegerSpace, Model):
         return self.nl_pdf(d.value)
 
     def nl_pr_col(self, ds) -> np.ndarray:
-        return np.where(self.contains_col(ds.values), self.nl_pdf_col(ds.values), math.nan)
+        return self.nl_pdf_col(ds.values)
 
     def random_col(self, rng, n: int) -> tuple:
         return tuple(self.random_v(rng) for _ in range(n))
@@ -379,12 +378,8 @@ class ContinuousModel(Model):
             raise DomainError(f"{d.x!r} is outside the support of {self.name}")
         return self.nl_pdf(d.x) - math.log(d.aom)
 
-    def contains_col(self, x: np.ndarray) -> np.ndarray:
-        return np.isfinite(x)
-
     def nl_pr_col(self, ds) -> np.ndarray:
-        costs = self.nl_pdf_col(ds.x) - np.log(ds.aom)
-        return np.where(self.contains_col(ds.x), costs, math.nan)
+        return self.nl_pdf_col(ds.x) - np.log(ds.aom)
 
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> CtsDatum:
         return CtsDatum(self.random_v(rng), aom)
@@ -405,8 +400,7 @@ class VectorModel(Model):
     def nl_pr_col(self, ds) -> np.ndarray:
         if ds.dim != self.dim:
             return np.full(len(ds), math.nan)
-        costs = self.nl_pdf_col(ds.x) - np.log(ds.aom).sum(axis=1)
-        return np.where(self.contains_col(ds.x), costs, math.nan)
+        return self.nl_pdf_col(ds.x) - np.log(ds.aom).sum(axis=1)
 
     def random_col(self, rng, n: int) -> np.ndarray:
         return super().random_col(rng, n).reshape(n, self.dim)
@@ -580,9 +574,6 @@ class _TransformedModel(Model):
 
     def nl_pdf(self, v) -> float:
         return self.base.nl_pdf(self.f(v)) + self.f.nl_jacobian_det(v)
-
-    def contains_col(self, values) -> np.ndarray:
-        return self.f.contains_col(values) & self.base.contains_col(self.f.f_col(values))
 
     def nl_pdf_col(self, values) -> np.ndarray:
         return self.base.nl_pdf_col(self.f.f_col(values)) + self.f.nl_jacobian_det_col(values)

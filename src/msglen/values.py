@@ -323,12 +323,18 @@ def infer_default_aom(values) -> float:
     sorted values, floored at 1e-6 of the value range.
 
     Falls back to 1e-6 of the value scale when there are fewer than two
-    distinct values (no gap to measure).
+    distinct values (no gap to measure).  It is inf when even the smallest
+    gap is past the float range.
     """
     distinct = np.unique(np.asarray(values, dtype=np.float64))
     if distinct.size >= 2:
-        gap = float(np.diff(distinct).min())
-        return max(gap, 1e-6 * float(distinct[-1] - distinct[0]))
+        with np.errstate(over="ignore"):  # a gap past the float range is inf
+            gap = float(np.diff(distinct).min())
+        lo, hi = float(distinct[0]), float(distinct[-1])
+        floor = 1e-6 * (hi - lo)
+        if math.isinf(floor):  # the range itself is past the float range
+            floor = 1e-6 * hi - 1e-6 * lo
+        return max(gap, floor)
     scale = abs(float(distinct[0])) if distinct.size else 0.0
     return 1e-6 * max(1.0, scale)
 
@@ -441,6 +447,11 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
             aoms.append(column(s.aom_col, _parse_aom))
         else:
             aom = s.aom_const if s.aom_const is not None else infer_default_aom(xs[-1])
+            if math.isinf(aom):
+                raise SchemaError(
+                    f"column {s.name!r}: its values are too far apart to infer an AoM; "
+                    "give one with --aom-col or --aom-const"
+                )
             aoms.append([aom] * len(rows))
     # Free the raw cells before building the columns, so the two are never
     # held together.

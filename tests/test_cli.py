@@ -225,6 +225,28 @@ class TestFit:
         assert kv(bits_out)["units"] == "bits"
 
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # The range overflows a float, but the smallest gap does not.
+            (["1e308", "0", "-1e308"], None),
+            (["1e308", "-1e308"], "column 'x': its values are too far apart to infer an AoM"),
+        ],
+        ids=["wide-range", "wide-gap"],
+    )
+    def test_inferred_aom_over_the_float_range(self, rows, message, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", "x\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["fit", "normal", path], capsys)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        if message is None:
+            # The AoM is inferred (1e308, the smallest gap); the fit then overflows.
+            assert "cannot fit these data" in err
+        else:
+            assert err.startswith(f"error: {message}") and "--aom-col" in err
+
+
 class TestEval:
     def test_standard_normal_single_row(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -419,13 +441,32 @@ class TestSample:
         assert code == 0
         model = parse_model_expr(expr)
         base = model.base.random_col(np.random.default_rng(0), 5)
-        assert not fn.polar2cartesian.contains_col(base).all()
+        assert not all(fn.polar2cartesian.contains(v) for v in base.tolist())
         rng = np.random.default_rng(0)
         want = [model.random(rng) for _ in range(5)]
         got = [[float(c) for c in line.split(",")] for line in out.splitlines()[1:]]
         np.testing.assert_array_max_ulp(
             np.array(got), np.array([d.components + d.aoms for d in want]), maxulp=1
         )
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            # The preimage 1e-300 is where inv's slope overflows.
+            ("normal(1e300,1).transform(inv)", "inv has derivative inf at 1e-300"),
+            # Polar round-off moves r by an ulp of 1e300, whose z*z overflows.
+            (
+                "rd:normal^2(1e300,1;0,0.5).transform(cartesian2polar)",
+                "index 0: rd:normal^2.transform(cartesian2polar) drew a row that costs inf nits",
+            ),
+        ],
+        ids=["unscorable-row", "infinite-cost"],
+    )
+    def test_rows_eval_cannot_score_are_an_error(self, expr, message, capsys):
+        code, out, err = run(["sample", expr, "1", "--seed", "0"], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: index 0: ")
+        assert message in err
 
     def test_rows_are_written_in_blocks(self, monkeypatch):
         writes = []

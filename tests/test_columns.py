@@ -243,6 +243,46 @@ def test_infinite_cost_comes_from_the_per_datum_path():
     assert costs == [model.nl_pr(DiscreteDatum(1)), math.inf] and total == math.inf
 
 
+def _pairs(*rows) -> np.ndarray:
+    return np.array(rows, dtype=np.float64)
+
+
+# Column forms, each with values outside the domain or support and values
+# inside it.
+COLUMN_FORMS = {
+    "polar2cartesian": (
+        polar2cartesian.f_col,
+        _pairs([-1.0, 0.5], [0.0, 0.5], [1.0, -0.1], [1.0, 2.0 * math.pi]),
+        _pairs([1.0, 0.5], [2.0, 0.0]),
+    ),
+    "cartesian2polar": (
+        cartesian2polar.f_col, _pairs([0.0, 0.0]), _pairs([1.0, 1.0], [-1.0, 0.0])
+    ),
+    "log": (log.f_col, np.array([0.0, -1.0]), np.array([1.0, 2.0])),
+    "inv": (inv.f_col, np.array([0.0]), np.array([-2.0, 2.0])),
+    "compose": (compose(exp, log).f_col, np.array([-1.0]), np.array([1.0])),
+    "reverse": (ReversePermutation(0, 3).f_col, (-1, 7), (0, 3)),
+    "rotate": (Rotation(0, 3, 1).f_col, (-1, 7), (0, 3)),
+    "multistate": (multistate(0, 3)((0.1, 0.2, 0.3, 0.4)).nl_pdf_col, (-1, 4), (0, 3)),
+}
+
+
+def _answered(column) -> list:
+    """Per row: a finite value (every component finite, for a vector row) or an int."""
+    if isinstance(column, tuple):
+        return [k is not None for k in column]
+    finite = np.isfinite(column)
+    return (finite if finite.ndim == 1 else finite.all(axis=1)).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_FORMS))
+def test_column_forms_are_not_finite_outside_the_domain(name):
+    form, outside, inside = COLUMN_FORMS[name]
+    with np.errstate(all="ignore"):
+        assert _answered(form(outside)) == [False] * len(outside)
+        assert _answered(form(inside)) == [True] * len(inside)
+
+
 class Twice(Cts2Cts):
     """x -> 2x + 1 through the per-value methods only."""
 

@@ -5,14 +5,16 @@ parameters, every function name and transform chains), with values that
 are valid most of the time and extreme or malformed otherwise; stdin holds
 CSV text shaped for the data kind, or random bytes.  Whatever the input,
 ``main`` returns 0, 1, 2 or 3, raises nothing, and a failed run writes
-exactly one ``error:`` line to stderr.
+exactly one ``error:`` line to stderr.  Whatever ``sample`` writes,
+``eval`` of the same model reads back at a finite cost.
 """
 
 import contextlib
 import io
+import math
 import sys
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from msglen.cli import main
 from msglen.functions import LIBRARY
@@ -178,3 +180,30 @@ def test_cli_never_crashes(invocation):
     if code != 0:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+
+
+@settings(
+    max_examples=400,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(expressions(parameterised=True), st.integers(0, 20), st.integers(0, 3))
+@example(("normal(1e300,1).transform(inv)", "cts", 1), 1, 0)
+@example(("rd:normal^2(1e300,1;0,0.5).transform(cartesian2polar)", "vec", 2), 1, 0)
+def test_eval_reads_back_what_sample_writes(expression, count, seed):
+    expr = expression[0]
+    code, out, _ = run_main(["sample", expr, str(count), "--seed", str(seed)], b"")
+    if code != 0:
+        return
+    header = out.splitlines()[0].split(",")
+    argv = ["eval", expr, "-", "--format", "kv"]
+    for name in header:
+        if name.startswith("aom"):
+            argv += ["--aom-col", name]
+    code, scored, err = run_main(argv, out.encode("utf-8"))
+    assert code == 0, (expr, count, seed, err)
+    lines = [line for line in scored.splitlines() if not line.startswith("nlpr.")]
+    summary = dict(line.split("=", 1) for line in lines)
+    assert int(summary["count"]) == count
+    assert math.isfinite(float(summary["total"])), (expr, count, seed, summary)

@@ -1,6 +1,7 @@
 """Data values, CSV ingestion, and AoM-propagating dataset mapping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,12 @@ class TestInferDefaultAom:
     def test_single_value_fallback(self):
         assert infer_default_aom([5.0]) == pytest.approx(5e-6, rel=1e-12)
         assert infer_default_aom([0.0]) == pytest.approx(1e-6, rel=1e-12)
+
+    def test_range_past_the_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert infer_default_aom([1e308, 0.0, -1e308]) == 1e308
+            assert infer_default_aom([1e308, -1e308]) == math.inf
 
 
 class TestMapDataset:
