@@ -322,11 +322,26 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _real_costs(model: Model, ds: DataSet, verb: str) -> tuple[list[float], float]:
+    """data_costs of ds under model, checked before anything is written: a
+    total that is not finite is not a real code length, so it is a
+    DomainError.  It names the first row whose cost is not finite, or says
+    that every cost is finite but their sum is past the float range.
+    ``verb`` says what the model did with the rows."""
+    costs, total = data_costs(model, ds)
+    if math.isfinite(total):
+        return costs, total
+    for i, cost in enumerate(costs):
+        if not math.isfinite(cost):
+            raise DomainError(f"index {i}: {model.name} {verb} a row that costs {cost!r} nits")
+    raise DomainError(f"{model.name} {verb} rows whose costs sum past the float range")
+
+
 def cmd_eval(args) -> int:
     target = _require_model(parse_model_expr(args.model))
     ds = _read_dataset(args, target)
     scale = 1.0 / LN_2 if args.bits else 1.0
-    costs, total = data_costs(target, ds)
+    costs, total = _real_costs(target, ds, "scored")
     per_datum = ((f"nlpr.{i}", nl * scale) for i, nl in enumerate(costs))
     summary = [
         ("count", len(ds)),
@@ -350,9 +365,9 @@ def _draw_sample(model: Model, seed: int, count: int, aom: float):
     """count draws from model at seed, as one column (see Model.random_col),
     each checked as the datum it becomes with the AoM aom.  A draw that
     fails, or is not a valid datum, raises what drawing one datum at a time
-    raises for it.  The rows are then scored as ``eval`` scores them, so a
-    row the model cannot score, or one that costs an infinite length, is an
-    error too."""
+    raises for it.  The rows are then scored and checked as ``eval`` scores
+    and checks them, so a row the model cannot score, or one that costs an
+    infinite length, is an error too."""
     try:
         if count and model.kind != "discrete":
             CtsDatum(1.0, aom)  # a bad AoM fails before the column is drawn
@@ -368,10 +383,7 @@ def _draw_sample(model: Model, seed: int, count: int, aom: float):
         for _ in range(count):
             model.random(rng, aom=aom)
         raise
-    costs, total = data_costs(model, ds)
-    if not math.isfinite(total):
-        i = next(i for i, cost in enumerate(costs) if not math.isfinite(cost))
-        raise DomainError(f"index {i}: {model.name} drew a row that costs {costs[i]!r} nits")
+    _real_costs(model, ds, "drew")
     return drawn
 
 

@@ -41,7 +41,7 @@ from .models import (
     MultiStateModel,
     NormalModel,
 )
-from .values import DataSet, map_dataset, map_items
+from .values import DataSet, _at_index, map_dataset, map_items, settled
 
 __all__ = [
     "LN_2",
@@ -190,21 +190,26 @@ def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
     score raises an error naming its index.
 
     The costs are scored a column at a time (``model.nl_pr_col``) and come
-    back as Python floats."""
+    back as Python floats.  The total is inf when the costs are finite but
+    their sum is past the float range."""
     if len(ds) == 0:
         return [], 0.0
     if ds.kind != model.kind:
         raise DomainError(f"{model.name} scores {model.kind} data, got {ds.kind}")
     with np.errstate(all="ignore"):
         costs = model.nl_pr_col(ds)
-    doubted = np.flatnonzero(~np.isfinite(costs)).tolist()
+    doubted = np.flatnonzero(~settled(costs)).tolist()
     costs = costs.tolist()
     # The per-datum nl_pr decides each row the columns could not score: it
     # raises the row's own error, naming the row, or gives its cost (which
     # may be infinite, as for a state of probability 0).
     for i, cost in zip(doubted, map_items(model.nl_pr, ds, doubted)):
         costs[i] = cost
-    return costs, math.fsum(costs)
+    try:
+        return costs, math.fsum(costs)
+    except OverflowError:
+        # Every cost is finite, and their sum is past the float range.
+        return costs, math.inf
 
 
 class NormalEstimator(Estimator):
@@ -251,9 +256,9 @@ class MultiStateEstimator(Estimator):
         n = len(ds)
         if given is None:
             counts = [0] * k
-            for v in ds.values:
+            for i, v in enumerate(ds.values):
                 if not lo <= v <= hi:
-                    raise DomainError(f"{v} is outside the data space [{lo}, {hi}]")
+                    raise _at_index(DomainError(f"{v} is outside the data space [{lo}, {hi}]"), i)
                 counts[v - lo] += 1
             probs = [(c + 0.5) / (n + 0.5 * k) for c in counts]
         else:

@@ -215,30 +215,18 @@ class Function:
     The map and its Jacobian have column forms, named with a ``_col``
     suffix, that answer for a whole column of values at once (a float64
     array of shape (N,) or (N, D), or a tuple of ints), and ``map_col``
-    maps a dataset's columns.  A column form gives a non-finite value, or
-    None for an integer, for every value outside the domain or that the
-    per-value method rejects, so it needs no separate domain test.  The
-    defaults loop over the per-value methods, so a subclass needs only
-    those; numpy overrides exist only on the paths a benchmark workload or
-    check suite runs.
+    maps a dataset's columns.  Every column form, ``map_col`` included,
+    gives a non-finite value, or None for an integer, for every value
+    outside the domain or that the per-value method rejects, and
+    ``values.settled`` reads those marks.  The defaults loop over the
+    per-value methods, so a subclass needs only those; numpy overrides
+    exist only on the paths a benchmark workload or check suite runs.
     """
 
     name = "?"
 
     def inverse(self) -> "Function":
         raise NotInvertibleError(f"{self.name} declares no inverse")
-
-    def image_col(self, values) -> tuple:
-        """f_col of a column, and a bool array of the rows it settled: those
-        with a finite value (every component finite, for a vector row) or an
-        int rather than None."""
-        y = self.f_col(values)
-        if isinstance(y, tuple):
-            settled = np.array([k is not None for k in y], dtype=bool)
-        else:
-            finite = np.isfinite(y)
-            settled = finite if finite.ndim == 1 else finite.all(axis=1)
-        return y, settled
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -291,11 +279,8 @@ class Cts2Cts(Function):
 
     def map_col(self, ds) -> tuple:
         """The columns (x, aom) of a scalar dataset mapped as ``apply`` maps
-        one datum, and a bool array of the rows that mapped cleanly."""
-        x = ds.x
-        y, ok = self.image_col(x)
-        aom = ds.aom * np.abs(self.d_dx_col(x))
-        return (y, aom), ok & np.isfinite(aom) & (aom > 0.0)
+        one datum."""
+        return self.f_col(ds.x), ds.aom * np.abs(self.d_dx_col(ds.x))
 
     def apply(self, d: CtsDatum) -> CtsDatum:
         """Map a measured datum; the AoM scales by |f'(x)|."""
@@ -469,10 +454,10 @@ class CtsD2CtsD(Function):
 
     def map_col(self, ds) -> tuple:
         """The columns (x, aom) of a vector dataset mapped as ``apply`` maps
-        one datum, and a bool array of the rows that mapped cleanly."""
+        one datum; a row ``apply`` rejects gets a NaN image or NaN or 0 AoMs."""
         x, aom = ds.x, ds.aom
         if ds.dim != self.dim:
-            return (x, aom), np.zeros(len(x), dtype=bool)
+            return np.full_like(x, math.nan), aom
         nlj = self.nl_jacobian_det_col(x)
         raw = (np.abs(self.jacobian_col(x)) * aom[:, None, :]).sum(axis=2)
         log_raw = np.log(raw)
@@ -480,13 +465,8 @@ class CtsD2CtsD(Function):
         log_scale = (log_target - log_raw.sum(axis=1)) / self.dim
         out_aoms = np.exp(log_scale[:, None] + log_raw)
         got = np.log(out_aoms).sum(axis=1)
-        y, ok = self.image_col(x)
-        ok &= (
-            np.all(np.isfinite(raw) & (raw != 0.0), axis=1)
-            & (np.abs(got - log_target) <= 1e-9 * np.maximum(1.0, np.abs(log_target)))
-            & np.all(np.isfinite(out_aoms) & (out_aoms > 0.0), axis=1)
-        )
-        return (y, out_aoms), ok
+        kept = np.abs(got - log_target) <= 1e-9 * np.maximum(1.0, np.abs(log_target))
+        return self.f_col(x), np.where(kept[:, None], out_aoms, math.nan)
 
     def apply(self, d: VecDatum) -> VecDatum:
         """Map a measured vector datum, propagating its component AoMs.
@@ -688,10 +668,8 @@ class DiscreteBijection(IntegerSpace, Function):
         return np.zeros(len(values))
 
     def map_col(self, ds) -> tuple:
-        """The mapped column (values,) of a discrete dataset, and a bool
-        array of the rows that mapped cleanly."""
-        mapped, ok = self.image_col(ds.values)
-        return (mapped,), ok
+        """The mapped column (values,) of a discrete dataset."""
+        return (self.f_col(ds.values),)
 
     def apply(self, d: DiscreteDatum) -> DiscreteDatum:
         if not self.contains(d.value):

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
 from .functions import FUNCTION_CLASS, IntegerSpace, _each_contained, _real
-from .values import CtsDatum, DiscreteDatum, VecDatum
+from .values import CtsDatum, DiscreteDatum, VecDatum, settled
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
@@ -476,7 +476,8 @@ class MultiStateModel(DiscreteModel):
 
     def nl_pdf(self, k: int) -> float:
         p = self.probs[k - self.lo]
-        return math.inf if p == 0.0 else -math.log(p)
+        # 0.0 - ln p rather than -ln p, so a certain state costs 0.0, not -0.0.
+        return math.inf if p == 0.0 else 0.0 - math.log(p)
 
     def random_v(self, rng) -> int:
         # side="right" never lands on a state of probability 0.
@@ -584,8 +585,8 @@ class _TransformedModel(Model):
     def random_col(self, rng, n: int):
         drawn = self.base.random_col(rng, n)
         with np.errstate(all="ignore"):
-            values, ok = self._f_inv.image_col(drawn)
-        doubted = np.flatnonzero(~ok).tolist()
+            values = self._f_inv.f_col(drawn)
+        doubted = np.flatnonzero(~settled(values)).tolist()
         if not doubted:
             return values
         # The per-value inverse is the reference for these rows: it raises

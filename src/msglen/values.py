@@ -213,10 +213,10 @@ class DataSet:
             return self._set_empty()
         if x.ndim == 2 and x.shape[1] < 1:
             raise InvalidDatumError("a vector datum needs at least one component")
-        bad = ~(np.isfinite(x) & np.isfinite(aom) & (aom > 0.0))
-        if bad.any():
+        bad = np.flatnonzero(~settled(x, aom))
+        if bad.size:
             # The row's own datum says what is wrong with it.
-            i = int(np.flatnonzero(bad.reshape(len(x), -1).any(axis=1))[0])
+            i = int(bad[0])
             try:
                 (CtsDatum if x.ndim == 1 else VecDatum)(x[i].tolist(), aom[i].tolist())
             except InvalidDatumError as e:
@@ -295,6 +295,19 @@ def _at_index(e: MsglenError, i: int) -> MsglenError:
     err = type(e)(f"index {i}: {e}")
     err.index = i
     return err
+
+
+def settled(column, aom=None) -> np.ndarray:
+    """One bool per row: whether the column forms settled it.  A row of a
+    tuple column is settled when it is not None; a row of a float column,
+    (N,) or (N, D), when its values are finite and its AoMs (``aom``, when
+    given) finite and positive, the rule a dataset validates its rows by."""
+    if isinstance(column, tuple):
+        return np.array([k is not None for k in column], dtype=bool)
+    ok = np.isfinite(column)
+    if aom is not None:
+        ok &= np.isfinite(aom) & (aom > 0.0)
+    return ok if ok.ndim == 1 else ok.all(axis=1)
 
 
 def each_value(fn, column, fill) -> list:
@@ -476,7 +489,7 @@ def map_items(fn, ds: DataSet, rows=None) -> list:
 
 def map_dataset(ds: DataSet, f) -> DataSet:
     """Apply a function object to every row, AoMs included, by its column
-    map (``f.map_col``).
+    map (``f.map_col``); ``f.apply`` decides each row that is not settled.
 
     The function's data kind must match the dataset's.  An element outside
     the function's domain raises a DomainError, one where it collapses
@@ -493,8 +506,8 @@ def map_dataset(ds: DataSet, f) -> DataSet:
             f"cannot map a {ds.kind} dataset with {type(f).__name__}"
         )
     with np.errstate(all="ignore"):
-        columns, ok = f.map_col(ds)
-    doubted = np.flatnonzero(~ok).tolist()
+        columns = f.map_col(ds)
+    doubted = np.flatnonzero(~settled(*columns)).tolist()
     if doubted:
         # The per-datum map is the reference: the first of these rows that it
         # rejects raises its own error, naming the row.  Should it reject none,

@@ -305,6 +305,46 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "expr, stdin, flags, message",
+        [
+            # Two finite costs of about 1.1e308 each, whose sum overflows.
+            (
+                "normal(0,1)", "x,aom\n1.5e154,1\n1.5e154,1\n", ["--aom-col", "aom"],
+                "normal scored rows whose costs sum past the float range",
+            ),
+            # A finite datum whose z*z overflows in nl_pdf.
+            (
+                "normal(0,1)", "x,aom\n1e308,1\n", ["--aom-col", "aom"],
+                "index 0: normal scored a row that costs inf nits",
+            ),
+            # A state of probability 0.
+            (
+                "multistate:0:1(0,1)", "k\n1\n0\n", [],
+                "index 1: multistate:0:1 scored a row that costs inf nits",
+            ),
+        ],
+        ids=["total-overflows", "row-overflows", "probability-0"],
+    )
+    def test_cost_that_is_not_a_code_length_is_an_error(
+        self, expr, stdin, flags, message, capsys, monkeypatch
+    ):
+        code, out, err = run(
+            ["eval", expr, "-", *flags], capsys, stdin_text=stdin, monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_certain_state_costs_plus_zero(self, capsys, monkeypatch):
+        code, out, _ = run(
+            ["eval", "multistate:0:0(1)", "-", "--format", "kv"],
+            capsys,
+            stdin_text="k\n0\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "nlpr.0=0.0"
+
     def test_total_matches_fit_msg2(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         rows = "".join(f"{float(x)!r},0.001\n" for x in rng.normal(3.0, 2.0, 5000))

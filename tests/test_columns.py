@@ -121,12 +121,42 @@ def _error_of(call):
     raise AssertionError("no error was raised")
 
 
+class Flatten(CtsD2CtsD):
+    """(a, b) -> (a, b) whose Jacobian [[1, 0], [0, b]] drops the second AoM
+    at b = 0, through the per-value methods only."""
+
+    name = "flatten"
+    dim = 2
+
+    def apply_v(self, v):
+        return np.array(v, dtype=np.float64)
+
+    def jacobian(self, v):
+        return np.array([[1.0, 0.0], [0.0, v[1]]])
+
+    def nl_jacobian_det(self, v):
+        return 0.0
+
+
 # A function, a good datum, and a datum it cannot map.
 BAD_ROWS = {
     "out-of-domain": (log, CtsDatum(2.0, 0.1), CtsDatum(-1.0, 0.1)),
     "origin": (cartesian2polar, VecDatum((1.0, 2.0), (0.1, 0.1)), VecDatum((0.0, 0.0), (0.1, 0.1))),
     "exp-overflow": (exp, CtsDatum(1.0, 0.1), CtsDatum(800.0, 0.1)),
     "inv-tiny": (inv, CtsDatum(2.0, 0.1), CtsDatum(1e-200, 0.1)),
+    # The mapped AoMs are subnormal, so their volume loses digits.
+    "volume-lost": (
+        Componentwise([linear(1e-20, 0.0), linear(1e-20, 0.0)]),
+        VecDatum((1.0, 2.0), (0.1, 0.1)),
+        VecDatum((1.0, 2.0), (1e-300, 1e-300)),
+    ),
+    "aom-collapses": (Flatten(), VecDatum((1.0, 2.0), (0.1, 0.1)), VecDatum((1.0, 0.0), (0.1, 0.1))),
+}
+
+# The per-datum error of the vector maps' bad rows.
+VECTOR_REFUSALS = {
+    "volume-lost": "failed to preserve the AoM volume",
+    "aom-collapses": "collapses an AoM component",
 }
 
 
@@ -142,6 +172,26 @@ def test_bad_row_raises_the_per_datum_error(case, n, data):
     want = _error_of(lambda: map_items(f.apply, ds))
     assert want[2] == at
     assert _error_of(lambda: map_dataset(DataSet(rows), f)) == want
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_REFUSALS))
+def test_vector_map_refusals_are_degenerate_transforms(case):
+    f, _, bad = BAD_ROWS[case]
+    kind, message, index = _error_of(lambda: map_dataset(DataSet([bad]), f))
+    assert kind is DegenerateTransformError and index == 0
+    assert VECTOR_REFUSALS[case] in message
+
+
+def test_data_of_another_dimension_raise_the_per_datum_error():
+    ds = DataSet.continuous([[1.0, 2.0, 3.0]], [[0.1, 0.1, 0.1]])
+    model = independent_rd([normal, normal])(((0.0, 1.0), (0.0, 1.0)))
+    for call, reference in [
+        (lambda: map_dataset(ds, cartesian2polar), lambda: map_items(cartesian2polar.apply, ds)),
+        (lambda: data_costs(model, ds), lambda: map_items(model.nl_pr, ds)),
+    ]:
+        want = _error_of(reference)
+        assert want[0] is DomainError and want[2] == 0
+        assert _error_of(call) == want
 
 
 def _plane(rng):

@@ -121,6 +121,17 @@ class TestMultiStateEstimator:
         with pytest.raises(DomainError):
             multistate(0, 3).estimator().estimate(ds)
 
+    def test_out_of_space_value_names_its_row_as_scoring_does(self):
+        est = multistate(0, 3).estimator()
+        ds = DataSet.discrete((0, 5))
+        with pytest.raises(DomainError) as fitted:
+            est.estimate(ds)
+        with pytest.raises(DomainError) as scored:
+            est.message_length(ds, (0.25, 0.25, 0.25, 0.25))
+        assert (str(fitted.value), fitted.value.index) == (str(scored.value), scored.value.index)
+        assert fitted.value.index == 1
+        assert str(fitted.value) == "index 1: 5 is outside the data space [0, 3]"
+
     def test_msg2_matches_nl_pr(self):
         rng = np.random.default_rng(2)
         ds = DataSet(tuple(DiscreteDatum(int(v)) for v in rng.integers(0, 4, 60)))

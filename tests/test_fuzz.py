@@ -4,9 +4,10 @@ Model expressions are built from the expression grammar (every family,
 parameters, every function name and transform chains), with values that
 are valid most of the time and extreme or malformed otherwise; stdin holds
 CSV text shaped for the data kind, or random bytes.  Whatever the input,
-``main`` returns 0, 1, 2 or 3, raises nothing, and a failed run writes
-exactly one ``error:`` line to stderr.  Whatever ``sample`` writes,
-``eval`` of the same model reads back at a finite cost.
+``main`` returns 0, 1, 2 or 3, raises nothing, a failed run writes
+exactly one ``error:`` line to stderr, and an ``eval`` that succeeds
+reports a finite total.  Whatever ``sample`` writes, ``eval`` of the
+same model reads back at a finite cost.
 """
 
 import contextlib
@@ -173,13 +174,20 @@ def run_main(argv, stdin_bytes):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(invocations())
+# Finite costs whose sum overflows, and a finite datum whose cost overflows.
+@example((["eval", "normal(0,1)", "-", "--aom-const", "1"], b"x\n1.5e154\n1.5e154\n"))
+@example((["eval", "normal(0,1)", "-", "--aom-const", "1"], b"x\n1e308\n"))
 def test_cli_never_crashes(invocation):
     argv, stdin = invocation
-    code, _, err = run_main(argv, stdin)
+    code, out, err = run_main(argv, stdin)
     assert code in (0, 1, 2, 3)
     if code != 0:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+    elif argv[0] == "eval":
+        # "total: X" or "total=X": what eval prints is a real code length.
+        total = next(line for line in out.splitlines() if line.startswith("total"))
+        assert math.isfinite(float(total[len("total") + 1 :])), (argv, total)
 
 
 @settings(
