@@ -322,43 +322,40 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _real_costs(model: Model, ds: DataSet, verb: str) -> tuple[list[float], float]:
-    """data_costs of ds under model, checked before anything is written: a
-    total that is not finite is not a real code length, so it is a
-    DomainError.  It names the first row whose cost is not finite, or says
-    that every cost is finite but their sum is past the float range.
-    ``verb`` says what the model did with the rows."""
+def _real_costs(
+    model: Model, ds: DataSet, verb: str, bits: bool = False
+) -> tuple[list[float], float]:
+    """data_costs of ds under model, in bits or nits, checked in that unit
+    before anything is written: a total that is not finite is not a real
+    code length, so it is a DomainError.  It names the first row whose cost
+    is not finite, or says that every cost is finite but their sum is past
+    the float range.  ``verb`` says what the model did with the rows."""
     costs, total = data_costs(model, ds)
+    unit = "nits"
+    if bits:
+        # A finite cost in nits can be past the float range in bits.
+        scale, unit = 1.0 / LN_2, "bits"
+        costs, total = [cost * scale for cost in costs], total * scale
     if math.isfinite(total):
         return costs, total
     for i, cost in enumerate(costs):
         if not math.isfinite(cost):
-            raise DomainError(f"index {i}: {model.name} {verb} a row that costs {cost!r} nits")
+            raise DomainError(f"index {i}: {model.name} {verb} a row that costs {cost!r} {unit}")
     raise DomainError(f"{model.name} {verb} rows whose costs sum past the float range")
 
 
 def cmd_eval(args) -> int:
     target = _require_model(parse_model_expr(args.model))
     ds = _read_dataset(args, target)
-    scale = 1.0 / LN_2 if args.bits else 1.0
-    costs, total = _real_costs(target, ds, "scored")
-    per_datum = ((f"nlpr.{i}", nl * scale) for i, nl in enumerate(costs))
+    costs, total = _real_costs(target, ds, "scored", args.bits)
+    per_datum = ((f"nlpr.{i}", nl) for i, nl in enumerate(costs))
     summary = [
         ("count", len(ds)),
-        ("total", total * scale),
+        ("total", total),
         ("units", "bits" if args.bits else "nits"),
     ]
     _emit(chain(per_datum, summary), args.format)
     return 0
-
-
-def _sample_header(model: Model) -> list[str]:
-    if model.kind == "vec":
-        d = model.dim
-        return [f"x{j + 1}" for j in range(d)] + [f"aom{j + 1}" for j in range(d)]
-    if model.kind == "discrete":
-        return ["x"]
-    return ["x", "aom"]
 
 
 def _draw_sample(model: Model, seed: int, count: int, aom: float):
@@ -388,18 +385,22 @@ def _draw_sample(model: Model, seed: int, count: int, aom: float):
 
 
 def _write_sample(model: Model, drawn, aom: float) -> None:
-    """Write the CSV rows of a drawn column to stdout, _EMIT_BLOCK rows at a
-    time.  Every continuous row ends in the same AoM, formatted once."""
+    """Write the sample CSV to stdout: the header, then the rows of a drawn
+    column, _EMIT_BLOCK rows at a time.  Every continuous row ends in the
+    same AoM, formatted once."""
     if model.kind == "discrete":
-        cells, text, tail = drawn, str, "\n"
+        header, cells, text, tail = "x", drawn, str, "\n"
     elif model.kind == "cts":
-        cells, text, tail = drawn.tolist(), repr, f",{aom!r}\n"
+        header, cells, text, tail = "x,aom", drawn.tolist(), repr, f",{aom!r}\n"
     else:
-        cells, tail = drawn.tolist(), f",{aom!r}" * model.dim + "\n"
+        d = model.dim
+        header = ",".join([f"x{j + 1}" for j in range(d)] + [f"aom{j + 1}" for j in range(d)])
+        cells, tail = drawn.tolist(), f",{aom!r}" * d + "\n"
 
         def text(row: list) -> str:
             return ",".join(map(repr, row))
 
+    sys.stdout.write(header + "\n")
     for start in range(0, len(cells), _EMIT_BLOCK):
         sys.stdout.write(tail.join(map(text, cells[start : start + _EMIT_BLOCK])) + tail)
 
@@ -415,7 +416,6 @@ def cmd_sample(args) -> int:
     # Every draw is made and checked before any row is written, so a failed
     # draw leaves stdout empty rather than holding a truncated sample.
     drawn = _draw_sample(target, args.seed, args.count, args.sample_aom)
-    sys.stdout.write(",".join(_sample_header(target)) + "\n")
     _write_sample(target, drawn, args.sample_aom)
     return 0
 
@@ -436,13 +436,9 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ModelExprError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,13 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -502,12 +493,9 @@ def main(argv=None) -> int:
         # flush at exit does not fail again, and exit without a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
-    except ModelExprError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
     except MsglenError as e:
         print(f"error: {e}", file=sys.stderr)
-        return DATA_ERROR
+        return USAGE_ERROR if isinstance(e, ModelExprError) else DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -48,7 +48,9 @@ class TransformError(MsglenError):
 
 
 class ModelExprError(MsglenError):
-    """A textual model expression failed to parse."""
+    """A textual model expression failed to parse.  The command line also
+    raises it for every other usage mistake (a bad flag or argument, a
+    parameterised model given to ``fit``), which exits with code 1."""
 
     def __init__(self, message, pos=None):
         if pos is not None:

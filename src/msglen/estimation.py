@@ -100,14 +100,14 @@ class FitResult:
         return out
 
     def text(self, bits: bool = False) -> str:
-        unit = "bits" if bits else "nits"
-        scale = 1.0 / LN_2 if bits else 1.0
-        lines = [f"model: {self.model.name}"]
-        for k, v in self.model.params().items():
-            lines.append(f"{k}: {v:.12g}")
-        lines.append(f"msg1: {self.msg1 * scale:.12g} {unit}")
-        lines.append(f"msg2: {self.msg2 * scale:.12g} {unit}")
-        lines.append(f"msg: {self.msg * scale:.12g} {unit}")
+        """``kv`` as text: each parameter by its bare name, each number to
+        12 significant digits, and the unit after each message length."""
+        report = self.kv(bits)
+        unit = report.pop("units")
+        lines = [f"model: {report.pop('model')}"]
+        for key, value in report.items():
+            length_unit = f" {unit}" if key.startswith("msg") else ""
+            lines.append(f"{key.removeprefix('param.')}: {value:.12g}{length_unit}")
         return "\n".join(lines)
 
 

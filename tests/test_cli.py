@@ -323,8 +323,27 @@ class TestEval:
                 "multistate:0:1(0,1)", "k\n1\n0\n", [],
                 "index 1: multistate:0:1 scored a row that costs inf nits",
             ),
+            # A cost of about 1.4e308 nits, finite, is past the float range
+            # in bits: the check runs on the numbers eval prints.
+            (
+                "normal(0,1)", "x,aom\n1.7e154,1\n", ["--aom-col", "aom", "--bits"],
+                "index 0: normal scored a row that costs inf bits",
+            ),
+            # Two costs of about 7.2e307 nits each sum to a finite total in
+            # nits, but to one past the float range in bits.
+            (
+                "normal(0,1)", "x,aom\n1.2e154,1\n1.2e154,1\n", ["--aom-col", "aom", "--bits"],
+                "normal scored rows whose costs sum past the float range",
+            ),
+            (
+                "multistate:0:1(0,1)", "k\n1\n0\n", ["--bits"],
+                "index 1: multistate:0:1 scored a row that costs inf bits",
+            ),
         ],
-        ids=["total-overflows", "row-overflows", "probability-0"],
+        ids=[
+            "total-overflows", "row-overflows", "probability-0",
+            "row-overflows-in-bits", "total-overflows-in-bits", "probability-0-in-bits",
+        ],
     )
     def test_cost_that_is_not_a_code_length_is_an_error(
         self, expr, stdin, flags, message, capsys, monkeypatch
@@ -334,6 +353,33 @@ class TestEval:
         )
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "stdin, expected",
+        [
+            (
+                "x,aom\n1.7e154,1\n",
+                "nlpr.0=1.4449999999999998e+308\ncount=1\n"
+                "total=1.4449999999999998e+308\nunits=nits\n",
+            ),
+            (
+                "x,aom\n1.2e154,1\n1.2e154,1\n",
+                "nlpr.0=7.200000000000001e+307\nnlpr.1=7.200000000000001e+307\ncount=2\n"
+                "total=1.4400000000000002e+308\nunits=nits\n",
+            ),
+        ],
+        ids=["row", "total"],
+    )
+    def test_cost_past_the_float_range_only_in_bits_is_printed_in_nits(
+        self, stdin, expected, capsys, monkeypatch
+    ):
+        code, out, err = run(
+            ["eval", "normal(0,1)", "-", "--aom-col", "aom", "--format", "kv"],
+            capsys,
+            stdin_text=stdin,
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out, err) == (0, expected, "")
 
     def test_certain_state_costs_plus_zero(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -390,6 +436,18 @@ class TestSample:
         n = 100000
         assert abs(float(got["param.mean"]) - 3.0) < 3 * 0.5 / math.sqrt(n)
         assert abs(float(got["param.sd"]) - 0.5) < 3 * 0.5 / math.sqrt(2 * n)
+
+    @pytest.mark.parametrize(
+        "expr, header",
+        [
+            ("rd:normal^2(0,1;0,1)", "x1,x2,aom1,aom2"),
+            ("multistate:0:1(0.5,0.5)", "x"),
+        ],
+        ids=["vec", "discrete"],
+    )
+    def test_zero_rows_of_every_kind_give_header_only(self, expr, header, capsys):
+        code, out, err = run(["sample", expr, "0"], capsys)
+        assert (code, out, err) == (0, header + "\n", "")
 
     def test_discrete_and_vector_headers(self, capsys):
         _, out, _ = run(["sample", "uniform:0:3", "2", "--seed", "0"], capsys)
@@ -545,6 +603,18 @@ class TestUsage:
         code, out, err = run(["fit", "gamma", path], capsys)
         assert code == 1
         assert out == "" and "gamma" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit"], "the following arguments are required: model"),
+            (["sample", "normal(0,1)", "x"], "argument count: invalid int value: 'x'"),
+        ],
+        ids=["no-model", "bad-count"],
+    )
+    def test_argument_error_is_one_usage_error_line(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_column_is_data_error(self, tmp_path, capsys):
         path = write_csv(tmp_path, "d.csv", "x\n1\n2\n")

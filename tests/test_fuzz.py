@@ -6,8 +6,8 @@ are valid most of the time and extreme or malformed otherwise; stdin holds
 CSV text shaped for the data kind, or random bytes.  Whatever the input,
 ``main`` returns 0, 1, 2 or 3, raises nothing, a failed run writes
 exactly one ``error:`` line to stderr, and an ``eval`` that succeeds
-reports a finite total.  Whatever ``sample`` writes, ``eval`` of the
-same model reads back at a finite cost.
+reports a finite total, in nits or in bits.  Whatever ``sample`` writes,
+``eval`` of the same model reads back at a finite cost.
 """
 
 import contextlib
@@ -145,6 +145,8 @@ def invocations(draw):
         argv += ["--aom-const", aom]
     if draw(st.booleans()):
         argv += ["--format", "kv"]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--bits"]
     if draw(st.integers(0, 9)) == 0:
         stdin = draw(st.binary(max_size=40))
     else:
@@ -177,6 +179,8 @@ def run_main(argv, stdin_bytes):
 # Finite costs whose sum overflows, and a finite datum whose cost overflows.
 @example((["eval", "normal(0,1)", "-", "--aom-const", "1"], b"x\n1.5e154\n1.5e154\n"))
 @example((["eval", "normal(0,1)", "-", "--aom-const", "1"], b"x\n1e308\n"))
+# A finite cost in nits that is past the float range in bits.
+@example((["eval", "normal(0,1)", "-", "--aom-const", "1", "--bits"], b"x\n1.7e154\n"))
 def test_cli_never_crashes(invocation):
     argv, stdin = invocation
     code, out, err = run_main(argv, stdin)

@@ -23,7 +23,7 @@ from msglen import (
     infer_default_aom,
     map_dataset,
 )
-from msglen import exp, identity, linear, log
+from msglen import compose, exp, identity, linear, log
 from msglen.functions import ReversePermutation
 
 
@@ -247,6 +247,17 @@ class TestMapDataset:
     def test_empty_passthrough(self):
         assert len(map_dataset(DataSet(()), log)) == 0
 
+    def test_row_whose_inner_image_overflows_is_outside_a_composed_domain(self):
+        # exp(1000.0) overflows, so log never sees it: 1000.0 is outside the
+        # preimage domain of compose(log, exp) and the map names its row.
+        f = compose(log, exp)
+        assert not f.contains(1000.0)
+        ds = DataSet((CtsDatum(1.0, 0.1), CtsDatum(1000.0, 0.1)))
+        with pytest.raises(DomainError) as err:
+            map_dataset(ds, f)
+        assert str(err.value) == "index 1: 1000.0 is outside the domain of compose(log,exp)"
+        assert err.value.index == 1
+
     def test_preserves_length(self):
         rng = np.random.default_rng(42)
         ds = DataSet(tuple(CtsDatum(float(x), 0.05) for x in rng.normal(0, 1, 57)))
@@ -295,6 +306,12 @@ class TestChecks:
     def test_fractional_discrete_value(self):
         with pytest.raises(InvalidDatumError):
             DiscreteDatum(1.5)
+
+    def test_fractional_value_in_a_discrete_column_names_its_row(self):
+        with pytest.raises(InvalidDatumError) as err:
+            DataSet.discrete((1, 2.5))
+        assert str(err.value) == "index 1: discrete value must be an int, got 2.5"
+        assert err.value.index == 1
 
 
 @pytest.mark.parametrize(
