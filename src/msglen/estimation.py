@@ -197,7 +197,7 @@ def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
     if ds.kind != model.kind:
         raise DomainError(f"{model.name} scores {model.kind} data, got {ds.kind}")
     with np.errstate(all="ignore"):
-        costs = model.nl_pr_col(ds)
+        costs = model.nl_pr_col(*ds.columns)
     doubted = np.flatnonzero(~settled(costs)).tolist()
     costs = costs.tolist()
     # The per-datum nl_pr decides each row the columns could not score: it

@@ -19,13 +19,13 @@ All three subclass ``Function`` and share the protocol that transformed
 models are built on: ``contains(value)`` (is the value in the function's
 domain), ``f(value)`` (the map itself), ``nl_jacobian_det(value)``
 (-ln |det J|, which is -ln |f'(x)| for a scalar map and 0 for a bijection
-of integers) and ``inverse()``.  The map and its Jacobian have column
-forms (``f_col``, ``nl_jacobian_det_col``) that answer for a whole column
-of values at once; ``map_dataset`` and scoring use them.  A column form
-gives a non-finite value (``None`` for an integer) for every value outside
-the domain or that the per-value method rejects.  Only ``log``, ``exp``,
-``linear`` and ``cartesian2polar`` give them with numpy; every other
-function answers for a column through its per-value methods.
+of integers) and ``inverse()``.  The map has a column form, ``f_col``,
+that answers for a whole column of values at once, and ``map_col`` maps
+columns with their AoMs; ``map_dataset`` and scoring use them.  A column
+form gives a non-finite value (``None`` for an integer) for every value
+outside the domain or that the per-value method rejects.  Only ``log``,
+``exp``, ``linear`` and ``cartesian2polar`` give them with numpy; every
+other function answers for a column through its per-value methods.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -215,12 +215,12 @@ class Function:
     The map and its Jacobian have column forms, named with a ``_col``
     suffix, that answer for a whole column of values at once (a float64
     array of shape (N,) or (N, D), or a tuple of ints), and ``map_col``
-    maps a dataset's columns.  Every column form, ``map_col`` included,
-    gives a non-finite value, or None for an integer, for every value
-    outside the domain or that the per-value method rejects, and
-    ``values.settled`` reads those marks.  The defaults loop over the
-    per-value methods, so a subclass needs only those; numpy overrides
-    exist only on the paths a benchmark workload or check suite runs.
+    maps the columns that ``DataSet.columns`` gives.  Every column form,
+    ``map_col`` included, gives a non-finite value, or None for an integer,
+    for every value outside the domain or that the per-value method
+    rejects, and ``values.settled`` reads those marks.  The defaults loop
+    over the per-value methods, so a subclass needs only those; numpy
+    overrides exist only where a benchmark workload or check suite runs them.
     """
 
     name = "?"
@@ -274,13 +274,10 @@ class Cts2Cts(Function):
     def d_dx_col(self, x: np.ndarray) -> np.ndarray:
         return np.array(each_value(self.d_dx, x, math.nan), dtype=np.float64)
 
-    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
-        return -np.log(np.abs(self.d_dx_col(x)))
-
-    def map_col(self, ds) -> tuple:
-        """The columns (x, aom) of a scalar dataset mapped as ``apply`` maps
-        one datum."""
-        return self.f_col(ds.x), ds.aom * np.abs(self.d_dx_col(ds.x))
+    def map_col(self, x: np.ndarray, aom: np.ndarray) -> tuple:
+        """The columns (x, aom) of scalar data mapped as ``apply`` maps one
+        datum."""
+        return self.f_col(x), aom * np.abs(self.d_dx_col(x))
 
     def apply(self, d: CtsDatum) -> CtsDatum:
         """Map a measured datum; the AoM scales by |f'(x)|."""
@@ -452,11 +449,10 @@ class CtsD2CtsD(Function):
     def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
         return np.array(each_value(self.nl_jacobian_det, x, math.nan), dtype=np.float64)
 
-    def map_col(self, ds) -> tuple:
-        """The columns (x, aom) of a vector dataset mapped as ``apply`` maps
-        one datum; a row ``apply`` rejects gets a NaN image or NaN or 0 AoMs."""
-        x, aom = ds.x, ds.aom
-        if ds.dim != self.dim:
+    def map_col(self, x: np.ndarray, aom: np.ndarray) -> tuple:
+        """The columns (x, aom) of vector data mapped as ``apply`` maps one
+        datum; a row ``apply`` rejects gets a NaN image or NaN or 0 AoMs."""
+        if x.shape[1] != self.dim:
             return np.full_like(x, math.nan), aom
         nlj = self.nl_jacobian_det_col(x)
         raw = (np.abs(self.jacobian_col(x)) * aom[:, None, :]).sum(axis=2)
@@ -664,12 +660,9 @@ class DiscreteBijection(IntegerSpace, Function):
     def f_col(self, values) -> tuple:
         return tuple(_each_contained(self, self.apply_i, values, None))
 
-    def nl_jacobian_det_col(self, values) -> np.ndarray:
-        return np.zeros(len(values))
-
-    def map_col(self, ds) -> tuple:
-        """The mapped column (values,) of a discrete dataset."""
-        return (self.f_col(ds.values),)
+    def map_col(self, values) -> tuple:
+        """The mapped column (values,) of discrete data."""
+        return (self.f_col(values),)
 
     def apply(self, d: DiscreteDatum) -> DiscreteDatum:
         if not self.contains(d.value):

@@ -298,10 +298,10 @@ class Model:
         the support or one nl_pdf raises on."""
         return np.array(_each_contained(self, self.nl_pdf, values, math.nan), dtype=np.float64)
 
-    def nl_pr_col(self, ds) -> np.ndarray:
-        """nl_pr of every datum of a dataset of the model's kind, as an
-        array; not finite where a datum is outside the support or cannot be
-        scored."""
+    def nl_pr_col(self, *columns) -> np.ndarray:
+        """nl_pr of every row of columns as ``DataSet.columns`` gives them
+        or ``map_col`` maps them, as an array; not finite where a row is
+        unsettled (``values.settled``), outside the support or unscorable."""
         raise NotImplementedError
 
     def random_col(self, rng, n: int):
@@ -353,8 +353,8 @@ class DiscreteModel(IntegerSpace, Model):
             raise DomainError(f"{d.value} is outside the data space [{self.lo}, {self.hi}]")
         return self.nl_pdf(d.value)
 
-    def nl_pr_col(self, ds) -> np.ndarray:
-        return self.nl_pdf_col(ds.values)
+    def nl_pr_col(self, values) -> np.ndarray:
+        return self.nl_pdf_col(values)
 
     def random_col(self, rng, n: int) -> tuple:
         return tuple(self.random_v(rng) for _ in range(n))
@@ -378,8 +378,8 @@ class ContinuousModel(Model):
             raise DomainError(f"{d.x!r} is outside the support of {self.name}")
         return self.nl_pdf(d.x) - math.log(d.aom)
 
-    def nl_pr_col(self, ds) -> np.ndarray:
-        return self.nl_pdf_col(ds.x) - np.log(ds.aom)
+    def nl_pr_col(self, x, aom) -> np.ndarray:
+        return self.nl_pdf_col(x) - np.log(aom)
 
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> CtsDatum:
         return CtsDatum(self.random_v(rng), aom)
@@ -397,10 +397,10 @@ class VectorModel(Model):
             raise DomainError(f"{v} is outside the support of {self.name}")
         return self.nl_pdf(v) - math.fsum(math.log(a) for a in d.aoms)
 
-    def nl_pr_col(self, ds) -> np.ndarray:
-        if ds.dim != self.dim:
-            return np.full(len(ds), math.nan)
-        return self.nl_pdf_col(ds.x) - np.log(ds.aom).sum(axis=1)
+    def nl_pr_col(self, x, aom) -> np.ndarray:
+        if x.shape[1] != self.dim:
+            return np.full(len(x), math.nan)
+        return self.nl_pdf_col(x) - np.log(aom).sum(axis=1)
 
     def random_col(self, rng, n: int) -> np.ndarray:
         return super().random_col(rng, n).reshape(n, self.dim)
@@ -576,8 +576,8 @@ class _TransformedModel(Model):
     def nl_pdf(self, v) -> float:
         return self.base.nl_pdf(self.f(v)) + self.f.nl_jacobian_det(v)
 
-    def nl_pdf_col(self, values) -> np.ndarray:
-        return self.base.nl_pdf_col(self.f.f_col(values)) + self.f.nl_jacobian_det_col(values)
+    def nl_pr_col(self, *columns) -> np.ndarray:
+        return self.base.nl_pr_col(*self.f.map_col(*columns))
 
     def random_v(self, rng):
         return self._preimage(self.base.random_v(rng))

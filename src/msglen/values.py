@@ -242,6 +242,11 @@ class DataSet:
         return self.x.shape[1]
 
     @property
+    def columns(self) -> tuple:
+        """(x, aom), or (values,) for discrete data: what the column forms take."""
+        return (self.values,) if self.kind == "discrete" else (self.x, self.aom)
+
+    @property
     def items(self) -> tuple:
         """The data items, one view per row; built on first use and kept."""
         if self._items is None:
@@ -506,7 +511,7 @@ def map_dataset(ds: DataSet, f) -> DataSet:
             f"cannot map a {ds.kind} dataset with {type(f).__name__}"
         )
     with np.errstate(all="ignore"):
-        columns = f.map_col(ds)
+        columns = f.map_col(*ds.columns)
     doubted = np.flatnonzero(~settled(*columns)).tolist()
     if doubted:
         # The per-datum map is the reference: the first of these rows that it
