@@ -413,6 +413,8 @@ def cmd_sample(args) -> int:
             f"sample draws 0 to {MAX_SAMPLE_COUNT} values (rows x dimension), "
             f"got {args.count} x {dim}"
         )
+    if args.seed < 0:
+        raise ModelExprError(f"--seed takes a non-negative integer, got {args.seed}")
     # Every draw is made and checked before any row is written, so a failed
     # draw leaves stdout empty rather than holding a truncated sample.
     drawn = _draw_sample(target, args.seed, args.count, args.sample_aom)

@@ -429,7 +429,7 @@ class CtsD2CtsD(Function):
         return float(-logabs)
 
     def contains(self, v) -> bool:
-        return True
+        return len(v) == self.dim
 
     def __call__(self, v) -> np.ndarray:
         return self.apply_v(v)
@@ -499,8 +499,7 @@ class Polar2Cartesian(CtsD2CtsD):
     dim = 2
 
     def contains(self, v) -> bool:
-        r, theta = v
-        return r > 0.0 and 0.0 <= theta < TWO_PI
+        return super().contains(v) and v[0] > 0.0 and 0.0 <= v[1] < TWO_PI
 
     def apply_v(self, v) -> np.ndarray:
         r, theta = v
@@ -528,7 +527,7 @@ class Cartesian2Polar(CtsD2CtsD):
     dim = 2
 
     def contains(self, v) -> bool:
-        return math.hypot(*v) > 0.0
+        return super().contains(v) and math.hypot(*v) > 0.0
 
     def apply_v(self, v) -> np.ndarray:
         x, y = v
@@ -598,7 +597,7 @@ class Componentwise(CtsD2CtsD):
         self.name = f"componentwise({','.join(p.name for p in parts)})"
 
     def contains(self, v) -> bool:
-        return all(p.contains(x) for p, x in zip(self.parts, _floats(v)))
+        return super().contains(v) and all(p.contains(x) for p, x in zip(self.parts, _floats(v)))
 
     def apply_v(self, v) -> np.ndarray:
         return np.array([p.apply_x(x) for p, x in zip(self.parts, _floats(v))])

@@ -17,11 +17,11 @@ forms ``nl_pdf_col``, ``nl_pr_col`` and ``random_col`` answer for a whole
 column of a dataset at once; their defaults loop over the per-value
 methods.  A cost's column form is not finite for a value outside the
 support or one the per-value method rejects.  The normal model overrides
-them with numpy, and a transformed model combines its base's and its
-function's column forms; every other model, the product included, answers
-through its per-value methods.  ``random_col(rng, n)`` draws from ``rng``
-exactly as n ``random_v`` calls do, so a seeded sample is the same drawn
-either way.
+them with numpy; every other model answers through its per-value
+methods, and a transformed model's cost column is its base's cost of
+``f.map_col``'s columns, which its family's fit scores.  ``random_col``
+draws from ``rng`` exactly as n ``random_v`` calls do, so a seeded sample
+is the same drawn either way.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -398,8 +398,7 @@ class VectorModel(Model):
         return self.nl_pdf(v) - math.fsum(math.log(a) for a in d.aoms)
 
     def nl_pr_col(self, x, aom) -> np.ndarray:
-        if x.shape[1] != self.dim:
-            return np.full(len(x), math.nan)
+        # A row of another dimension is outside the support: nl_pdf_col gives NaN.
         return self.nl_pdf_col(x) - np.log(aom).sum(axis=1)
 
     def random_col(self, rng, n: int) -> np.ndarray:
@@ -496,7 +495,9 @@ class IndependentProductModel(VectorModel):
         self.name = _product_name(self.components)
 
     def contains(self, v) -> bool:
-        return all(c.contains(float(x)) for c, x in zip(self.components, v))
+        return len(v) == self.dim and all(
+            c.contains(float(x)) for c, x in zip(self.components, v)
+        )
 
     def nl_pdf(self, v) -> float:
         return math.fsum(c.nl_pdf(float(x)) for c, x in zip(self.components, v))

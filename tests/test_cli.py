@@ -206,6 +206,23 @@ class TestFit:
         got = kv(out)
         assert float(got["msg1"]) == 0.0 and math.isfinite(float(got["msg"]))
 
+    @pytest.mark.parametrize("expr", ["uniform:0:3", "uniform:0:3.transform(reverse)"])
+    def test_fit_bounded_uniform_has_no_parameters(self, expr, tmp_path, capsys):
+        # Nothing is estimated: no parameter lines, msg1 0 and msg2 n ln 4.
+        path = write_csv(tmp_path, "d.csv", "k\n0\n3\n1\n1\n2\n")
+        name = parse_model_expr(expr).parameterise(()).name
+        msg2 = 5 * math.log(4.0)
+        code, out, err = run(["fit", expr, path], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"model: {name}", "msg1: 0 nits", f"msg2: {msg2:.12g} nits", f"msg: {msg2:.12g} nits"
+        ]
+        code, out, err = run(["fit", expr, path, "--format", "kv"], capsys)
+        assert (code, err) == (0, "")
+        assert kv(out) == {
+            "model": name, "msg1": "0.0", "msg2": repr(msg2), "msg": repr(msg2), "units": "nits"
+        }
+
     def test_fit_rejects_parameterised_model(self, tmp_path, capsys):
         path = write_csv(tmp_path, "d.csv", "x\n1\n2\n")
         code, _, err = run(["fit", "normal(0,1)", path], capsys)
@@ -609,8 +626,12 @@ class TestUsage:
         [
             (["fit"], "the following arguments are required: model"),
             (["sample", "normal(0,1)", "x"], "argument count: invalid int value: 'x'"),
+            (
+                ["sample", "normal(0,1)", "0", "--seed", "-1"],
+                "--seed takes a non-negative integer, got -1",
+            ),
         ],
-        ids=["no-model", "bad-count"],
+        ids=["no-model", "bad-count", "negative-seed"],
     )
     def test_argument_error_is_one_usage_error_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)

@@ -266,6 +266,48 @@ def test_data_costs_agree_with_nl_pr(name):
         )
 
 
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (model, _, _) in MODELS.items() if hasattr(model, "base"))
+)
+def test_transformed_costs_are_the_base_costs_of_the_mapped_data(name):
+    # Scoring and fitting cost each row alike, bit for bit.
+    model, sample, _ = MODELS[name]
+    ds = sample(np.random.default_rng(len(name)))
+    assert data_costs(model, ds) == data_costs(model.base, map_dataset(ds, model.f))
+
+
+# Every vector model of MODELS, and the plain product of two normals.
+VECTOR_MODELS = {
+    "product": independent_rd([normal, normal])(((0.0, 1.0), (0.0, 1.0))),
+    **{name: model for name, (model, _, _) in MODELS.items() if model.kind == "vec"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_MODELS))
+@pytest.mark.parametrize("v", [(0.5,), (0.5, 0.0, 99.0)], ids=["short", "long"])
+def test_a_vector_of_another_dimension_is_outside_the_support(name, v):
+    model = VECTOR_MODELS[name]
+    if len(v) == model.dim:
+        v += (1.0,)
+    assert not model.contains(v)
+    with pytest.raises(DomainError, match="outside the support"):
+        model.pdf(v)
+    # nl_pr keeps its own dimension message.
+    with pytest.raises(DomainError, match=f"got a {len(v)}-vector"):
+        model.nl_pr(VecDatum(v, (0.1,) * len(v)))
+
+
+@pytest.mark.parametrize(
+    "f", [polar2cartesian, cartesian2polar, Componentwise([log, exp]), ComponentPermutation([1, 0])],
+    ids=lambda f: f.name,
+)
+@pytest.mark.parametrize("v", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
+def test_a_vector_map_does_not_contain_a_vector_of_another_dimension(f, v):
+    assert not f.contains(v)
+    with pytest.raises(DomainError, match=f"got a {len(v)}-vector"):
+        f.apply(VecDatum(v, (0.1,) * len(v)))
+
+
 class Doubtful(Cts2Cts):
     """linear(2, 1) whose column map gives NaN at 3.0, where apply is fine."""
 

@@ -138,7 +138,12 @@ def invocations(draw):
     expr, kind, dim = draw(expressions(parameterised))
     if command == "sample":
         count = draw(mostly(st.integers(0, 20), st.sampled_from([-1, 1000001])))
-        return ["sample", expr, str(count), "--seed", str(draw(st.integers(0, 3)))], b""
+        seed = draw(mostly(st.integers(0, 3), st.sampled_from([-1, 2**64])))
+        argv = ["sample", expr, str(count), "--seed", str(seed)]
+        if draw(st.integers(0, 3)) == 0:
+            aoms = st.sampled_from(["0.5", "1e-3"]), st.sampled_from(["0", "-1", "nan", "inf"])
+            argv += ["--sample-aom", draw(mostly(*aoms))]
+        return argv, b""
     argv = [command, expr, "-"]
     if draw(st.booleans()):
         aom = draw(mostly(st.sampled_from(["0.01", "1"]), st.sampled_from(["1e300", "0", "nan"])))
