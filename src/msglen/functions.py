@@ -499,7 +499,7 @@ class Polar2Cartesian(CtsD2CtsD):
     dim = 2
 
     def contains(self, v) -> bool:
-        return super().contains(v) and v[0] > 0.0 and 0.0 <= v[1] < TWO_PI
+        return len(v) == self.dim and v[0] > 0.0 and 0.0 <= v[1] < TWO_PI
 
     def apply_v(self, v) -> np.ndarray:
         r, theta = v
@@ -527,7 +527,7 @@ class Cartesian2Polar(CtsD2CtsD):
     dim = 2
 
     def contains(self, v) -> bool:
-        return super().contains(v) and math.hypot(*v) > 0.0
+        return len(v) == self.dim and math.hypot(*v) > 0.0
 
     def apply_v(self, v) -> np.ndarray:
         x, y = v
@@ -597,7 +597,7 @@ class Componentwise(CtsD2CtsD):
         self.name = f"componentwise({','.join(p.name for p in parts)})"
 
     def contains(self, v) -> bool:
-        return super().contains(v) and all(p.contains(x) for p, x in zip(self.parts, _floats(v)))
+        return len(v) == self.dim and all(p.contains(x) for p, x in zip(self.parts, _floats(v)))
 
     def apply_v(self, v) -> np.ndarray:
         return np.array([p.apply_x(x) for p, x in zip(self.parts, _floats(v))])
