@@ -19,13 +19,15 @@ All three subclass ``Function`` and share the protocol that transformed
 models are built on: ``contains(value)`` (is the value in the function's
 domain), ``f(value)`` (the map itself), ``nl_jacobian_det(value)``
 (-ln |det J|, which is -ln |f'(x)| for a scalar map and 0 for a bijection
-of integers) and ``inverse()``.  The map has a column form, ``f_col``,
-that answers for a whole column of values at once, and ``map_col`` maps
-columns with their AoMs; ``map_dataset`` and scoring use them.  A column
-form gives a non-finite value (``None`` for an integer) for every value
-outside the domain or that the per-value method rejects.  Only ``log``,
-``exp``, ``linear`` and ``cartesian2polar`` give them with numpy; every
-other function answers for a column through its per-value methods.
+of integers) and ``inverse()``, computed with ``math`` on floats and
+tuples.  The map has a column form, ``f_col``, that answers for a whole
+column of values at once, and ``map_col`` maps columns with their AoMs;
+``map_dataset`` and scoring use them.  A column form gives a non-finite
+value (``None`` for an integer) for every value outside the domain or that
+the per-value method rejects.  Only ``log``, ``exp``, ``linear`` and
+``cartesian2polar`` give them with numpy; every other function answers
+for a column through its per-value methods.  numpy is otherwise used only
+for a vector map's arrays ``apply_v`` and ``jacobian``.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -45,7 +47,7 @@ from .errors import (
     NotInvertibleError,
     ParameterError,
 )
-from .values import CtsDatum, DiscreteDatum, VecDatum, each_value
+from .values import MIN_AOM, CtsDatum, DiscreteDatum, VecDatum, each_value
 
 __all__ = [
     "Interval",
@@ -286,7 +288,12 @@ class Cts2Cts(Function):
             y = self.apply_x(d.x)
         except OverflowError:
             raise DomainError(f"{self.name}({d.x!r}) overflows a float") from None
-        return CtsDatum(y, d.aom * abs(slope))
+        aom = d.aom * abs(slope)
+        if 0.0 < aom < MIN_AOM:
+            raise DegenerateTransformError(
+                f"{self.name} shrinks the AoM at {d.x!r} to {aom!r}, below the normal floats"
+            )
+        return CtsDatum(y, aom)
 
 
 class Identity(Cts2Cts):
@@ -410,16 +417,26 @@ def compose(outer: Cts2Cts, inner: Cts2Cts) -> Cts2Cts:
 
 class CtsD2CtsD(Function):
     """An R^D -> R^D map with a Jacobian; may declare an inverse.  Its
-    methods take any length-D sequence of floats."""
+    methods take any length-D sequence of floats.  The map and Jacobian
+    come as tuples, ``image`` and ``jacobian_rows``, and as the arrays
+    ``apply_v`` and ``jacobian``; a subclass defines either form of each."""
 
     dim = 0
 
+    def image(self, v) -> tuple:
+        """f(v), as a tuple of floats."""
+        return tuple(self.apply_v(v).tolist())
+
     def apply_v(self, v) -> np.ndarray:
-        raise NotImplementedError
+        return np.array(self.image(v), dtype=np.float64)
+
+    def jacobian_rows(self, v) -> tuple:
+        """The D x D matrix of partial derivatives at v, as a tuple of rows."""
+        return tuple(map(tuple, self.jacobian(v).tolist()))
 
     def jacobian(self, v) -> np.ndarray:
         """The D x D matrix of partial derivatives at v."""
-        raise NotImplementedError
+        return np.array(self.jacobian_rows(v), dtype=np.float64)
 
     def nl_jacobian_det(self, v) -> float:
         """-ln |det J(v)|, in nits."""
@@ -431,19 +448,19 @@ class CtsD2CtsD(Function):
     def contains(self, v) -> bool:
         return len(v) == self.dim
 
-    def __call__(self, v) -> np.ndarray:
-        return self.apply_v(v)
+    def __call__(self, v) -> tuple:
+        return self.image(v)
 
     def f_col(self, x: np.ndarray) -> np.ndarray:
         """The (N, D) array of the rows' images."""
-        nan = np.full(self.dim, math.nan)
-        y = np.array(_each_contained(self, self.apply_v, x, nan), dtype=np.float64)
+        nan = (math.nan,) * self.dim
+        y = np.array(_each_contained(self, self.image, x, nan), dtype=np.float64)
         return y.reshape(len(x), self.dim)
 
     def jacobian_col(self, x: np.ndarray) -> np.ndarray:
         """The (N, D, D) stack of the rows' Jacobians."""
-        nan = np.full((self.dim, self.dim), math.nan)
-        jac = np.array(each_value(self.jacobian, x, nan), dtype=np.float64)
+        nan = ((math.nan,) * self.dim,) * self.dim
+        jac = np.array(each_value(self.jacobian_rows, x, nan), dtype=np.float64)
         return jac.reshape(len(x), self.dim, self.dim)
 
     def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
@@ -489,7 +506,11 @@ class CtsD2CtsD(Function):
             raise DegenerateTransformError(
                 f"{self.name} failed to preserve the AoM volume at {v}"
             )
-        return VecDatum(self.apply_v(v), out_aoms)
+        if out_aoms.min() < MIN_AOM:
+            raise DegenerateTransformError(
+                f"{self.name} shrinks an AoM component at {v} below the normal floats"
+            )
+        return VecDatum(self.image(v), out_aoms)
 
 
 class Polar2Cartesian(CtsD2CtsD):
@@ -501,14 +522,14 @@ class Polar2Cartesian(CtsD2CtsD):
     def contains(self, v) -> bool:
         return len(v) == self.dim and v[0] > 0.0 and 0.0 <= v[1] < TWO_PI
 
-    def apply_v(self, v) -> np.ndarray:
+    def image(self, v) -> tuple:
         r, theta = v
-        return np.array([r * math.cos(theta), r * math.sin(theta)])
+        return (r * math.cos(theta), r * math.sin(theta))
 
-    def jacobian(self, v) -> np.ndarray:
+    def jacobian_rows(self, v) -> tuple:
         r, theta = v
         c, s = math.cos(theta), math.sin(theta)
-        return np.array([[c, -r * s], [s, r * c]])
+        return ((c, -r * s), (s, r * c))
 
     def nl_jacobian_det(self, v) -> float:
         r = v[0]
@@ -529,14 +550,14 @@ class Cartesian2Polar(CtsD2CtsD):
     def contains(self, v) -> bool:
         return len(v) == self.dim and math.hypot(*v) > 0.0
 
-    def apply_v(self, v) -> np.ndarray:
+    def image(self, v) -> tuple:
         x, y = v
         theta = math.atan2(y, x) % TWO_PI
         if theta >= TWO_PI:  # tiny negative angles round up to 2*pi
             theta = 0.0
-        return np.array([math.hypot(x, y), theta])
+        return (math.hypot(x, y), theta)
 
-    def jacobian(self, v) -> np.ndarray:
+    def jacobian_rows(self, v) -> tuple:
         x, y = v
         r = math.hypot(x, y)
         if r == 0.0:
@@ -544,7 +565,7 @@ class Cartesian2Polar(CtsD2CtsD):
         r2 = r * r
         if r2 == 0.0:
             raise DegenerateTransformError(f"the Jacobian of cartesian2polar overflows at {v}")
-        return np.array([[x / r, y / r], [-y / r2, x / r2]])
+        return ((x / r, y / r), (-y / r2, x / r2))
 
     def nl_jacobian_det(self, v) -> float:
         r = math.hypot(*v)
@@ -575,8 +596,8 @@ class Cartesian2Polar(CtsD2CtsD):
 
 def _floats(v) -> tuple:
     # The parts are scalar functions, which rely on Python float arithmetic
-    # raising ZeroDivisionError or OverflowError; a numpy scalar (as in the
-    # array an enclosing vector map returns) would warn and give inf instead.
+    # raising ZeroDivisionError or OverflowError; a numpy scalar (as in a row
+    # of an array) would warn and give inf instead.
     return tuple(map(float, v))
 
 
@@ -599,11 +620,13 @@ class Componentwise(CtsD2CtsD):
     def contains(self, v) -> bool:
         return len(v) == self.dim and all(p.contains(x) for p, x in zip(self.parts, _floats(v)))
 
-    def apply_v(self, v) -> np.ndarray:
-        return np.array([p.apply_x(x) for p, x in zip(self.parts, _floats(v))])
+    def image(self, v) -> tuple:
+        return tuple([p.apply_x(x) for p, x in zip(self.parts, _floats(v))])
 
-    def jacobian(self, v) -> np.ndarray:
-        return np.diag([p.d_dx(x) for p, x in zip(self.parts, _floats(v))])
+    def jacobian_rows(self, v) -> tuple:
+        slopes = [p.d_dx(x) for p, x in zip(self.parts, _floats(v))]
+        cols = range(self.dim)
+        return tuple(tuple(s if i == j else 0.0 for j in cols) for i, s in enumerate(slopes))
 
     def nl_jacobian_det(self, v) -> float:
         return math.fsum(p.nl_jacobian_det(x) for p, x in zip(self.parts, _floats(v)))
@@ -622,16 +645,14 @@ class ComponentPermutation(CtsD2CtsD):
         self.perm = perm
         self.dim = len(perm)
         self.name = f"permute({','.join(str(i) for i in perm)})"
+        # The same permutation matrix at every point: row i picks component perm[i].
+        self._jacobian = tuple(tuple(float(k == j) for k in range(self.dim)) for j in perm)
 
-    def apply_v(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return v[list(self.perm)]
+    def image(self, v) -> tuple:
+        return tuple([v[j] for j in self.perm])
 
-    def jacobian(self, v) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        for i, j in enumerate(self.perm):
-            m[i, j] = 1.0
-        return m
+    def jacobian_rows(self, v) -> tuple:
+        return self._jacobian
 
     def nl_jacobian_det(self, v) -> float:
         return 0.0

@@ -9,19 +9,19 @@ parameterised model answers ``pr``/``nl_pr`` for data from its space and
 can draw random data.
 
 Every parameterised model answers the same value-level questions, for a
-bare value of its data space (a float, a D-vector or an integer):
+bare value of its data space (a float, a tuple of D floats or an int):
 ``contains(v)``, ``nl_pdf(v)`` (the negative log density, or probability
-for discrete data) and ``random_v(rng)``; ``pdf`` is defined once from
-them, and ``nl_pr``/``random`` wrap them for measured data.  The column
-forms ``nl_pdf_col``, ``nl_pr_col`` and ``random_col`` answer for a whole
-column of a dataset at once; their defaults loop over the per-value
-methods.  A cost's column form is not finite for a value outside the
-support or one the per-value method rejects.  The normal model overrides
-them with numpy; every other model answers through its per-value
-methods, and a transformed model's cost column is its base's cost of
-``f.map_col``'s columns, which its family's fit scores.  ``random_col``
-draws from ``rng`` exactly as n ``random_v`` calls do, so a seeded sample
-is the same drawn either way.
+for discrete data) and ``random_v(rng)``, computed with ``math``; ``pdf``
+and ``nl_pr`` ask the first two in one step, and ``random`` wraps
+``random_v`` for measured data.  The column forms ``nl_pdf_col``,
+``nl_pr_col`` and ``random_col`` answer for a whole column of a dataset at
+once; their defaults loop over the per-value methods.  A cost's column
+form is not finite for a value outside the support or one the per-value
+method rejects.  The normal model overrides them with numpy; every other
+model answers through its per-value methods, and a transformed model's
+cost column is its base's cost of ``f.map_col``'s columns, which its
+family's fit scores.  ``random_col`` draws from ``rng`` exactly as n
+``random_v`` calls do, so a seeded sample is the same drawn either way.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -33,7 +33,7 @@ a bijection of integers) and its inverse:
     contains_mf(v) = f.contains(v) and contains_m(f(v))
     nl_pdf_mf(v)   = nl_pdf_m(f(v)) + f.nl_jacobian_det(v)
 
-and a transformed model draws random data by drawing from the base model
+with f(v) computed once for both, and a transformed model draws random data by drawing from the base model
 and applying f's inverse; its column form draws the base column and
 applies ``f.inverse()``'s column map, and a row that map cannot settle
 (a value outside the inverse's domain or not finite) goes to the
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
 from .functions import FUNCTION_CLASS, IntegerSpace, _each_contained, _real
-from .values import CtsDatum, DiscreteDatum, VecDatum, settled
+from .values import MIN_AOM, CtsDatum, DiscreteDatum, VecDatum, _view, settled
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
@@ -290,8 +290,14 @@ class Model:
         raise NotImplementedError
 
     def random_v(self, rng):
-        """One random value of the data space, without an AoM."""
+        """One random value of the data space, without an AoM: a float, a
+        tuple of floats or an int."""
         raise NotImplementedError
+
+    def _nl_pdf_in_support(self, v):
+        """nl_pdf(v), or None when v is outside the support: the one
+        per-value step of ``pdf`` and ``nl_pr``."""
+        return self.nl_pdf(v) if self.contains(v) else None
 
     def nl_pdf_col(self, values) -> np.ndarray:
         """nl_pdf of every value of a column; not finite for a value outside
@@ -301,7 +307,8 @@ class Model:
     def nl_pr_col(self, *columns) -> np.ndarray:
         """nl_pr of every row of columns as ``DataSet.columns`` gives them
         or ``map_col`` maps them, as an array; not finite where a row is
-        unsettled (``values.settled``), outside the support or unscorable."""
+        outside the support or unscorable, or where a transformed model's
+        map leaves it unsettled (``values.settled``)."""
         raise NotImplementedError
 
     def random_col(self, rng, n: int):
@@ -311,9 +318,10 @@ class Model:
         return np.array([self.random_v(rng) for _ in range(n)], dtype=np.float64)
 
     def pdf(self, v) -> float:
-        if not self.contains(v):
+        nl = self._nl_pdf_in_support(v)
+        if nl is None:
             raise DomainError(f"{v!r} is outside the support of {self.name}")
-        return math.exp(-self.nl_pdf(v))
+        return math.exp(-nl)
 
     def nl_pr(self, d) -> float:
         """Negative log probability of a datum, in nits."""
@@ -349,9 +357,10 @@ class DiscreteModel(IntegerSpace, Model):
     pr_value = Model.pdf
 
     def nl_pr(self, d: DiscreteDatum) -> float:
-        if not self.contains(d.value):
+        nl = self._nl_pdf_in_support(d.value)
+        if nl is None:
             raise DomainError(f"{d.value} is outside the data space [{self.lo}, {self.hi}]")
-        return self.nl_pdf(d.value)
+        return nl
 
     def nl_pr_col(self, values) -> np.ndarray:
         return self.nl_pdf_col(values)
@@ -374,15 +383,19 @@ class ContinuousModel(Model):
     def nl_pr(self, d: CtsDatum) -> float:
         # pr(x +- aom/2) ~= aom * pdf(x) for small AoM, so the cost is
         # nl_pdf(x) - ln(aom).
-        if not self.contains(d.x):
+        nl = self._nl_pdf_in_support(d.x)
+        if nl is None:
             raise DomainError(f"{d.x!r} is outside the support of {self.name}")
-        return self.nl_pdf(d.x) - math.log(d.aom)
+        return nl - math.log(d.aom)
 
     def nl_pr_col(self, x, aom) -> np.ndarray:
         return self.nl_pdf_col(x) - np.log(aom)
 
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> CtsDatum:
-        return CtsDatum(self.random_v(rng), aom)
+        x = self.random_v(rng)
+        if math.isfinite(x) and _aom_as_is(aom):
+            return _view(CtsDatum, x=x, aom=aom)
+        return CtsDatum(x, aom)  # raises the datum's own error
 
 
 class VectorModel(Model):
@@ -390,12 +403,13 @@ class VectorModel(Model):
     dim = 0
 
     def nl_pr(self, d: VecDatum) -> float:
-        if d.dim != self.dim:
-            raise DomainError(f"{self.name} models R^{self.dim}, got a {d.dim}-vector")
         v = d.components
-        if not self.contains(v):
+        if len(v) != self.dim:
+            raise DomainError(f"{self.name} models R^{self.dim}, got a {len(v)}-vector")
+        nl = self._nl_pdf_in_support(v)
+        if nl is None:
             raise DomainError(f"{v} is outside the support of {self.name}")
-        return self.nl_pdf(v) - math.fsum(math.log(a) for a in d.aoms)
+        return nl - math.fsum(map(math.log, d.aoms))
 
     def nl_pr_col(self, x, aom) -> np.ndarray:
         # A row of another dimension is outside the support: nl_pdf_col gives NaN.
@@ -405,7 +419,15 @@ class VectorModel(Model):
         return super().random_col(rng, n).reshape(n, self.dim)
 
     def random(self, rng, aom: float = DEFAULT_SAMPLE_AOM) -> VecDatum:
-        return VecDatum(self.random_v(rng), (aom,) * self.dim)
+        v, aoms = self.random_v(rng), (aom,) * self.dim
+        if all(map(math.isfinite, v)) and _aom_as_is(aom):
+            return _view(VecDatum, components=v, aoms=aoms)
+        return VecDatum(v, aoms)  # raises the datum's own error
+
+
+def _aom_as_is(aom) -> bool:
+    """Whether a datum would hold aom as it is: a float, finite, at least MIN_AOM."""
+    return type(aom) is float and MIN_AOM <= aom < math.inf
 
 
 class NormalModel(ContinuousModel):
@@ -417,10 +439,11 @@ class NormalModel(ContinuousModel):
         self.sd = _real("normal", sd)
         if self.sd <= 0.0:
             raise ParameterError(f"normal needs sd > 0, got ({self.mean}, {self.sd})")
+        self._nl_at_mean = HALF_LN_TWO_PI + math.log(self.sd)
 
     def nl_pdf(self, x: float) -> float:
         z = (x - self.mean) / self.sd
-        return HALF_LN_TWO_PI + math.log(self.sd) + 0.5 * z * z
+        return self._nl_at_mean + 0.5 * z * z
 
     # The same arithmetic on arrays, so each value comes out bit for bit.
     nl_pdf_col = nl_pdf
@@ -495,15 +518,18 @@ class IndependentProductModel(VectorModel):
         self.name = _product_name(self.components)
 
     def contains(self, v) -> bool:
-        return len(v) == self.dim and all(
-            c.contains(float(x)) for c, x in zip(self.components, v)
-        )
+        if len(v) != self.dim:
+            return False
+        for c, x in zip(self.components, v):
+            if not c.contains(float(x)):
+                return False
+        return True
 
     def nl_pdf(self, v) -> float:
-        return math.fsum(c.nl_pdf(float(x)) for c, x in zip(self.components, v))
+        return math.fsum([c.nl_pdf(float(x)) for c, x in zip(self.components, v)])
 
-    def random_v(self, rng) -> np.ndarray:
-        return np.array([c.random_v(rng) for c in self.components])
+    def random_v(self, rng) -> tuple:
+        return tuple([c.random_v(rng) for c in self.components])
 
     def params(self) -> dict:
         out = {}
@@ -577,8 +603,22 @@ class _TransformedModel(Model):
     def nl_pdf(self, v) -> float:
         return self.base.nl_pdf(self.f(v)) + self.f.nl_jacobian_det(v)
 
+    def _nl_pdf_in_support(self, v):
+        # contains and nl_pdf at once, mapping v once.
+        if not self.f.contains(v):
+            return None
+        try:
+            y = self.f(v)
+        except (ValueError, ArithmeticError):
+            return None
+        nl = self.base._nl_pdf_in_support(y)
+        return None if nl is None else nl + self.f.nl_jacobian_det(v)
+
     def nl_pr_col(self, *columns) -> np.ndarray:
-        return self.base.nl_pr_col(*self.f.map_col(*columns))
+        # A row the map leaves unsettled, such as one with a subnormal AoM,
+        # goes to nl_pr.
+        mapped = self.f.map_col(*columns)
+        return np.where(settled(*mapped), self.base.nl_pr_col(*mapped), math.nan)
 
     def random_v(self, rng):
         return self._preimage(self.base.random_v(rng))

@@ -21,6 +21,7 @@ import csv
 import io
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
@@ -47,6 +48,10 @@ __all__ = [
     "infer_default_aom",
 ]
 
+# The smallest AoM a datum may have: the least normal float.  A subnormal
+# AoM has lost digits, and so would the cost that takes its log.
+MIN_AOM = sys.float_info.min
+
 
 def _require_finite(name: str, value: float) -> float:
     """value as a float; anything but a finite real number is invalid."""
@@ -62,8 +67,8 @@ def _require_finite(name: str, value: float) -> float:
 class CtsDatum:
     """A continuous measurement: nominal value ``x`` with AoM ``aom``.
 
-    Denotes the interval ``x ± aom/2``; ``aom`` must be positive and is in
-    the same units as ``x``.
+    Denotes the interval ``x ± aom/2``; ``aom`` must be a positive normal
+    float (at least ``MIN_AOM``) and is in the same units as ``x``.
     """
 
     x: float
@@ -74,6 +79,8 @@ class CtsDatum:
         aom = _require_finite("aom", self.aom)
         if aom <= 0.0:
             raise InvalidDatumError(f"aom must be positive, got {aom!r}")
+        if aom < MIN_AOM:
+            raise InvalidDatumError(f"aom must be at least {MIN_AOM!r}, got {aom!r}")
         object.__setattr__(self, "aom", aom)
 
 
@@ -95,6 +102,8 @@ class VecDatum:
             )
         if any(a <= 0.0 for a in aoms):
             raise InvalidDatumError("every aom must be positive")
+        if min(aoms) < MIN_AOM:
+            raise InvalidDatumError(f"every aom must be at least {MIN_AOM!r}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "aoms", aoms)
 
@@ -306,12 +315,13 @@ def settled(column, aom=None) -> np.ndarray:
     """One bool per row: whether the column forms settled it.  A row of a
     tuple column is settled when it is not None; a row of a float column,
     (N,) or (N, D), when its values are finite and its AoMs (``aom``, when
-    given) finite and positive, the rule a dataset validates its rows by."""
+    given) finite and at least ``MIN_AOM``, the rule a dataset validates
+    its rows by."""
     if isinstance(column, tuple):
         return np.array([k is not None for k in column], dtype=bool)
     ok = np.isfinite(column)
     if aom is not None:
-        ok &= np.isfinite(aom) & (aom > 0.0)
+        ok &= np.isfinite(aom) & (aom >= MIN_AOM)
     return ok if ok.ndim == 1 else ok.all(axis=1)
 
 

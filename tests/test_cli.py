@@ -861,6 +861,30 @@ class TestOverflowingMapNamesTheRow:
         assert err.startswith("error: index 1: aom must be finite")
 
 
+class TestSubnormalAom:
+    """log of log maps the AoM 0.01 at x = 1e308 to 1.4e-313, below the
+    normal floats: eval scores the row per datum, and fit refuses it."""
+
+    ARGS = ["-", "--aom-const", "0.01"]
+
+    def test_eval_gives_the_per_datum_cost(self, capsys, monkeypatch):
+        code, out, _ = run(
+            ["eval", "normal(0,1).transform(log).transform(log)", *self.ARGS, "--format", "kv"],
+            capsys, "x\n1e308\n", monkeypatch,
+        )
+        assert code == 0 and kv(out)["nlpr.0"] == "742.8283655443686"
+
+    def test_fit_refuses_the_row(self, capsys, monkeypatch):
+        code, out, err = run(
+            ["fit", "normal.transform(log).transform(log)", *self.ARGS],
+            capsys, "x\n1e308\n", monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: index 0: log shrinks the AoM at 1e+308 to 1e-310, below the normal floats\n"
+        )
+
+
 class TestBranches:
     def test_permuted_sample_swaps_the_base_columns(self, capsys):
         code, base, _ = run(["sample", "rd:normal^2(0,1;5,1)", "3", "--seed", "0"], capsys)

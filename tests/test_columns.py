@@ -24,6 +24,7 @@ from msglen import (
     DiscreteDatum,
     DomainError,
     InvalidDatumError,
+    MsglenError,
     ReversePermutation,
     Rotation,
     VecDatum,
@@ -151,12 +152,20 @@ BAD_ROWS = {
         VecDatum((1.0, 2.0), (1e-300, 1e-300)),
     ),
     "aom-collapses": (Flatten(), VecDatum((1.0, 2.0), (0.1, 0.1)), VecDatum((1.0, 0.0), (0.1, 0.1))),
+    # The mapped AoM is subnormal, though the volume keeps its digits.
+    "aom-subnormal": (log, CtsDatum(2.0, 0.1), CtsDatum(1e308, 0.01)),
+    "vector-aom-subnormal": (
+        Componentwise([linear(1e-10, 0.0), linear(1e-10, 0.0)]),
+        VecDatum((1.0, 2.0), (0.1, 0.1)),
+        VecDatum((1.0, 2.0), (1e-300, 1e-300)),
+    ),
 }
 
 # The per-datum error of the vector maps' bad rows.
 VECTOR_REFUSALS = {
     "volume-lost": "failed to preserve the AoM volume",
     "aom-collapses": "collapses an AoM component",
+    "vector-aom-subnormal": "shrinks an AoM component at (1.0, 2.0) below the normal floats",
 }
 
 
@@ -274,6 +283,71 @@ def test_transformed_costs_are_the_base_costs_of_the_mapped_data(name):
     model, sample, _ = MODELS[name]
     ds = sample(np.random.default_rng(len(name)))
     assert data_costs(model, ds) == data_costs(model.base, map_dataset(ds, model.f))
+
+
+def _outcome(call):
+    """("value", what call returns), or the type and text of its error."""
+    try:
+        return "value", call()
+    except (MsglenError, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+# Coordinates within and beyond the supports of MODELS: negative, zero (the
+# origin of the plane), and past the range of exp.
+COORDINATES = st.one_of(st.floats(-1000.0, 1000.0), st.sampled_from([0.0, -1.0, 1.0, 800.0]))
+AOMS = st.floats(1e-6, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_per_datum_cost_is_the_density_less_the_log_aoms(name, data):
+    # nl_pr and pdf ask contains and nl_pdf in one step, which maps a value
+    # once; they answer bit for bit as the two questions asked in turn do.
+    model = MODELS[name][0]
+    if model.kind == "discrete":
+        v = data.draw(st.integers(model.lo - 3, model.hi + 3))
+        d, ln_aoms = DiscreteDatum(v), 0.0
+    elif model.kind == "cts":
+        v, aom = data.draw(COORDINATES), data.draw(AOMS)
+        d, ln_aoms = CtsDatum(v, aom), math.log(aom)
+    else:
+        v = tuple(data.draw(COORDINATES) for _ in range(model.dim))
+        aoms = tuple(data.draw(AOMS) for _ in range(model.dim))
+        d, ln_aoms = VecDatum(v, aoms), math.fsum(math.log(a) for a in aoms)
+    contained = model.contains(v)
+    if hasattr(model, "base"):
+        try:
+            inside = model.f.contains(v) and model.base.contains(model.f(v))
+        except (ValueError, ArithmeticError):  # the image overflows
+            inside = False
+        assert contained == inside
+    if not contained:
+        assert _outcome(lambda: model.nl_pr(d))[0] is DomainError
+        assert _outcome(lambda: model.pdf(v)) == (
+            DomainError, f"{v!r} is outside the support of {model.name}"
+        )
+        return
+    nl = _outcome(lambda: model.nl_pdf(v))
+    if nl[0] != "value":
+        assert _outcome(lambda: model.nl_pr(d)) == _outcome(lambda: model.pdf(v)) == nl
+        return
+    assert repr(model.nl_pr(d)) == repr(nl[1] - ln_aoms)
+    # A density past the float range (near the polar origin) overflows alike.
+    pdf, want = _outcome(lambda: model.pdf(v)), _outcome(lambda: math.exp(-nl[1]))
+    assert (pdf[0], repr(pdf[1])) == (want[0], repr(want[1]))
+    if hasattr(model, "base"):
+        assert repr(nl[1]) == repr(model.base.nl_pdf(model.f(v)) + model.f.nl_jacobian_det(v))
+
+
+def test_a_subnormal_mapped_aom_is_scored_per_datum():
+    # log of log maps the AoM 0.01 at 1e308 to 1.4e-313, whose log has lost
+    # digits; the row is unsettled, so its cost is the per-datum nl_pr's.
+    model = normal.transform(log).transform(log)((0.0, 1.0))
+    ds = DataSet.continuous([1e308, 2.0], [0.01, 0.01])
+    costs, _ = data_costs(model, ds)
+    assert costs[0] == model.nl_pr(ds[0]) == 742.8283655443686
 
 
 # Every vector model of MODELS, and the plain product of two normals.

@@ -12,6 +12,7 @@ from msglen import (
     CtsDatum,
     DegenerateTransformError,
     DomainError,
+    InvalidDatumError,
     NotInvertibleError,
     ParameterError,
     ReversePermutation,
@@ -476,3 +477,48 @@ def test_vector_methods_take_any_sequence(f):
         assert f.nl_jacobian_det(seq) == f.nl_jacobian_det(v)
     out = f.apply(VecDatum(v, (0.01, 0.02)))
     assert all(type(c) is float for c in out.components + out.aoms)
+
+
+@pytest.mark.parametrize("f", VECTOR_FUNCTIONS, ids=lambda f: f.name)
+def test_vector_maps_give_their_arrays_from_their_tuples(f):
+    # image and jacobian_rows compute with math on tuples; apply_v and
+    # jacobian are the same numbers as float64 arrays, f(v) is the tuple.
+    v = tuple(sample_vector_point(f, np.random.default_rng(3)).tolist())
+    image, rows = f.image(v), f.jacobian_rows(v)
+    assert type(image) is tuple and all(type(c) is float for c in image)
+    assert f(v) == image
+    assert f.apply_v(v).dtype == np.float64 and f.apply_v(v).tolist() == list(image)
+    assert f.jacobian(v).dtype == np.float64 and f.jacobian(v).tolist() == [list(r) for r in rows]
+
+
+def test_a_vector_map_of_array_methods_has_tuple_forms():
+    class Halve(CtsD2CtsD):
+        name = "halve"
+        dim = 2
+
+        def apply_v(self, v):
+            return 0.5 * np.asarray(v, dtype=np.float64)
+
+        def jacobian(self, v):
+            return np.diag([0.5, 0.5])
+
+    f = Halve()
+    assert f((1.0, 3.0)) == f.image((1.0, 3.0)) == (0.5, 1.5)
+    assert f.jacobian_rows((1.0, 3.0)) == ((0.5, 0.0), (0.0, 0.5))
+
+
+def test_permutation_builds_its_jacobian_once():
+    f = ComponentPermutation([2, 0, 1])
+    assert f.image((1.0, 2.0, 3.0)) == (3.0, 1.0, 2.0)
+    assert f.jacobian_rows((1.0, 2.0, 3.0)) is f.jacobian_rows((4.0, 5.0, 6.0))
+    jac = f.jacobian((1.0, 2.0, 3.0))
+    assert np.array_equal(jac @ np.array([1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
+
+
+def test_subnormal_mapped_aom_is_a_degenerate_transform():
+    with pytest.raises(DegenerateTransformError) as err:
+        log.apply(CtsDatum(1e308, 0.01))
+    assert str(err.value) == "log shrinks the AoM at 1e+308 to 1e-310, below the normal floats"
+    # An AoM that collapses to 0 keeps its own error.
+    with pytest.raises(InvalidDatumError, match="aom must be positive, got 0.0"):
+        log.apply(CtsDatum(1e308, 1e-300))

@@ -313,6 +313,91 @@ def test_transformed_cost_is_cost_of_mapped_datum(case):
     assert abs(m.transform(f).nl_pr(d) - m.nl_pr(f.apply(d))) <= 1e-9
 
 
+_ORIGIN_PLANE = independent_rd([normal, normal])(((0.0, 1.0), (0.0, 1.0)))
+
+# Each datum a transformed model refuses one at a time, with the text it
+# refuses it with.
+PER_DATUM_REFUSALS = {
+    "origin under cartesian2polar": (
+        _ORIGIN_PLANE.transform(cartesian2polar),
+        VecDatum((0.0, 0.0), (0.1, 0.1)),
+        "(0.0, 0.0) is outside the support of rd:normal^2.transform(cartesian2polar)",
+    ),
+    "r < 0 under polar2cartesian": (
+        _ORIGIN_PLANE.transform(polar2cartesian),
+        VecDatum((-1.0, 1.0), (0.1, 0.1)),
+        "(-1.0, 1.0) is outside the support of rd:normal^2.transform(polar2cartesian)",
+    ),
+    "r = 0 under polar2cartesian": (
+        _ORIGIN_PLANE.transform(polar2cartesian),
+        VecDatum((0.0, 1.0), (0.1, 0.1)),
+        "(0.0, 1.0) is outside the support of rd:normal^2.transform(polar2cartesian)",
+    ),
+    "3-vector under a 2-D model": (
+        _ORIGIN_PLANE.transform(cartesian2polar),
+        VecDatum((1.0, 2.0, 3.0), (0.1, 0.1, 0.1)),
+        "rd:normal^2.transform(cartesian2polar) models R^2, got a 3-vector",
+    ),
+    "image overflows": (
+        normal((0.0, 1.0)).transform(exp),
+        CtsDatum(1000.0, 0.1),
+        "1000.0 is outside the support of normal.transform(exp)",
+    ),
+    "vector image overflows": (
+        _ORIGIN_PLANE.transform(Componentwise([exp, exp])),
+        VecDatum((1000.0, 1.0), (0.1, 0.1)),
+        "(1000.0, 1.0) is outside the support of rd:normal^2.transform(componentwise(exp,exp))",
+    ),
+    "base rejects the image": (
+        normal((0.0, 1.0)).transform(log).transform(exp),
+        CtsDatum(-800.0, 0.1),
+        "-800.0 is outside the support of normal.transform(log).transform(exp)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_DATUM_REFUSALS))
+def test_per_datum_refusal_text(case):
+    model, d, text = PER_DATUM_REFUSALS[case]
+    with pytest.raises(DomainError) as err:
+        model.nl_pr(d)
+    assert str(err.value) == text
+
+
+# The first draws of two transformed products, made one datum at a time.
+FIRST_DRAWS = {
+    ("cartesian2polar", 0): [
+        "VecDatum(components=(2.191218386878788, 2.140024454628627), aoms=(1e-06, 1e-06))",
+        "VecDatum(components=(2.2627384269915374, 2.429777367403423), aoms=(1e-06, 1e-06))",
+        "VecDatum(components=(1.7569252645997424, 2.0923529612528324), aoms=(1e-06, 1e-06))",
+    ],
+    ("cartesian2polar", 901): [
+        "VecDatum(components=(2.0298317486608433, 1.53216396840294), aoms=(1e-06, 1e-06))",
+        "VecDatum(components=(1.311260920441267, 2.4558304337521695), aoms=(1e-06, 1e-06))",
+        "VecDatum(components=(1.9145971439961353, 2.8124003369172654), aoms=(1e-06, 1e-06))",
+    ],
+    ("permute(1,0)", 0): [
+        "VecDatum(components=(1.867895136708698, 3.0628651105466966), aoms=(1e-06, 1e-06))",
+        "VecDatum(components=(2.10490011715304, 3.320211325221641), aoms=(1e-06, 1e-06))",
+        "VecDatum(components=(2.361595054909485, 2.7321653134194444), aoms=(1e-06, 1e-06))",
+    ],
+    ("permute(1,0)", 901): [
+        "VecDatum(components=(1.2329038852502676, 2.543175840154153), aoms=(1e-06, 1e-06))",
+        "VecDatum(components=(3.4018422147585965, 2.783973477032396), aoms=(1e-06, 1e-06))",
+        "VecDatum(components=(2.865467396808241, 3.402246005051737), aoms=(1e-06, 1e-06))",
+    ],
+}
+
+
+@pytest.mark.parametrize("f, seed", sorted(FIRST_DRAWS))
+def test_first_draws_are_pinned(f, seed):
+    params = {"cartesian2polar": ((3.0, 0.5), (0.8, 0.2)), "permute(1,0)": ((3.0, 0.5), (2.0, 1.0))}
+    function = cartesian2polar if f == "cartesian2polar" else ComponentPermutation([1, 0])
+    model = independent_rd([normal, normal])(params[f]).transform(function)
+    rng = np.random.default_rng(seed)
+    assert [repr(model.random(rng)) for _ in range(3)] == FIRST_DRAWS[f, seed]
+
+
 @pytest.mark.parametrize("k", [-1, 4])
 def test_pr_value_outside_space_rejected(k):
     with pytest.raises(DomainError):

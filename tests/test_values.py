@@ -25,6 +25,7 @@ from msglen import (
 )
 from msglen import compose, exp, identity, linear, log
 from msglen.functions import ReversePermutation
+from msglen.values import MIN_AOM, settled
 
 
 class TestCtsDatum:
@@ -53,6 +54,12 @@ class TestCtsDatum:
         with pytest.raises(Exception):
             d.x = 2.0
 
+    def test_subnormal_aom_rejected(self):
+        assert CtsDatum(1.0, MIN_AOM).aom == MIN_AOM
+        with pytest.raises(InvalidDatumError) as err:
+            CtsDatum(1.0, 1e-310)
+        assert str(err.value) == "aom must be at least 2.2250738585072014e-308, got 1e-310"
+
 
 class TestVecDatum:
     def test_echo_and_volume(self):
@@ -71,6 +78,42 @@ class TestVecDatum:
     def test_bad_aom(self):
         with pytest.raises(InvalidDatumError):
             VecDatum((1.0,), (0.0,))
+
+    def test_subnormal_aom_rejected(self):
+        with pytest.raises(InvalidDatumError) as err:
+            VecDatum((1.0, 2.0), (0.1, 5e-324))
+        assert str(err.value) == "every aom must be at least 2.2250738585072014e-308"
+
+
+class TestSubnormalAom:
+    """An AoM below the least normal float is unsettled, and no dataset holds it."""
+
+    def test_settled_flags_it(self):
+        x = np.array([1.0, 2.0, 3.0])
+        assert settled(x, np.array([MIN_AOM, MIN_AOM / 2, 0.1])).tolist() == [True, False, True]
+        rows = np.array([[0.1, 0.1], [0.1, 1e-310]])
+        assert settled(np.ones((2, 2)), rows).tolist() == [True, False]
+
+    @pytest.mark.parametrize(
+        "x, aom, text",
+        [
+            ([1.0, 2.0], [0.1, 1e-310], "index 1: aom must be at least 2.2250738585072014e-308, got 1e-310"),
+            ([[1.0, 2.0]], [[5e-324, 0.1]], "index 0: every aom must be at least 2.2250738585072014e-308"),
+        ],
+        ids=["cts", "vec"],
+    )
+    def test_a_dataset_refuses_it(self, x, aom, text):
+        with pytest.raises(InvalidDatumError) as err:
+            DataSet.continuous(x, aom)
+        assert str(err.value) == text
+
+    def test_a_map_that_makes_one_refuses_the_row(self):
+        ds = DataSet.continuous([2.0, 1e308], [0.1, 0.01])
+        with pytest.raises(DegenerateTransformError) as err:
+            map_dataset(ds, log)
+        assert str(err.value) == (
+            "index 1: log shrinks the AoM at 1e+308 to 1e-310, below the normal floats"
+        )
 
 
 class TestDataSet:
