@@ -244,6 +244,9 @@ def _read_source(path: str) -> str:
 
 
 def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
+    if target.kind == "discrete" and (args.aom_col or args.aom_const is not None):
+        flag = "--aom-col" if args.aom_col else "--aom-const"
+        raise ModelExprError(f"{target.name} models discrete data; {flag} is for continuous data")
     ncols = target.dim if target.kind == "vec" else 1
     aom_cols = list(args.aom_col or [])
     if args.col:

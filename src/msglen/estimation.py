@@ -14,12 +14,12 @@ and a 1/sigma prior on the scale, the minimising parameters are the
 sample mean and the (N-1)-denominator standard deviation.
 
 Estimators compose as models do.  A leaf estimator (normal, multistate,
-bounded uniform) has one hook, the model for the data, fitted or given.
-A composite is built from its parts' fits: a product's messages are the
-sums of its components' messages on their own columns, and a transformed
-family maps the data through its function (AoMs included), hands it to
-the base family's estimator and carries both messages over, wrapping the
-fitted base model back up.  Built this way, fitting then transforming
+bounded uniform) has one hook, the model for the data, fitted or given,
+and so has a product, fitting each component on its own column; both are
+scored by ``data_costs``, as ``eval`` scores data.  A transformed family
+maps the data through its function (AoMs included), hands it to the base
+family's estimator and carries both messages over, wrapping the fitted
+base model back up.  Built this way, fitting then transforming
 agrees with transforming then fitting on mapped data, and the total
 message length of a dataset is unchanged by mapping it through an
 invertible function.
@@ -140,13 +140,13 @@ class NormalPriors:
 class Estimator:
     """Maps datasets of the family's data space to fitted models.
 
-    A leaf estimator supplies one hook, ``_model(ds, given)``: the model
-    that minimises the message when ``given`` is None, else the given
-    model restated with its msg1.  Both are scored the same way, so fitted
-    and alternative parameters compare on equal footing.  A composite
-    estimator instead supplies ``_scored`` and builds its fit from its
-    parts' fits.  Given parameters reach either only as the model the
-    family's ``parameterise`` built from them, so they are checked first.
+    A leaf or product estimator supplies one hook, ``_model(ds, given)``:
+    the model that minimises the message when ``given`` is None, else the
+    given model restated with its msg1.  Both are scored by ``data_costs``,
+    so fitted and alternative parameters compare on equal footing.  A
+    transformed estimator instead supplies ``_scored`` and scores the mapped
+    data.  Given parameters reach either only as the model the family's
+    ``parameterise`` built from them, so they are checked first.
     """
 
     def __init__(self, family, ps=None):
@@ -279,8 +279,8 @@ class BoundedUniformEstimator(Estimator):
 class IndependentProductEstimator(Estimator):
     """Fits each component family to its own column of the data.
 
-    The columns are independent, so the product's messages are the sums of
-    its columns' messages.
+    The columns are independent, so the product's msg1 is the sum of its
+    components' msg1s, and its cost column the sum of their columns.
     """
 
     def __init__(self, family, ps=None):
@@ -291,19 +291,16 @@ class IndependentProductEstimator(Estimator):
             raise EstimationError(f"{family.name} takes {dim} estimator parameter groups")
         self.parts = [c.estimator(p) for c, p in zip(family.components, ps)]
 
-    def _scored(self, ds: DataSet, given: IndependentProductModel | None) -> FitResult:
-        self._check(ds)
+    def _model(self, ds: DataSet, given: IndependentProductModel | None) -> IndependentProductModel:
         dim = self.family.dim
         if ds.dim != dim:
             raise EstimationError(f"{self.family.name} needs {dim}-vectors, got {ds.dim}")
         parts_given = (None,) * dim if given is None else given.components
-        fits = [
-            part._scored(DataSet.continuous(ds.x[:, j], ds.aom[:, j]), g)
+        parts = [
+            part._model(DataSet.continuous(ds.x[:, j], ds.aom[:, j]), g)
             for j, (part, g) in enumerate(zip(self.parts, parts_given))
         ]
-        msg1 = sum(fit.msg1 for fit in fits)
-        model = IndependentProductModel((fit.model for fit in fits), msg1)
-        return FitResult(model, msg1, math.fsum(fit.msg2 for fit in fits))
+        return IndependentProductModel(parts, sum(part.msg1 for part in parts))
 
 
 class TransformedEstimator(Estimator):
@@ -323,3 +320,6 @@ class TransformedEstimator(Estimator):
         f = self.family.f
         fit = self.base._scored(map_dataset(ds, f), None if given is None else given.base)
         return FitResult(fit.model.transform(f), fit.msg1, fit.msg2)
+
+    def _model(self, ds: DataSet, given: Model | None) -> Model:
+        return self._scored(ds, given).model

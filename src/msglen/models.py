@@ -17,11 +17,12 @@ and ``nl_pr`` ask the first two in one step, and ``random`` wraps
 ``nl_pr_col`` and ``random_col`` answer for a whole column of a dataset at
 once; their defaults loop over the per-value methods.  A cost's column
 form is not finite for a value outside the support or one the per-value
-method rejects.  The normal model overrides them with numpy; every other
-model answers through its per-value methods, and a transformed model's
-cost column is its base's cost of ``f.map_col``'s columns, which its
-family's fit scores.  ``random_col`` draws from ``rng`` exactly as n
-``random_v`` calls do, so a seeded sample is the same drawn either way.
+method rejects.  The normal model overrides them with numpy, a product
+adds up its components' ``nl_pdf_col`` columns, and every other model
+answers through its per-value methods; a transformed model's cost column
+is its base's cost of ``f.map_col``'s columns.  Fits score by these
+columns, as ``eval`` does.  ``random_col`` draws from ``rng`` exactly as
+n ``random_v`` calls do, so a seeded sample is the same drawn either way.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -527,6 +528,12 @@ class IndependentProductModel(VectorModel):
 
     def nl_pdf(self, v) -> float:
         return math.fsum([c.nl_pdf(float(x)) for c, x in zip(self.components, v)])
+
+    def nl_pdf_col(self, values) -> np.ndarray:
+        # The sum of the components' columns; NaN for rows of another dimension.
+        if values.shape[1] != self.dim:
+            return np.full(len(values), math.nan)
+        return sum(c.nl_pdf_col(values[:, j]) for j, c in enumerate(self.components))
 
     def random_v(self, rng) -> tuple:
         return tuple([c.random_v(rng) for c in self.components])

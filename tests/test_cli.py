@@ -177,6 +177,12 @@ class TestFit:
         assert code == 2
         assert out == "" and len(err.strip().splitlines()) == 1
 
+    def test_product_overflow_names_the_product(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "big.csv", "x1,x2\n1e308,1\n-1e308,2\n")
+        code, out, err = run(["fit", "rd:normal^2", path, "--aom-const", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: rd:normal^2 cannot fit these data: the fit overflows a float\n"
+
     def test_overflowing_map_is_data_error(self, tmp_path, capsys):
         path = write_csv(tmp_path, "big.csv", "x\n1000\n1001\n")
         code, out, err = run(["fit", "normal.transform(exp)", path], capsys)
@@ -419,6 +425,19 @@ class TestEval:
         assert code == 0
         assert kv(out)["total"] == fit["msg2"]
 
+    def test_polar_total_matches_fit_msg2(self, tmp_path, capsys):
+        # Rows where adding the columns' rounded totals, rather than the row
+        # costs, comes out one ulp above eval's total.
+        path = write_csv(tmp_path, "d.csv", "x1,x2\n2.67,3.35\n3.05,3.14\n3.60,3.69\n2.49,2.98\n")
+        polar = "rd:normal^2{}.transform(cartesian2polar)"
+        argv = [path, "--aom-const", "0.01", "--format", "kv"]
+        _, out, _ = run(["fit", polar.format("")] + argv, capsys)
+        fit = kv(out)
+        params = ";".join(f"{fit[f'param.{j}.mean']},{fit[f'param.{j}.sd']}" for j in (0, 1))
+        code, out, _ = run(["eval", polar.format(f"({params})")] + argv, capsys)
+        assert code == 0
+        assert kv(out)["total"] == fit["msg2"] == "38.72196133818088"
+
 
 class TestSample:
     def test_deterministic_under_seed(self, capsys):
@@ -630,11 +649,19 @@ class TestUsage:
                 ["sample", "normal(0,1)", "0", "--seed", "-1"],
                 "--seed takes a non-negative integer, got -1",
             ),
+            (
+                ["eval", "uniform:0:3", "-", "--aom-const", "-5"],
+                "uniform:0:3 models discrete data; --aom-const is for continuous data",
+            ),
+            (
+                ["fit", "multistate:0:3", "-", "--aom-col", "k"],
+                "multistate:0:3 models discrete data; --aom-col is for continuous data",
+            ),
         ],
-        ids=["no-model", "bad-count", "negative-seed"],
+        ids=["no-model", "bad-count", "negative-seed", "discrete-aom-const", "discrete-aom-col"],
     )
-    def test_argument_error_is_one_usage_error_line(self, argv, message, capsys):
-        code, out, err = run(argv, capsys)
+    def test_argument_error_is_one_usage_error_line(self, argv, message, capsys, monkeypatch):
+        code, out, err = run(argv, capsys, "k\n1\n2\n", monkeypatch)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_column_is_data_error(self, tmp_path, capsys):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msglen import (
+    ComponentPermutation,
     CtsDatum,
     DataSet,
     DiscreteDatum,
@@ -13,14 +15,17 @@ from msglen import (
     EstimationError,
     NormalPriors,
     ParameterError,
+    Rotation,
     VecDatum,
     cartesian2polar,
     exp,
     identity,
+    inv,
     linear,
     log,
     map_dataset,
 )
+from msglen.errors import MsglenError
 from msglen.estimation import LN_2, FitResult, data_costs
 from msglen.models import NormalModel, bounded_uniform, independent_rd, multistate, normal
 
@@ -397,3 +402,58 @@ def test_multistate_message_length_with_given_probabilities():
 def test_normal_priors_rejected(kwargs):
     with pytest.raises(ParameterError):
         NormalPriors(**kwargs)
+
+
+# Every kind of fit: leaves, transforms, and products plain, transformed and
+# with a transformed component.
+ONE_SUM_FAMILIES = {
+    "normal": normal,
+    "normal.transform(log)": normal.transform(log),
+    "normal.transform(inv)": normal.transform(inv),
+    "multistate:0:3": multistate(0, 3),
+    "multistate:0:3.transform(rotate(1))": multistate(0, 3).transform(Rotation(0, 3, 1)),
+    **{f"rd:normal^{d}": independent_rd([normal] * d) for d in (1, 2, 3)},
+    "rd:normal^2.transform(cartesian2polar)": (
+        independent_rd([normal, normal]).transform(cartesian2polar)
+    ),
+    "rd:normal^2.transform(permute(1,0))": (
+        independent_rd([normal, normal]).transform(ComponentPermutation([1, 0]))
+    ),
+    "rd:(normal.transform(log),normal)": independent_rd([normal.transform(log), normal]),
+}
+
+
+def _statistical_params(model):
+    """The sp that parameterises model's family to model."""
+    if hasattr(model, "base"):
+        return _statistical_params(model.base)
+    if hasattr(model, "components"):
+        return tuple(_statistical_params(c) for c in model.components)
+    if hasattr(model, "probs"):
+        return model.probs
+    return (model.mean, model.sd)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SUM_FAMILIES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fit_and_eval_total_the_data_as_one_sum(name, data):
+    """A fit's msg2, and message_length's, are data_costs' total of the same
+    model and data, bit for bit: one scoring path for fit and eval."""
+    family = ONE_SUM_FAMILIES[name]
+    n = data.draw(st.integers(1, 12))
+    if family.kind == "discrete":
+        ds = DataSet.discrete(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    else:
+        shape = (n,) if family.kind == "cts" else (n, family.dim)
+        cells = math.prod(shape)
+        x = data.draw(st.lists(st.floats(0.01, 100.0), min_size=cells, max_size=cells))
+        aom = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=cells, max_size=cells))
+        ds = DataSet.continuous(np.reshape(x, shape), np.reshape(aom, shape))
+    try:
+        fit = family.estimator().estimate(ds)
+    except MsglenError:
+        return
+    assert fit.msg2 == data_costs(fit.model, ds)[1]
+    sp = _statistical_params(fit.model)
+    assert family.estimator().message_length(ds, sp)[1] == data_costs(family(sp), ds)[1]
