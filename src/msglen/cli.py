@@ -19,7 +19,6 @@ silently), 2 data or domain error, 3 a check suite failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import os
@@ -35,7 +34,7 @@ from .checks import SUITES
 from .errors import CsvError, DomainError, ModelExprError, MsglenError
 from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
-from .values import ColumnSpec, CtsDatum, DataSet, dataset_from_csv
+from .values import ColumnSpec, CtsDatum, DataSet, dataset_from_csv, read_header
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -252,8 +251,8 @@ def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
     if args.col:
         names = list(args.col)
     else:
-        header = next(csv.reader(io.StringIO(text)), [])
-        names = [h for h in map(str.strip, header) if h not in aom_cols][:ncols]
+        header = read_header(io.StringIO(text)) or []
+        names = [h for h in header if h not in aom_cols][:ncols]
     if len(names) != ncols:
         raise ModelExprError(
             f"{getattr(target, 'name', target)} needs {ncols} data column(s); "
@@ -293,7 +292,7 @@ def _read_dataset(args, target: UPModel | Model) -> DataSet:
 # ---------------------------------------------------------------------------
 
 
-# Lines per stdout write in _emit and _write_sample: one write per line is
+# Lines per stdout write in _write and _write_sample: one write per line is
 # slow into a pipe, and one write of every line at once holds the whole text
 # in memory.
 _EMIT_BLOCK = 1024
@@ -306,10 +305,14 @@ def _line(key: str, value: object, fmt: str) -> str:
     return f"{key}: {text}\n"
 
 
-def _emit(pairs: Iterable[tuple[str, object]], fmt: str) -> None:
-    rest = iter(pairs)
+def _write(lines: Iterable[str]) -> None:
+    rest = iter(lines)
     while block := list(islice(rest, _EMIT_BLOCK)):
-        sys.stdout.write("".join(_line(key, value, fmt) for key, value in block))
+        sys.stdout.write("".join(block))
+
+
+def _emit(pairs: Iterable[tuple[str, object]], fmt: str) -> None:
+    _write(_line(key, value, fmt) for key, value in pairs)
 
 
 def cmd_fit(args) -> int:
@@ -351,13 +354,17 @@ def cmd_eval(args) -> int:
     target = _require_model(parse_model_expr(args.model))
     ds = _read_dataset(args, target)
     costs, total = _real_costs(target, ds, "scored", args.bits)
-    per_datum = ((f"nlpr.{i}", nl) for i, nl in enumerate(costs))
+    # The lines of _line for float costs, without a call per line.
+    if args.format == "kv":
+        per_datum = (f"nlpr.{i}={nl!r}\n" for i, nl in enumerate(costs))
+    else:
+        per_datum = (f"nlpr.{i}: {nl:.12g}\n" for i, nl in enumerate(costs))
     summary = [
         ("count", len(ds)),
         ("total", total),
         ("units", "bits" if args.bits else "nits"),
     ]
-    _emit(chain(per_datum, summary), args.format)
+    _write(chain(per_datum, (_line(key, value, args.format) for key, value in summary)))
     return 0
 
 

@@ -410,11 +410,13 @@ class VectorModel(Model):
         nl = self._nl_pdf_in_support(v)
         if nl is None:
             raise DomainError(f"{v} is outside the support of {self.name}")
-        return nl - math.fsum(map(math.log, d.aoms))
+        # Left to right, as nl_pr_col adds the log AoMs.
+        return nl - sum(map(math.log, d.aoms))
 
     def nl_pr_col(self, x, aom) -> np.ndarray:
-        # A row of another dimension is outside the support: nl_pdf_col gives NaN.
-        return self.nl_pdf_col(x) - np.log(aom).sum(axis=1)
+        # A row of another dimension is outside the support: nl_pdf_col gives
+        # NaN.  The log AoMs are added a column at a time, left to right.
+        return self.nl_pdf_col(x) - sum(np.log(aom).T)
 
     def random_col(self, rng, n: int) -> np.ndarray:
         return super().random_col(rng, n).reshape(n, self.dim)
@@ -527,10 +529,12 @@ class IndependentProductModel(VectorModel):
         return True
 
     def nl_pdf(self, v) -> float:
-        return math.fsum([c.nl_pdf(float(x)) for c, x in zip(self.components, v)])
+        # Left to right, as nl_pdf_col adds the components' columns.
+        return sum([c.nl_pdf(float(x)) for c, x in zip(self.components, v)])
 
     def nl_pdf_col(self, values) -> np.ndarray:
-        # The sum of the components' columns; NaN for rows of another dimension.
+        # The sum of the components' columns, left to right; NaN for rows of
+        # another dimension.
         if values.shape[1] != self.dim:
             return np.full(len(values), math.nan)
         return sum(c.nl_pdf_col(values[:, j]) for j, c in enumerate(self.components))

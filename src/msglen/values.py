@@ -22,6 +22,7 @@ import io
 import math
 import reprlib
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
@@ -403,19 +404,60 @@ def _parse_aom(text: str, rownum: int, colname: str) -> float:
     return a
 
 
+def read_header(lines) -> list[str] | None:
+    """The stripped cells of the first CSV record of an iterator of lines,
+    or None when there is none.  A record csv cannot split is a CsvError."""
+    try:
+        return [h.strip() for h in next(csv.reader(lines))]
+    except StopIteration:
+        return None
+    except csv.Error as e:
+        raise _unsplit("header row", e, None) from None
+
+
+def _unsplit(where: str, e: csv.Error, row: int | None) -> CsvError:
+    """A CsvError for a record csv cannot split (a bare carriage return, a
+    field past ``csv.field_size_limit()``).  csv's hint after " - " is about
+    how Python opens a file, which the reader of the error does not choose."""
+    reason = str(e).partition(" - ")[0]
+    return CsvError(f"{where}: cannot split into cells: {reason}", row=row)
+
+
 def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> DataSet:
     """Read delimited text (header row first) into a DataSet.
 
     The schema picks the columns to read and their kinds: one continuous
     column yields CtsDatum items, several yield VecDatum items, a single
     discrete column yields DiscreteDatum items.  Mixing kinds is not
-    supported.  An empty stream yields an empty DataSet.
+    supported.  An empty stream yields an empty DataSet; a stream is read
+    whole, then split into lines at LF (a CRLF line ends in LF too).
 
     Blank lines are skipped; row numbers count data rows only.  Columns
     are parsed whole in schema order, a data column before its AoM column,
     so of several bad cells the error names the first in that order, then
     by row.
+
+    Continuous columns are parsed by numpy's C reader whenever it and csv
+    split the text alike and every cell it reads is a valid value; any
+    other text goes to the per-cell reader, which parses each cell on its
+    own and raises every error.  Both give the same arrays.
     """
+    specs, index, text = _open_csv(source, schema)
+    loaded = _loaded_columns(specs, index, text)
+    if loaded is None:
+        return _read_cells(specs, index, text)
+    return _continuous(specs, lambda name, parse: loaded[name])
+
+
+def _dataset_by_cells(source: str | TextIO, schema: Sequence[ColumnSpec]) -> DataSet:
+    """dataset_from_csv by the per-cell reader alone: the reference that
+    numpy's reader must agree with."""
+    return _read_cells(*_open_csv(source, schema))
+
+
+def _open_csv(source, schema) -> tuple[tuple, dict | None, str | None]:
+    """The checked schema, the header's column indices by name and the text
+    after the header; the last two are None for an empty stream."""
     specs = tuple(schema)
     if not specs:
         raise SchemaError("schema must name at least one column")
@@ -434,28 +476,85 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
         ):
             raise SchemaError(f"column {s.name!r}: constant AoM must be positive")
 
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    reader = csv.reader(stream)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        return DataSet((), specs)
-
+    lines = io.StringIO(source if isinstance(source, str) else source.read())
+    header = read_header(lines)
+    if header is None:
+        return specs, None, None
     index = {name: i for i, name in enumerate(header)}
     for s in specs:
         if s.name not in index:
             raise SchemaError(f"column {s.name!r} not found in header {header}")
         if s.aom_col is not None and s.aom_col not in index:
             raise SchemaError(f"AoM column {s.aom_col!r} not found in header {header}")
+    return specs, index, lines.read()
 
-    rows = [row for row in reader if "".join(row).strip()]
+
+def _loaded_columns(specs, index, text) -> dict | None:
+    """The continuous columns the schema reads, by name, as numpy's C reader
+    parses them; None whenever it and the per-cell reader might disagree.
+
+    Without a quote, a bare carriage return or a line past csv's field
+    limit, both split the text into the same lines and cells and skip the
+    same empty lines; numpy raises on a whitespace-only line, which csv
+    skips.  Any cell numpy cannot parse makes it raise, and a cell csv
+    would reject as a value (not finite, or an AoM not positive) fails the
+    checks after it.
+    """
+    if text is None or specs[0].kind != "cts":
+        return None
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    if _has_long_line(text, csv.field_size_limit()):
+        return None
+    aom_names = {s.aom_col for s in specs} - {None}
+    names = {s.name for s in specs} | aom_names
+    usecols = sorted({index[name] for name in names})
+    try:
+        with warnings.catch_warnings():
+            # A warning ("input contained no data", say) falls back too.
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                io.StringIO(text), delimiter=",", comments=None, usecols=usecols, ndmin=2
+            )
+    except Exception:  # the per-cell reader says what is wrong
+        return None
+    columns = {name: table[:, usecols.index(index[name])] for name in names}
+    if not np.isfinite(table).all() or any((columns[a] <= 0).any() for a in aom_names):
+        return None
+    return columns
+
+
+def _has_long_line(text: str, limit: int) -> bool:
+    """Whether a line of text holds ``limit`` characters or more: it hops
+    from line start to the last LF within the next ``limit`` characters."""
+    start = 0
+    while len(text) - start >= limit:
+        end = text.rfind("\n", start, start + limit)
+        if end < 0:
+            return True
+        start = end + 1
+    return False
+
+
+def _read_cells(specs, index, text) -> DataSet:
+    """The dataset of the text after the header, each cell parsed on its own."""
+    if text is None:
+        return DataSet((), specs)
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            if "".join(row).strip():
+                rows.append(row)
+    except csv.Error as e:
+        n = len(rows) + 1  # the data row csv could not split
+        raise _unsplit(f"row {n}", e, n) from None
 
     def column(name: str, parse) -> list:
         """The named column's cells, parsed; row numbers count data rows."""
         j = index[name]
         return [parse(_cell(row, j, n, name), n, name) for n, row in enumerate(rows, 1)]
 
-    if kinds == {"discrete"}:
+    if specs[0].kind == "discrete":
         s = specs[0]
 
         def bounded(text: str, rownum: int, colname: str) -> int:
@@ -467,7 +566,14 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
             return v
 
         return DataSet.discrete(column(s.name, bounded), specs)
+    return _continuous(specs, column)
 
+
+def _continuous(specs, column) -> DataSet:
+    """The dataset of continuous specs from ``column(name, parse)``, the named
+    CSV column with each cell read by parse (a list of floats or a float64
+    array).  Columns are read in schema order, a data column before its
+    AoM column."""
     xs, aoms = [], []
     for s in specs:
         xs.append(column(s.name, _parse_float))
@@ -480,10 +586,7 @@ def dataset_from_csv(source: str | TextIO, schema: Sequence[ColumnSpec]) -> Data
                     f"column {s.name!r}: its values are too far apart to infer an AoM; "
                     "give one with --aom-col or --aom-const"
                 )
-            aoms.append([aom] * len(rows))
-    # Free the raw cells before building the columns, so the two are never
-    # held together.
-    rows.clear()
+            aoms.append(np.full(len(xs[-1]), aom))
     if len(specs) == 1:
         return DataSet.continuous(xs[0], aoms[0], specs)
     return DataSet.continuous(np.column_stack(xs), np.column_stack(aoms), specs)

@@ -737,6 +737,25 @@ class TestUnreadableInput:
         self._assert_one_line(*run(["fit", "normal", "-"], capsys), "stdin")
 
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x,err\r1.5,0.1\r", "header row: cannot split into cells: new-line character seen in unquoted field"),
+            ("x,err\n1.5,0.1\r2.5,0.1\r", "row 1: cannot split into cells: new-line character seen in unquoted field"),
+            ("x,err,u\n1.5,0.1," + "9" * 131073 + "\n", "row 1: cannot split into cells: field larger than field limit (131072)"),
+        ],
+        ids=["bare-cr", "bare-cr-after-the-header", "long-field"],
+    )
+    def test_text_csv_cannot_split(self, text, message, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert run(["fit", "normal", str(path), "--aom-col", "err"], capsys) == (2, "", f"error: {message}\n")
+        # As the interpreter's stdin reads a pipe: no newline translation.
+        stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(["fit", "normal", "-", "--aom-col", "err"], capsys) == (2, "", f"error: {message}\n")
+
+
 class TestMapErrors:
     def test_degenerate_map_names_the_row(self, tmp_path, capsys):
         path = write_csv(tmp_path, "big.csv", "x\n1\n1000\n")

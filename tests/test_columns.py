@@ -285,6 +285,26 @@ def test_transformed_costs_are_the_base_costs_of_the_mapped_data(name):
     assert data_costs(model, ds) == data_costs(model.base, map_dataset(ds, model.f))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_products_costs_add_alike_per_datum_and_per_column(dim):
+    # nl_pdf adds the components' densities, and nl_pr the log AoMs, left to
+    # right, as the column forms add their columns.  numpy's log and math's
+    # may round a log differently in the last place, so the costs are
+    # compared bit for bit at one AoM for every value, the form of the data
+    # sample writes and --aom-const reads; the densities at any values.
+    params = ((3.0, 0.5), (1.0, 2.0), (-4.0, 0.1), (0.0, 1e-3))[:dim]
+    model = independent_rd([normal] * dim)(params)
+    rng = np.random.default_rng(901)
+    x = model.random_col(rng, 20_000)
+    for aom in (1e-4, DEFAULT_SAMPLE_AOM):
+        ds = DataSet.continuous(x, np.full(x.shape, aom))
+        want = model.nl_pr_col(ds.x, ds.aom).tolist()
+        assert [repr(model.nl_pr(d)) for d in ds] == list(map(repr, want))
+    wide = x * rng.uniform(-3.0, 3.0, x.shape)
+    want = model.nl_pdf_col(wide).tolist()
+    assert [repr(model.nl_pdf(v)) for v in map(tuple, wide.tolist())] == list(map(repr, want))
+
+
 def _outcome(call):
     """("value", what call returns), or the type and text of its error."""
     try:
@@ -315,7 +335,7 @@ def test_per_datum_cost_is_the_density_less_the_log_aoms(name, data):
     else:
         v = tuple(data.draw(COORDINATES) for _ in range(model.dim))
         aoms = tuple(data.draw(AOMS) for _ in range(model.dim))
-        d, ln_aoms = VecDatum(v, aoms), math.fsum(math.log(a) for a in aoms)
+        d, ln_aoms = VecDatum(v, aoms), sum(math.log(a) for a in aoms)
     contained = model.contains(v)
     if hasattr(model, "base"):
         try:

@@ -111,7 +111,8 @@ def expressions(draw, parameterised):
     return expr, kind, dim
 
 
-BAD_CELLS = st.one_of(NUMBERS, st.sampled_from(["", "x", "1,2"]))
+# Quoted cells too: csv reads '"1.5"' as 1.5, '"1,5"' as one cell.
+BAD_CELLS = st.one_of(NUMBERS, st.sampled_from(["", "x", "1,2", '"1.5"', '"1,5"', '"']))
 
 
 @st.composite
@@ -127,7 +128,13 @@ def csv_texts(draw, kind, dim):
     row = st.lists(valid, min_size=len(header), max_size=len(header))
     bad_row = st.lists(mostly(valid, BAD_CELLS), min_size=len(header), max_size=len(header))
     rows = draw(st.lists(mostly(row, bad_row), max_size=4))
-    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+    lines = [",".join(row) for row in [header] + rows]
+    if draw(st.integers(0, 4)) == 0:
+        # A whitespace-only line, which is skipped like a blank one.
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from([" ", "\t", " \x0c"])))
+    # LF, CRLF or bare-CR line endings; csv cannot split the last.
+    end = draw(mostly(st.just("\n"), st.sampled_from(["\r\n", "\r"])))
+    return end.join(lines) + end
 
 
 @st.composite
@@ -162,8 +169,10 @@ def invocations(draw):
 def run_main(argv, stdin_bytes):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
+    # The interpreter's stdin does not translate line endings: a bare CR
+    # reaches the reader as it is.
     sys.stdin = io.TextIOWrapper(
-        io.BytesIO(stdin_bytes), encoding="utf-8", errors="surrogateescape"
+        io.BytesIO(stdin_bytes), encoding="utf-8", errors="surrogateescape", newline="\n"
     )
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -186,6 +195,8 @@ def run_main(argv, stdin_bytes):
 @example((["eval", "normal(0,1)", "-", "--aom-const", "1"], b"x\n1e308\n"))
 # A finite cost in nits that is past the float range in bits.
 @example((["eval", "normal(0,1)", "-", "--aom-const", "1", "--bits"], b"x\n1.7e154\n"))
+# Bare-CR line endings, which csv cannot split.
+@example((["fit", "normal", "-", "--aom-col", "err"], b"x,err\r1.5,0.1\r"))
 def test_cli_never_crashes(invocation):
     argv, stdin = invocation
     code, out, err = run_main(argv, stdin)

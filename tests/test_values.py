@@ -1,11 +1,13 @@
 """Data values, CSV ingestion, and AoM-propagating dataset mapping."""
 
+import csv
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from msglen import (
     ColumnSpec,
@@ -16,6 +18,7 @@ from msglen import (
     DiscreteDatum,
     DomainError,
     InvalidDatumError,
+    MsglenError,
     SchemaError,
     TransformError,
     VecDatum,
@@ -25,6 +28,7 @@ from msglen import (
 )
 from msglen import compose, exp, identity, linear, log
 from msglen.functions import ReversePermutation
+from msglen import values
 from msglen.values import MIN_AOM, settled
 
 
@@ -248,6 +252,134 @@ class TestCsv:
             dataset_from_csv(text, schema)
         assert err.value.row == row
         assert message in str(err.value)
+
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x,e\r1.5,0.1\r", "header row: cannot split into cells: new-line character seen in unquoted field"),
+            ("x,e\n1.5,0.1\r2,0.1\r", "row 1: cannot split into cells: new-line character seen in unquoted field"),
+            (
+                "x,e,u\n1.5,0.1,1\n2,0.1," + "9" * 131073 + "\n",
+                "row 2: cannot split into cells: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["bare-cr-header", "bare-cr-row", "long-field-in-an-unused-column"],
+    )
+    def test_text_csv_cannot_split_is_a_csv_error(self, text, message):
+        with pytest.raises(CsvError) as err:
+            dataset_from_csv(text, self.X_E)
+        assert str(err.value) == message
+
+    def test_crlf_lines_read_as_lf_lines(self):
+        lf = dataset_from_csv("x,e\n1.5,0.1\n\n2,0.2\n", self.X_E)
+        crlf = dataset_from_csv("x,e\r\n1.5,0.1\r\n\r\n2,0.2\r\n", self.X_E)
+        assert (crlf.x.tobytes(), crlf.aom.tobytes()) == (lf.x.tobytes(), lf.aom.tobytes())
+
+    @pytest.mark.parametrize(
+        "text,numpy",
+        [
+            ("x,e,u\n1.5,0.1,a\n2,0.2,b\n", True),
+            ("x,e,u\r\n1.5,0.1,a\r\n\r\n2,0.2,b", True),
+            ("x,e,u\n1.5,0.1,\"a\"\n", False),
+            ("x,e,u\n1.5,0.1,a\r2,0.2,b\n", False),
+            ("x,e,u\n1.5,0.1,a\n \n", False),
+            ("x,e,u\n1.5,0.1," + "a" * 131072 + "\n", False),
+            ("x,e,u\n1.5,0,a\n", False),
+            ("x,e,u\nnan,0.1,a\n", False),
+            ("x,e,u\n1_5,0.1,a\n", False),
+            ("x,e,u\n", False),
+        ],
+        ids=["lf", "crlf", "quote", "bare-cr", "whitespace-line", "long-line",
+             "zero-aom", "nan", "underscore", "no-rows"],
+    )
+    def test_which_text_numpy_reads(self, text, numpy):
+        # numpy's reader takes the plain text; the per-cell reader the rest.
+        specs, index, rest = values._open_csv(text, self.X_E)
+        assert (values._loaded_columns(specs, index, rest) is not None) == numpy
+
+
+def _read_outcome(read, text, schema):
+    """The arrays a reader gives (as bytes), or the type and text of its error."""
+    try:
+        ds = read(text, schema)
+    except MsglenError as e:
+        return type(e), str(e), getattr(e, "row", None)
+    if ds.kind == "empty":
+        return "empty", ds.schema
+    return ds.kind, ds.x.shape, ds.x.tobytes(), ds.aom.tobytes(), ds.schema
+
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+# The columns a case's header holds, in a drawn order; "u" is never read.
+HEADER = ("a", "e", "b", "f", "u")
+SCHEMAS = [
+    [ColumnSpec("a", aom_col="e")],
+    [ColumnSpec("a", aom_const=0.5)],
+    [ColumnSpec("a")],
+    [ColumnSpec("a"), ColumnSpec("b")],
+    [ColumnSpec("a", aom_col="e"), ColumnSpec("b", aom_col="f")],
+    [ColumnSpec("e", aom_col="a")],
+]
+VALID = st.one_of(
+    st.floats(1e-3, 1e6).map(repr),
+    st.floats(1e-3, 1e3).map(lambda v: f"{v:.4f}"),
+    st.integers(1, 10**6).map(str),
+    st.sampled_from(["1e-3", "+2.5", ".5", "5.", "1E2", "007", "2.5e+1"]),
+)
+PADDING = st.lists(st.sampled_from(WHITESPACE), max_size=2).map("".join)
+BAD = st.sampled_from([
+    "abc", "1_0", "nan", "-inf", "inf", "infinity", "0x1p3", "\u0661", "1e", "1 2", "\x00",
+    "1\x00", "0", "-1", "-0.0", "1e-310", "1e400", "1,5", "1d5", "--1", "\ufeff1",
+])
+
+
+@st.composite
+def csv_cases(draw):
+    """(text, schema): a header and rows of valid numbers, often padded with
+    whitespace, and at a drawn place one defect (or none)."""
+    header = draw(st.permutations(HEADER))
+    rows = [
+        [draw(PADDING) + draw(VALID) + draw(PADDING) if draw(st.integers(0, 3)) == 0 else draw(VALID)
+         for _ in header]
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    defect = draw(st.sampled_from(
+        ["none", "bad", "short", "blank", "quote", "cr", "whitespace", "long", "empty"]
+    ))
+    r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+    if defect == "bad":
+        rows[r][c] = draw(BAD)
+    elif defect == "short":
+        del rows[r][draw(st.integers(0, len(header) - 1)):]
+    elif defect == "blank":
+        rows[r][c] = draw(PADDING)
+    elif defect == "quote":
+        rows[r][c] = draw(st.sampled_from(['"{}"', '"', '"{},1"', '{}"'])).format(rows[r][c])
+    elif defect == "whitespace":
+        rows.insert(r, [draw(PADDING) + draw(st.sampled_from(WHITESPACE))])
+    elif defect == "long":
+        rows[r][header.index("u")] = "9" * (csv.field_size_limit() + 1)
+    elif defect == "empty":
+        rows.insert(r, [])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(row) for row in [list(header)] + rows) + draw(st.sampled_from([end, ""]))
+    if defect == "cr":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\r" + text[at:]
+    return text, draw(st.sampled_from(SCHEMAS))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(csv_cases())
+@example(("a,e,b,f,u\r1,1,1,1,1\r", SCHEMAS[0]))
+@example(("a,e,b,f,u\n1,1,1,1," + "9" * 131073 + "\n", SCHEMAS[4]))
+@example(("u,a,e,b,f\n x\xa0,1\u3000,\x1c2,1,1\n", SCHEMAS[3]))
+def test_numpy_reader_agrees_with_the_per_cell_reader(case):
+    text, schema = case
+    assert _read_outcome(dataset_from_csv, text, schema) == _read_outcome(
+        values._dataset_by_cells, text, schema
+    )
 
 
 class TestInferDefaultAom:
