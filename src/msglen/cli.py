@@ -292,7 +292,7 @@ def _read_dataset(args, target: UPModel | Model) -> DataSet:
 # ---------------------------------------------------------------------------
 
 
-# Lines per stdout write in _write and _write_sample: one write per line is
+# Lines per stdout write in _emit and _write_sample: one write per line is
 # slow into a pipe, and one write of every line at once holds the whole text
 # in memory.
 _EMIT_BLOCK = 1024
@@ -305,14 +305,10 @@ def _line(key: str, value: object, fmt: str) -> str:
     return f"{key}: {text}\n"
 
 
-def _write(lines: Iterable[str]) -> None:
-    rest = iter(lines)
-    while block := list(islice(rest, _EMIT_BLOCK)):
-        sys.stdout.write("".join(block))
-
-
 def _emit(pairs: Iterable[tuple[str, object]], fmt: str) -> None:
-    _write(_line(key, value, fmt) for key, value in pairs)
+    rest = iter(pairs)
+    while block := list(islice(rest, _EMIT_BLOCK)):
+        sys.stdout.write("".join(_line(key, value, fmt) for key, value in block))
 
 
 def cmd_fit(args) -> int:
@@ -354,17 +350,13 @@ def cmd_eval(args) -> int:
     target = _require_model(parse_model_expr(args.model))
     ds = _read_dataset(args, target)
     costs, total = _real_costs(target, ds, "scored", args.bits)
-    # The lines of _line for float costs, without a call per line.
-    if args.format == "kv":
-        per_datum = (f"nlpr.{i}={nl!r}\n" for i, nl in enumerate(costs))
-    else:
-        per_datum = (f"nlpr.{i}: {nl:.12g}\n" for i, nl in enumerate(costs))
+    per_datum = ((f"nlpr.{i}", nl) for i, nl in enumerate(costs))
     summary = [
         ("count", len(ds)),
         ("total", total),
         ("units", "bits" if args.bits else "nits"),
     ]
-    _write(chain(per_datum, (_line(key, value, args.format) for key, value in summary)))
+    _emit(chain(per_datum, summary), args.format)
     return 0
 
 

@@ -410,8 +410,12 @@ class VectorModel(Model):
         nl = self._nl_pdf_in_support(v)
         if nl is None:
             raise DomainError(f"{v} is outside the support of {self.name}")
-        # Left to right, as nl_pr_col adds the log AoMs.
-        return nl - sum(map(math.log, d.aoms))
+        # Left to right, as nl_pr_col adds the log AoMs; sum() of floats
+        # compensates from Python 3.12 on.
+        ln_aoms = 0.0
+        for aom in d.aoms:
+            ln_aoms += math.log(aom)
+        return nl - ln_aoms
 
     def nl_pr_col(self, x, aom) -> np.ndarray:
         # A row of another dimension is outside the support: nl_pdf_col gives
@@ -529,8 +533,12 @@ class IndependentProductModel(VectorModel):
         return True
 
     def nl_pdf(self, v) -> float:
-        # Left to right, as nl_pdf_col adds the components' columns.
-        return sum([c.nl_pdf(float(x)) for c, x in zip(self.components, v)])
+        # Left to right, as nl_pdf_col adds the components' columns; sum() of
+        # floats compensates from Python 3.12 on.
+        nl = 0.0
+        for c, x in zip(self.components, v):
+            nl += c.nl_pdf(float(x))
+        return nl
 
     def nl_pdf_col(self, values) -> np.ndarray:
         # The sum of the components' columns, left to right; NaN for rows of

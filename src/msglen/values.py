@@ -493,16 +493,17 @@ def _loaded_columns(specs, index, text) -> dict | None:
     """The continuous columns the schema reads, by name, as numpy's C reader
     parses them; None whenever it and the per-cell reader might disagree.
 
-    Without a quote, a bare carriage return or a line past csv's field
-    limit, both split the text into the same lines and cells and skip the
-    same empty lines; numpy raises on a whitespace-only line, which csv
-    skips.  Any cell numpy cannot parse makes it raise, and a cell csv
+    Without a quote, a bare carriage return, a NUL or a line past csv's
+    field limit, both split the text into the same lines and cells and skip
+    the same empty lines; numpy raises on a whitespace-only line, which csv
+    skips.  (csv before Python 3.11 refuses any NUL, where numpy reads it as
+    a character.)  Any cell numpy cannot parse makes it raise, and a cell csv
     would reject as a value (not finite, or an AoM not positive) fails the
     checks after it.
     """
     if text is None or specs[0].kind != "cts":
         return None
-    if '"' in text or text.count("\r") != text.count("\r\n"):
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
         return None
     if _has_long_line(text, csv.field_size_limit()):
         return None

@@ -335,7 +335,9 @@ def test_per_datum_cost_is_the_density_less_the_log_aoms(name, data):
     else:
         v = tuple(data.draw(COORDINATES) for _ in range(model.dim))
         aoms = tuple(data.draw(AOMS) for _ in range(model.dim))
-        d, ln_aoms = VecDatum(v, aoms), sum(math.log(a) for a in aoms)
+        d, ln_aoms = VecDatum(v, aoms), 0.0
+        for a in aoms:  # left to right, as nl_pr adds them
+            ln_aoms += math.log(a)
     contained = model.contains(v)
     if hasattr(model, "base"):
         try:

@@ -283,6 +283,7 @@ class TestCsv:
             ("x,e,u\r\n1.5,0.1,a\r\n\r\n2,0.2,b", True),
             ("x,e,u\n1.5,0.1,\"a\"\n", False),
             ("x,e,u\n1.5,0.1,a\r2,0.2,b\n", False),
+            ("x,e,u\n1.5,0.1,a\x00\n", False),
             ("x,e,u\n1.5,0.1,a\n \n", False),
             ("x,e,u\n1.5,0.1," + "a" * 131072 + "\n", False),
             ("x,e,u\n1.5,0,a\n", False),
@@ -290,7 +291,7 @@ class TestCsv:
             ("x,e,u\n1_5,0.1,a\n", False),
             ("x,e,u\n", False),
         ],
-        ids=["lf", "crlf", "quote", "bare-cr", "whitespace-line", "long-line",
+        ids=["lf", "crlf", "quote", "bare-cr", "nul", "whitespace-line", "long-line",
              "zero-aom", "nan", "underscore", "no-rows"],
     )
     def test_which_text_numpy_reads(self, text, numpy):
@@ -374,6 +375,7 @@ def csv_cases(draw):
 @given(csv_cases())
 @example(("a,e,b,f,u\r1,1,1,1,1\r", SCHEMAS[0]))
 @example(("a,e,b,f,u\n1,1,1,1," + "9" * 131073 + "\n", SCHEMAS[4]))
+@example(("a,e,b,f,u\n1,1,1,1,\x00\n", SCHEMAS[0]))
 @example(("u,a,e,b,f\n x\xa0,1\u3000,\x1c2,1,1\n", SCHEMAS[3]))
 def test_numpy_reader_agrees_with_the_per_cell_reader(case):
     text, schema = case
