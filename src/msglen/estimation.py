@@ -144,8 +144,9 @@ class Estimator:
     the model that minimises the message when ``given`` is None, else the
     given model restated with its msg1.  Both are scored by ``data_costs``,
     so fitted and alternative parameters compare on equal footing.  A
-    transformed estimator instead supplies ``_scored`` and scores the mapped
-    data.  Given parameters reach either only as the model the family's
+    transformed estimator also supplies ``_scored``, which scores the
+    mapped data; its ``_model`` maps and fits without scoring.  Given
+    parameters reach either only as the model the family's
     ``parameterise`` built from them, so they are checked first.
     """
 
@@ -300,7 +301,11 @@ class IndependentProductEstimator(Estimator):
             part._model(DataSet.continuous(ds.x[:, j], ds.aom[:, j]), g)
             for j, (part, g) in enumerate(zip(self.parts, parts_given))
         ]
-        return IndependentProductModel(parts, sum(part.msg1 for part in parts))
+        # Left to right: sum() of floats compensates from Python 3.12 on.
+        msg1 = 0.0
+        for part in parts:
+            msg1 += part.msg1
+        return IndependentProductModel(parts, msg1)
 
 
 class TransformedEstimator(Estimator):
@@ -322,4 +327,6 @@ class TransformedEstimator(Estimator):
         return FitResult(fit.model.transform(f), fit.msg1, fit.msg2)
 
     def _model(self, ds: DataSet, given: Model | None) -> Model:
-        return self._scored(ds, given).model
+        f = self.family.f
+        base_given = None if given is None else given.base
+        return self.base._model(map_dataset(ds, f), base_given).transform(f)

@@ -26,8 +26,10 @@ column of values at once, and ``map_col`` maps columns with their AoMs;
 value (``None`` for an integer) for every value outside the domain or that
 the per-value method rejects.  Only ``log``, ``exp``, ``linear`` and
 ``cartesian2polar`` give them with numpy; every other function answers
-for a column through its per-value methods.  numpy is otherwise used only
-for a vector map's arrays ``apply_v`` and ``jacobian``.
+for a column through its per-value methods.  On the per-value path numpy
+serves only a vector map's array views ``apply_v`` and ``jacobian``,
+``apply``'s one-row AoM propagation and ``nl_jacobian_det``'s ``slogdet``
+default.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -417,22 +419,22 @@ def compose(outer: Cts2Cts, inner: Cts2Cts) -> Cts2Cts:
 
 class CtsD2CtsD(Function):
     """An R^D -> R^D map with a Jacobian; may declare an inverse.  Its
-    methods take any length-D sequence of floats.  The map and Jacobian
-    come as tuples, ``image`` and ``jacobian_rows``, and as the arrays
-    ``apply_v`` and ``jacobian``; a subclass defines either form of each."""
+    methods take any length-D sequence of floats.  A subclass defines the
+    map and Jacobian as tuples, ``image`` and ``jacobian_rows``;
+    ``apply_v`` and ``jacobian`` are their array views."""
 
     dim = 0
 
     def image(self, v) -> tuple:
         """f(v), as a tuple of floats."""
-        return tuple(self.apply_v(v).tolist())
-
-    def apply_v(self, v) -> np.ndarray:
-        return np.array(self.image(v), dtype=np.float64)
+        raise NotImplementedError
 
     def jacobian_rows(self, v) -> tuple:
         """The D x D matrix of partial derivatives at v, as a tuple of rows."""
-        return tuple(map(tuple, self.jacobian(v).tolist()))
+        raise NotImplementedError
+
+    def apply_v(self, v) -> np.ndarray:
+        return np.array(self.image(v), dtype=np.float64)
 
     def jacobian(self, v) -> np.ndarray:
         """The D x D matrix of partial derivatives at v."""
@@ -468,7 +470,8 @@ class CtsD2CtsD(Function):
 
     def map_col(self, x: np.ndarray, aom: np.ndarray) -> tuple:
         """The columns (x, aom) of vector data mapped as ``apply`` maps one
-        datum; a row ``apply`` rejects gets a NaN image or NaN or 0 AoMs."""
+        datum; a row ``apply`` rejects gets a NaN image, or AoMs that
+        ``values.settled`` refuses (only such AoMs can miss the volume)."""
         if x.shape[1] != self.dim:
             return np.full_like(x, math.nan), aom
         nlj = self.nl_jacobian_det_col(x)
@@ -476,10 +479,7 @@ class CtsD2CtsD(Function):
         log_raw = np.log(raw)
         log_target = -nlj + np.log(aom).sum(axis=1)
         log_scale = (log_target - log_raw.sum(axis=1)) / self.dim
-        out_aoms = np.exp(log_scale[:, None] + log_raw)
-        got = np.log(out_aoms).sum(axis=1)
-        kept = np.abs(got - log_target) <= 1e-9 * np.maximum(1.0, np.abs(log_target))
-        return self.f_col(x), np.where(kept[:, None], out_aoms, math.nan)
+        return self.f_col(x), np.exp(log_scale[:, None] + log_raw)
 
     def apply(self, d: VecDatum) -> VecDatum:
         """Map a measured vector datum, propagating its component AoMs.
@@ -495,13 +495,15 @@ class CtsD2CtsD(Function):
         if not self.contains(v):
             raise DomainError(f"{v} is outside the domain of {self.name}")
         nlj = self.nl_jacobian_det(v)
-        raw = np.abs(self.jacobian(v)) @ d.aoms
-        if np.any(raw == 0.0) or not np.all(np.isfinite(raw)):
-            raise DegenerateTransformError(f"{self.name} collapses an AoM component at {v}")
-        log_target = -nlj + math.fsum(math.log(a) for a in d.aoms)
-        log_scale = (log_target - float(np.sum(np.log(raw)))) / self.dim
-        out_aoms = np.exp(log_scale + np.log(raw))
-        got = float(np.sum(np.log(out_aoms)))
+        # The checks below give an inf, 0 or NaN this map's own error.
+        with np.errstate(all="ignore"):
+            raw = np.abs(self.jacobian(v)) @ d.aoms
+            if np.any(raw == 0.0) or not np.all(np.isfinite(raw)):
+                raise DegenerateTransformError(f"{self.name} collapses an AoM component at {v}")
+            log_target = -nlj + math.fsum(math.log(a) for a in d.aoms)
+            log_scale = (log_target - float(np.sum(np.log(raw)))) / self.dim
+            out_aoms = np.exp(log_scale + np.log(raw))
+            got = float(np.sum(np.log(out_aoms)))
         if abs(got - log_target) > 1e-9 * max(1.0, abs(log_target)):
             raise DegenerateTransformError(
                 f"{self.name} failed to preserve the AoM volume at {v}"

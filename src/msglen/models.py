@@ -54,8 +54,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
-from .functions import FUNCTION_CLASS, IntegerSpace, _each_contained, _real
-from .values import MIN_AOM, CtsDatum, DiscreteDatum, VecDatum, _view, settled
+from .functions import FUNCTION_CLASS, IntegerSpace, _real
+from .values import MIN_AOM, CtsDatum, DiscreteDatum, VecDatum, _view, each_value, settled
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
@@ -303,7 +303,7 @@ class Model:
     def nl_pdf_col(self, values) -> np.ndarray:
         """nl_pdf of every value of a column; not finite for a value outside
         the support or one nl_pdf raises on."""
-        return np.array(_each_contained(self, self.nl_pdf, values, math.nan), dtype=np.float64)
+        return np.array(each_value(self._nl_pdf_in_support, values, math.nan), dtype=np.float64)
 
     def nl_pr_col(self, *columns) -> np.ndarray:
         """nl_pr of every row of columns as ``DataSet.columns`` gives them

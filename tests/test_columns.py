@@ -46,7 +46,7 @@ from msglen import cli
 from msglen.estimation import data_costs
 from msglen.functions import Cts2Cts, CtsD2CtsD, Log
 from msglen.models import DEFAULT_SAMPLE_AOM
-from msglen.values import map_items
+from msglen.values import map_items, settled
 
 REL = 1e-12
 N = 200
@@ -129,11 +129,11 @@ class Flatten(CtsD2CtsD):
     name = "flatten"
     dim = 2
 
-    def apply_v(self, v):
-        return np.array(v, dtype=np.float64)
+    def image(self, v):
+        return (float(v[0]), float(v[1]))
 
-    def jacobian(self, v):
-        return np.array([[1.0, 0.0], [0.0, v[1]]])
+    def jacobian_rows(self, v):
+        return ((1.0, 0.0), (0.0, float(v[1])))
 
     def nl_jacobian_det(self, v):
         return 0.0
@@ -492,11 +492,11 @@ class Swap(CtsD2CtsD):
     name = "swap"
     dim = 2
 
-    def apply_v(self, v):
-        return np.array([v[1], v[0]])
+    def image(self, v):
+        return (float(v[1]), float(v[0]))
 
-    def jacobian(self, v):
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
+    def jacobian_rows(self, v):
+        return ((0.0, 1.0), (1.0, 0.0))
 
     def inverse(self):
         return self
@@ -517,6 +517,40 @@ def test_subclass_with_per_value_methods_only(f, library, ds, model):
     got = data_costs(model.transform(f), ds)[0]
     want = data_costs(model.transform(library), ds)[0]
     assert all(_close(a, b) for a, b in zip(got, want))
+
+
+# Vector maps to try on rows of extreme values and AoMs: the library's,
+# componentwise maps of extreme slopes and of inv and exp, and the per-value
+# fixtures.
+SETTLED_MAPS = [
+    polar2cartesian,
+    cartesian2polar,
+    ComponentPermutation([1, 0]),
+    Componentwise([linear(1e-20, 0.0), linear(1e-20, 0.0)]),
+    Componentwise([linear(1e20, 0.0), linear(1e-20, 0.0)]),
+    Componentwise([inv, exp]),
+    Flatten(),
+    Swap(),
+]
+
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_VALUE = st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), _MAGNITUDE)
+
+
+@pytest.mark.parametrize("f", SETTLED_MAPS, ids=lambda f: f.name)
+@given(rows=st.lists(st.tuples(_VALUE, _VALUE, _MAGNITUDE, _MAGNITUDE), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_settled_refuses_every_row_apply_refuses(f, rows):
+    # map_col tests no volume: a row apply refuses must be one whose mapped
+    # values or AoMs values.settled refuses.
+    x, aom = np.array([r[:2] for r in rows]), np.array([r[2:] for r in rows])
+    with np.errstate(all="ignore"):
+        kept = settled(*f.map_col(x, aom)).tolist()
+    for row, row_kept in zip(rows, kept):
+        try:
+            f.apply(VecDatum(row[:2], row[2:]))
+        except MsglenError:
+            assert not row_kept, row
 
 
 @pytest.mark.parametrize(

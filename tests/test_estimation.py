@@ -188,6 +188,20 @@ class TestIndependentProductEstimator:
         )
         assert fit.msg1 == pytest.approx(c0.msg1 + c1.msg1, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_msg1_is_the_left_to_right_sum_of_the_parts(self, dim):
+        # At seed 2 the four parts' msg1s sum to 45.223045812742335 left to
+        # right, and to 45.22304581274233 compensated (math.fsum, or sum()
+        # from Python 3.12 on).
+        sp = ((3.0, 0.5), (1.0, 2.0), (-4.0, 0.1), (0.0, 1e-3))[:dim]
+        drawn = independent_rd([normal] * dim)(sp).random_col(np.random.default_rng(2), 2000)
+        ds = DataSet.continuous(drawn, np.full_like(drawn, 1e-6))
+        fit = independent_rd([normal] * dim).estimator().estimate(ds)
+        want = 0.0
+        for part in fit.model.components:
+            want += part.msg1
+        assert repr(fit.msg1) == repr(want)
+
 
     @pytest.mark.parametrize("f", [None, cartesian2polar], ids=["plain", "polar"])
     def test_message_length_of_fitted_params(self, f):

@@ -1,6 +1,7 @@
 """Function objects: derivatives, inverses, composition, Jacobians, AoM laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,15 +308,22 @@ class TestApplyVector:
             name = "collapse"
             dim = 2
 
-            def apply_v(self, v):
+            def image(self, v):
                 s = float(v[0]) + float(v[1])
-                return np.array([s, s])
+                return (s, s)
 
-            def jacobian(self, v):
-                return np.ones((2, 2))
+            def jacobian_rows(self, v):
+                return ((1.0, 1.0), (1.0, 1.0))
 
         with pytest.raises(DegenerateTransformError):
             Collapse().apply(VecDatum((1.0, 2.0), (0.1, 0.1)))
+
+    def test_overflowing_aom_is_refused_without_a_warning(self):
+        # |J| @ aoms overflows in numpy; apply's own check names the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTransformError, match="collapses an AoM component"):
+                cartesian2polar.apply(VecDatum((1e-160, 1e-160), (1e200, 1e200)))
 
     def test_origin_outside_cartesian2polar(self):
         with pytest.raises(DomainError):
@@ -491,20 +499,17 @@ def test_vector_maps_give_their_arrays_from_their_tuples(f):
     assert f.jacobian(v).dtype == np.float64 and f.jacobian(v).tolist() == [list(r) for r in rows]
 
 
-def test_a_vector_map_of_array_methods_has_tuple_forms():
-    class Halve(CtsD2CtsD):
-        name = "halve"
+def test_a_vector_map_without_tuple_forms_is_abstract():
+    # image and jacobian_rows are the one per-value form; the arrays are
+    # views of them, so a subclass that defines neither has no map.
+    class Blank(CtsD2CtsD):
+        name = "blank"
         dim = 2
 
-        def apply_v(self, v):
-            return 0.5 * np.asarray(v, dtype=np.float64)
-
-        def jacobian(self, v):
-            return np.diag([0.5, 0.5])
-
-    f = Halve()
-    assert f((1.0, 3.0)) == f.image((1.0, 3.0)) == (0.5, 1.5)
-    assert f.jacobian_rows((1.0, 3.0)) == ((0.5, 0.0), (0.0, 0.5))
+    f = Blank()
+    for call in (f, f.apply_v, f.jacobian):
+        with pytest.raises(NotImplementedError):
+            call((1.0, 3.0))
 
 
 def test_permutation_builds_its_jacobian_once():
