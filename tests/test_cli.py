@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ import pytest
 import msglen
 from msglen import cli, models
 from msglen import functions as fn
+from msglen.checks import SUITES
 from msglen.cli import main, parse_model_expr
 from msglen.errors import DomainError, InvalidDatumError, ModelExprError
 from msglen.estimation import data_costs
@@ -795,6 +797,28 @@ print(json.dumps({"codes": codes, "scipy": scipy, "check": check.getvalue().spli
 """
 
 
+# Run in a fresh interpreter in which any import of scipy fails.
+_NO_SCIPY_SCRIPT = r"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import msglen.cli as cli
+from msglen.checks import SUITES
+
+csv_path = sys.argv[1]
+codes, checks = [], []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["fit", "normal.transform(log)", csv_path]))
+    codes.append(cli.main(["eval", "normal(0,1).transform(log)", csv_path]))
+    codes.append(cli.main(["sample", "normal(0,1).transform(log)", "5", "--seed", "1"]))
+for suite in SUITES:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(cli.main(["check", suite]))
+    checks.append(out.getvalue().splitlines()[-1])
+print(json.dumps({"codes": codes, "checks": checks}))
+"""
+
+
 class TestColdPath:
     def test_fit_eval_sample_do_not_import_scipy(self, tmp_path):
         path = write_csv(tmp_path, "d.csv", "x,aom\n0.5,0.01\n1.5,0.01\n2.5,0.01\n")
@@ -813,6 +837,25 @@ class TestColdPath:
         assert got["scipy"] == []
         assert got["codes"] == [0, 0, 0, 0]
         assert got["check"] == "normalize: 4/4 passed"
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        path = write_csv(tmp_path, "d.csv", "x,aom\n0.5,0.01\n1.5,0.01\n2.5,0.01\n")
+        src = str(Path(msglen.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", _NO_SCIPY_SCRIPT, path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["codes"] == [0] * (3 + len(SUITES))
+        assert len(got["checks"]) == len(SUITES)
+        for suite, line in zip(SUITES, got["checks"]):
+            assert re.fullmatch(rf"{suite}: ([1-9]\d*)/\1 passed", line), line
 
 
 class TestBrokenPipe:

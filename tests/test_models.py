@@ -26,7 +26,15 @@ from msglen import (
     log,
     polar2cartesian,
 )
-from msglen.functions import ComponentPermutation, Componentwise, Cts2Cts, inv
+from msglen import checks
+from msglen.functions import (
+    ComponentPermutation,
+    Componentwise,
+    Cts2Cts,
+    Log,
+    Polar2Cartesian,
+    inv,
+)
 from msglen.models import (
     MAX_DIM,
     MAX_STATES,
@@ -453,6 +461,15 @@ class TestVectorTransform:
             m.nl_pr(VecDatum((0.0, 0.0), (0.1, 0.1)))
 
 
+LOG_NORMAL_MASS = "log-normal density mass"
+POLAR_MASS = "bivariate normal through polar"
+
+
+def normalize_deviations():
+    """Each ``check normalize`` result's printed deviation, by name."""
+    return {r.name: float(r.detail.split()[2]) for r in checks.check_normalize()}
+
+
 class TestNormalisation:
     def test_normal_integrates_to_one(self):
         m = normal((1.5, 0.7))
@@ -469,6 +486,9 @@ class TestNormalisation:
             limit=200,
         )
         assert mass == pytest.approx(1.0, abs=1e-4)
+        # check normalize's mass is 1 plus or minus its printed deviation,
+        # so either sign lies within 1e-5 of scipy's mass.
+        assert abs(mass - 1.0) + normalize_deviations()[LOG_NORMAL_MASS] <= 1e-5
 
     def test_polar_integrates_to_one(self):
         plane = independent_rd([normal, normal])
@@ -481,6 +501,7 @@ class TestNormalisation:
             2.0 * math.pi,
         )
         assert mass == pytest.approx(1.0, abs=1e-3)
+        assert abs(mass - 1.0) + normalize_deviations()[POLAR_MASS] <= 1e-5
 
     def test_independent_product_integrates_to_one(self):
         m = independent_rd([normal, normal])(((0.5, 1.2), (-0.3, 0.8)))
@@ -496,6 +517,27 @@ class TestNormalisation:
         ys = [math.log(m.random(rng).x) for _ in range(n)]
         assert abs(np.mean(ys)) < 3.0 / math.sqrt(n)
         assert abs(np.std(ys, ddof=1) - 1.0) < 3.0 / math.sqrt(2 * n)
+
+
+class TestNormalizeSuite:
+    """``check normalize`` sums fixed Gauss-Legendre rules; TestNormalisation
+    holds them to scipy's adaptive quadrature of the same integrands."""
+
+    def test_mass_deviations_are_at_most_1e_10(self):
+        devs = normalize_deviations()
+        assert devs[LOG_NORMAL_MASS] <= 1e-10
+        assert devs[POLAR_MASS] <= 1e-10
+
+    def test_dropped_jacobian_fails_both_masses(self, monkeypatch):
+        monkeypatch.setattr(Log, "nl_jacobian_det", lambda self, x: 0.0)
+        monkeypatch.setattr(Polar2Cartesian, "nl_jacobian_det", lambda self, v: 0.0)
+        passed = {r.name: r.passed for r in checks.check_normalize()}
+        assert passed == {
+            LOG_NORMAL_MASS: False,
+            POLAR_MASS: False,
+            "permuted probabilities sum (reverse[0,3])": True,
+            "permuted probabilities sum (rotate(1)[0,3])": True,
+        }
 
 
 class TestDataSpaces:
