@@ -46,6 +46,10 @@ BROKEN_PIPE = 1
 # succeed, so memory grows with the count.
 MAX_SAMPLE_COUNT = 10**6
 
+# The most ``.transform(...)`` calls in one model expression: every command
+# recurses through the nested transforms, and a fit of 350 overflowed the stack.
+MAX_TRANSFORMS = 100
+
 
 # ---------------------------------------------------------------------------
 # Model expressions
@@ -89,7 +93,8 @@ class _Scanner:
         except ValueError:
             raise ModelExprError("expected an integer", pos=start) from None
 
-    def number(self) -> float:
+    def number(self, exact: bool = False) -> float | int:
+        """A number; with ``exact``, an integer literal is an int, not rounded."""
         start = self.pos
         if self.peek() in ("+", "-"):
             self.pos += 1
@@ -97,15 +102,16 @@ class _Scanner:
             if c in "eE" and self.text[self.pos + 1 : self.pos + 2] in ("+", "-"):
                 self.pos += 1
             self.pos += 1
+        text = self.text[start:self.pos]
         try:
-            return float(self.text[start:self.pos])
+            return int(text) if exact and text.lstrip("+-").isdigit() else float(text)
         except ValueError:
             raise ModelExprError("expected a number", pos=start) from None
 
-    def number_list(self) -> list[float]:
-        out = [self.number()]
+    def number_list(self, exact: bool = False) -> list:
+        out = [self.number(exact)]
         while self.take(","):
-            out.append(self.number())
+            out.append(self.number(exact))
         return out
 
 
@@ -152,11 +158,10 @@ def _parse_function(sc: _Scanner, family: UPModel):
     """The function named in ``.transform(...)``; whether it can transform
     the family is for ``family.transform`` to check."""
     name = sc.ident()
-    args: list[float] = []
-    if sc.take("("):
-        if not sc.take(")"):
-            args = sc.number_list()
-            sc.expect(")")
+    args = []
+    if sc.take("(") and not sc.take(")"):
+        args = sc.number_list(exact=True)
+        sc.expect(")")
     pos = sc.pos
     if name in fn.LIBRARY:
         if args:
@@ -192,7 +197,11 @@ def parse_model_expr(text: str) -> UPModel | Model:
         if sc.take("("):
             sp = _parse_params(sc, family)
             sc.expect(")")
+        transforms = 0
         while sc.take(".transform("):
+            transforms += 1
+            if transforms > MAX_TRANSFORMS:
+                raise ModelExprError(f"at most {MAX_TRANSFORMS} transforms", pos=sc.pos)
             f = _parse_function(sc, family)
             sc.expect(")")
             family = family.transform(f)
@@ -212,9 +221,7 @@ def _require_model(target: UPModel | Model) -> Model:
     try:
         return target.parameterise(())
     except MsglenError:
-        raise ModelExprError(
-            f"{target.name} needs explicit parameters, e.g. normal(0,1)"
-        ) from None
+        raise ModelExprError(f"{target.name} needs explicit parameters, e.g. normal(0,1)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +273,8 @@ def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
         if target.kind == "discrete":
             specs.append(ColumnSpec(name, kind="discrete", lo=target.lo, hi=target.hi))
         else:
-            specs.append(
-                ColumnSpec(
-                    name,
-                    kind="cts",
-                    aom_col=aom_cols[j] if aom_cols else None,
-                    aom_const=args.aom_const,
-                )
-            )
+            aom_col = aom_cols[j] if aom_cols else None
+            specs.append(ColumnSpec(name, kind="cts", aom_col=aom_col, aom_const=args.aom_const))
     return specs
 
 

@@ -19,17 +19,17 @@ All three subclass ``Function`` and share the protocol that transformed
 models are built on: ``contains(value)`` (is the value in the function's
 domain), ``f(value)`` (the map itself), ``nl_jacobian_det(value)``
 (-ln |det J|, which is -ln |f'(x)| for a scalar map and 0 for a bijection
-of integers) and ``inverse()``, computed with ``math`` on floats and
-tuples.  The map has a column form, ``f_col``, that answers for a whole
-column of values at once, and ``map_col`` maps columns with their AoMs;
-``map_dataset`` and scoring use them.  A column form gives a non-finite
-value (``None`` for an integer) for every value outside the domain or that
-the per-value method rejects.  Only ``log``, ``exp``, ``linear`` and
-``cartesian2polar`` give them with numpy; every other function answers
-for a column through its per-value methods.  On the per-value path numpy
-serves only a vector map's array views ``apply_v`` and ``jacobian``,
-``apply``'s one-row AoM propagation and ``nl_jacobian_det``'s ``slogdet``
-default.
+of integers) and ``inverse()``.  These per-value methods and ``apply``
+compute with ``math`` on floats and tuples; numpy serves them only as a
+vector map's array views ``apply_v`` and ``jacobian`` and the ``slogdet``
+default of ``nl_jacobian_det``.  So a per-value answer is the same bytes
+at every numpy SIMD level, on one platform with one libm.  The column
+forms (``f_col``, ``map_col``; see ``Function``) answer for a whole column
+at once, for ``map_dataset`` and scoring.  Only ``log``, ``exp``,
+``linear`` and ``cartesian2polar`` give them with numpy, whose SIMD
+kernels may round a last digit differently from ``math``, so the digits
+that ``fit``, ``eval`` and ``sample`` print still follow numpy's CPU
+dispatch; every other function answers through its per-value methods.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -494,21 +494,24 @@ class CtsD2CtsD(Function):
         v = d.components
         if not self.contains(v):
             raise DomainError(f"{v} is outside the domain of {self.name}")
-        nlj = self.nl_jacobian_det(v)
-        # The checks below give an inf, 0 or NaN this map's own error.
-        with np.errstate(all="ignore"):
-            raw = np.abs(self.jacobian(v)) @ d.aoms
-            if np.any(raw == 0.0) or not np.all(np.isfinite(raw)):
-                raise DegenerateTransformError(f"{self.name} collapses an AoM component at {v}")
-            log_target = -nlj + math.fsum(math.log(a) for a in d.aoms)
-            log_scale = (log_target - float(np.sum(np.log(raw)))) / self.dim
-            out_aoms = np.exp(log_scale + np.log(raw))
-            got = float(np.sum(np.log(out_aoms)))
-        if abs(got - log_target) > 1e-9 * max(1.0, abs(log_target)):
-            raise DegenerateTransformError(
-                f"{self.name} failed to preserve the AoM volume at {v}"
-            )
-        if out_aoms.min() < MIN_AOM:
+        log_target = -self.nl_jacobian_det(v) + math.fsum(math.log(a) for a in d.aoms)
+        rows = self.jacobian_rows(v)
+        try:  # log raises where a raw AoM is 0, and fsum where one overflows
+            log_raw = [math.log(math.fsum(abs(j) * a for j, a in zip(r, d.aoms))) for r in rows]
+        except (OverflowError, ValueError):
+            log_raw = [math.nan]
+        if not all(map(math.isfinite, log_raw)):
+            raise DegenerateTransformError(f"{self.name} collapses an AoM component at {v}")
+        log_scale = (log_target - math.fsum(log_raw)) / self.dim
+        try:  # exp and log raise where a mapped AoM overflows or is 0
+            out_aoms = [math.exp(log_scale + r) for r in log_raw]
+            got = math.fsum(map(math.log, out_aoms))
+            lost = abs(got - log_target) > 1e-9 * max(1.0, abs(log_target))
+        except (OverflowError, ValueError):
+            lost = True
+        if lost:
+            raise DegenerateTransformError(f"{self.name} failed to preserve the AoM volume at {v}")
+        if min(out_aoms) < MIN_AOM:
             raise DegenerateTransformError(
                 f"{self.name} shrinks an AoM component at {v} below the normal floats"
             )
@@ -587,7 +590,7 @@ class Cartesian2Polar(CtsD2CtsD):
         xs, ys = x[:, 0], x[:, 1]
         r = np.hypot(xs, ys)
         r2 = r * r
-        return _stack_2x2(xs / r, ys / r, -ys / r2, xs / r2)
+        return np.stack((np.stack((xs / r, ys / r), -1), np.stack((-ys / r2, xs / r2), -1)), axis=1)
 
     def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
         return np.log(np.hypot(x[:, 0], x[:, 1]))
@@ -601,11 +604,6 @@ def _floats(v) -> tuple:
     # raising ZeroDivisionError or OverflowError; a numpy scalar (as in a row
     # of an array) would warn and give inf instead.
     return tuple(map(float, v))
-
-
-def _stack_2x2(a, b, c, d) -> np.ndarray:
-    """The (N, 2, 2) stack of the matrices [[a, b], [c, d]], from columns."""
-    return np.stack((np.stack((a, b), axis=-1), np.stack((c, d), axis=-1)), axis=1)
 
 
 class Componentwise(CtsD2CtsD):
@@ -660,10 +658,8 @@ class ComponentPermutation(CtsD2CtsD):
         return 0.0
 
     def inverse(self) -> CtsD2CtsD:
-        inverse_perm = [0] * self.dim
-        for i, j in enumerate(self.perm):
-            inverse_perm[j] = i
-        return ComponentPermutation(inverse_perm)
+        # The inverse q has q[perm[i]] = i: the indices i in the order of perm[i].
+        return ComponentPermutation(sorted(range(self.dim), key=self.perm.__getitem__))
 
 
 class DiscreteBijection(IntegerSpace, Function):

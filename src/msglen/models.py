@@ -11,18 +11,20 @@ can draw random data.
 Every parameterised model answers the same value-level questions, for a
 bare value of its data space (a float, a tuple of D floats or an int):
 ``contains(v)``, ``nl_pdf(v)`` (the negative log density, or probability
-for discrete data) and ``random_v(rng)``, computed with ``math``; ``pdf``
-and ``nl_pr`` ask the first two in one step, and ``random`` wraps
-``random_v`` for measured data.  The column forms ``nl_pdf_col``,
-``nl_pr_col`` and ``random_col`` answer for a whole column of a dataset at
-once; their defaults loop over the per-value methods.  A cost's column
-form is not finite for a value outside the support or one the per-value
-method rejects.  The normal model overrides them with numpy, a product
-adds up its components' ``nl_pdf_col`` columns, and every other model
-answers through its per-value methods; a transformed model's cost column
-is its base's cost of ``f.map_col``'s columns.  Fits score by these
-columns, as ``eval`` does.  ``random_col`` draws from ``rng`` exactly as
-n ``random_v`` calls do, so a seeded sample is the same drawn either way.
+for discrete data) and ``random_v(rng)``, computed with ``math``, numpy
+serving only as the random generator, so each answer is the same bytes at
+every numpy SIMD level; ``pdf`` and ``nl_pr`` ask the first two in one
+step, and ``random`` wraps ``random_v`` for measured data.  The column
+forms ``nl_pdf_col``, ``nl_pr_col`` and ``random_col`` answer for a whole
+column of a dataset at once; their defaults loop over the per-value
+methods.  A cost's column form is not finite for a value outside the
+support or one the per-value method rejects.  The normal model overrides
+them with numpy, a product adds up its components' ``nl_pdf_col``
+columns, and every other model answers through its per-value methods; a
+transformed model's cost column is its base's cost of ``f.map_col``'s
+columns.  Fits score by these columns, as ``eval`` does.  ``random_col``
+draws from ``rng`` exactly as n ``random_v`` calls do, so a seeded sample
+is the same drawn either way.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -34,22 +36,23 @@ a bijection of integers) and its inverse:
     contains_mf(v) = f.contains(v) and contains_m(f(v))
     nl_pdf_mf(v)   = nl_pdf_m(f(v)) + f.nl_jacobian_det(v)
 
-with f(v) computed once for both, and a transformed model draws random data by drawing from the base model
-and applying f's inverse; its column form draws the base column and
-applies ``f.inverse()``'s column map, and a row that map cannot settle
-(a value outside the inverse's domain or not finite) goes to the
-per-value inverse.  The numpy and ``math`` forms of ``exp``, ``log``,
-``atan2`` and ``hypot`` may round the last bit differently, so a value
-drawn through one of them may differ from the per-draw value by one ulp.
-All density arithmetic is carried out on negative logs (nits); plain
-probabilities are exponentiated views.
+with f(v) computed once for both.  A transformed model draws random data
+by drawing from the base model and applying f's inverse; its column form
+draws the base column and applies ``f.inverse()``'s column map, and a row
+that map cannot settle (a value outside the inverse's domain or not
+finite) goes to the per-value inverse.  A value drawn through numpy's SIMD
+``exp``, ``log``, ``atan2`` or ``hypot`` may differ from the per-draw
+value by one ulp.  All density arithmetic is carried out on negative logs
+(nits); plain probabilities are exponentiated views.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from itertools import islice
+from array import array
+from bisect import bisect_right
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -498,7 +501,7 @@ class MultiStateModel(DiscreteModel):
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"probabilities sum to {total!r}, not 1")
         self.probs = probs
-        self._cum = np.cumsum(probs)
+        self._cum = array("d", accumulate(probs))
         # A draw past the last cumulative probability (the sum may fall short
         # of 1) is the last state with positive probability.
         self._last = max(i for i, p in enumerate(probs) if p > 0.0)
@@ -509,8 +512,8 @@ class MultiStateModel(DiscreteModel):
         return math.inf if p == 0.0 else 0.0 - math.log(p)
 
     def random_v(self, rng) -> int:
-        # side="right" never lands on a state of probability 0.
-        i = int(np.searchsorted(self._cum, float(rng.random()), side="right"))
+        # bisect_right never lands on a state of probability 0.
+        i = bisect_right(self._cum, float(rng.random()))
         return self.lo + min(i, self._last)
 
     def params(self) -> dict:

@@ -98,6 +98,20 @@ class TestModelExpr:
         code, _, err = run(["fit", expr, "-"], capsys)
         assert code == 1 and "integer" in err
 
+    def test_integer_arguments_are_not_rounded(self, tmp_path, capsys):
+        # 2^53 + 1 is the first integer a float cannot hold.
+        shift = 2**53 + 1
+        rotated = f"multistate:0:3(0.1,0.2,0.3,0.4).transform(rotate({shift}))"
+        assert parse_model_expr(rotated).f.shift == shift
+        path = write_csv(tmp_path, "k.csv", "k\n1\n2\n3\n")
+        assert run(["eval", rotated, path], capsys) == run(
+            ["eval", "multistate:0:3(0.1,0.2,0.3,0.4).transform(rotate(1))", path], capsys
+        )
+        code, out, _ = run(["fit", f"multistate:0:3.transform(rotate({shift}))", path], capsys)
+        assert code == 0 and f"rotate({shift})" in out
+        code, _, err = run(["sample", f"rd:normal^2(0,1;0,1).transform(permute({shift},0))", "1"], capsys)
+        assert code == 1 and f"({shift}, 0) is not a permutation" in err
+
     def test_errors_carry_position(self):
         with pytest.raises(ModelExprError):
             parse_model_expr("gamma")
@@ -859,24 +873,37 @@ class TestColdPath:
 
 
 class TestBrokenPipe:
-    def test_closed_stdout_prints_no_traceback(self, tmp_path):
-        rows = "\n".join(f"{0.001 * i:.3f}" for i in range(5000))
-        path = write_csv(tmp_path, "n5k.csv", "x\n" + rows + "\n")
+    """A reader that closes the pipe after one line ends the run with exit 1
+    and nothing on stderr."""
+
+    @staticmethod
+    def _close_after_one_line(*argv) -> tuple:
         src = str(Path(msglen.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "msglen.cli", "eval", "normal(0,1)", path, "--aom-const", "0.1"],
+            [sys.executable, "-m", "msglen.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
         )
-        assert proc.stdout.readline().startswith(b"nlpr.0: ")
+        line = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        assert proc.wait(timeout=120) == 1
-        assert err == b""
+        return line, proc.wait(timeout=120), err
+
+    def test_closed_stdout_prints_no_traceback(self, tmp_path):
+        rows = "\n".join(f"{0.001 * i:.3f}" for i in range(5000))
+        path = write_csv(tmp_path, "n5k.csv", "x\n" + rows + "\n")
+        line, code, err = self._close_after_one_line("eval", "normal(0,1)", path, "--aom-const", "0.1")
+        assert line.startswith(b"nlpr.0: ")
+        assert code == 1 and err == b""
+
+    def test_closed_stdout_ends_a_large_sample(self):
+        line, code, err = self._close_after_one_line("sample", "normal(0,1)", "1000000", "--seed", "1")
+        assert line == b"x,aom\n"
+        assert code == 1 and err == b""
 
 
 def _one_error_line(err):
@@ -1036,6 +1063,39 @@ class TestOneDimensionalProduct:
         code, product, _ = run(["eval", "rd:normal^1(0,1)"] + argv, capsys, rows, monkeypatch)
         code2, scalar, _ = run(["eval", "normal(0,1)"] + argv, capsys, rows, monkeypatch)
         assert code == code2 == 0 and product == scalar
+
+
+class TestTransformLimit:
+    """A model expression takes at most cli.MAX_TRANSFORMS transforms, a
+    bound well inside the recursion limit of every command."""
+
+    @pytest.mark.parametrize(
+        "family, params, f, csv_text",
+        [
+            ("normal", "(1,1)", "identity", "x\n1\n2\n3\n"),
+            ("rd:normal^2", "(1,1;2,1)", "permute(1,0)", "x1,x2\n1,2\n2,3\n3,1\n"),
+        ],
+    )
+    def test_every_command_takes_the_most_transforms(self, family, params, f, csv_text, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", csv_text)
+        chain = f".transform({f})" * cli.MAX_TRANSFORMS
+        for argv in (
+            ["fit", family + chain, path, "--aom-const", "0.1"],
+            ["eval", family + params + chain, path, "--aom-const", "0.1"],
+            ["sample", family + params + chain, "5", "--seed", "1"],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 0 and out and err == "", argv
+
+    @pytest.mark.parametrize("command", ["fit", "eval", "sample"])
+    def test_a_longer_chain_is_a_usage_error(self, command, tmp_path, capsys):
+        # A chain of 2000 would overflow the stack of every command if it were built.
+        path = write_csv(tmp_path, "d.csv", "x\n1\n2\n")
+        for count in (cli.MAX_TRANSFORMS + 1, 2000):
+            expr = "normal" + "(1,1)" * (command != "fit") + ".transform(identity)" * count
+            code, out, err = run([command, expr, "3" if command == "sample" else path], capsys)
+            assert code == 1 and out == "" and _one_error_line(err)
+            assert f"at most {cli.MAX_TRANSFORMS} transforms" in err
 
 
 class TestDimensionLimit:
