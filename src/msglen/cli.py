@@ -82,6 +82,13 @@ class _Scanner:
             raise ModelExprError("expected a name", pos=start)
         return self.text[start:self.pos]
 
+    def _int(self, text: str, start: int) -> int:
+        """int of a sign and digits; past Python's digit limit, a usage error."""
+        limit = sys.get_int_max_str_digits()
+        if limit and len(text.lstrip("+-")) > limit:
+            raise ModelExprError(f"an integer has at most {limit} digits", pos=start)
+        return int(text)
+
     def integer(self) -> int:
         start = self.pos
         if self.peek() in ("+", "-"):
@@ -89,7 +96,7 @@ class _Scanner:
         while self.peek().isdigit():
             self.pos += 1
         try:
-            return int(self.text[start:self.pos])
+            return self._int(self.text[start:self.pos], start)
         except ValueError:
             raise ModelExprError("expected an integer", pos=start) from None
 
@@ -104,7 +111,7 @@ class _Scanner:
             self.pos += 1
         text = self.text[start:self.pos]
         try:
-            return int(text) if exact and text.lstrip("+-").isdigit() else float(text)
+            return self._int(text, start) if exact and text.lstrip("+-").isdigit() else float(text)
         except ValueError:
             raise ModelExprError("expected a number", pos=start) from None
 

@@ -13,13 +13,14 @@ from the two-dimensional lattice constant.  With a flat prior on the mean
 and a 1/sigma prior on the scale, the minimising parameters are the
 sample mean and the (N-1)-denominator standard deviation.
 
-Estimators compose as models do.  A leaf estimator (normal, multistate,
-bounded uniform) has one hook, the model for the data, fitted or given,
-and so has a product, fitting each component on its own column; both are
-scored by ``data_costs``, as ``eval`` scores data.  A transformed family
-maps the data through its function (AoMs included), hands it to the base
-family's estimator and carries both messages over, wrapping the fitted
-base model back up.  Built this way, fitting then transforming
+Estimators compose as models do.  Every estimator has one hook, the
+model for the data, fitted or given, and every fit is that model scored
+by ``data_costs``, as ``eval`` scores data.  A leaf estimator (normal,
+multistate, bounded uniform) fits its family; a product fits each
+component on its own column; a transformed family maps the data through
+its function (AoMs included), fits the base family to the mapped data and
+transforms the fitted model.  A transformed model costs a datum what its
+base costs the mapped datum, up to rounding, so fitting then transforming
 agrees with transforming then fitting on mapped data, and the total
 message length of a dataset is unchanged by mapping it through an
 invertible function.
@@ -140,13 +141,11 @@ class NormalPriors:
 class Estimator:
     """Maps datasets of the family's data space to fitted models.
 
-    A leaf or product estimator supplies one hook, ``_model(ds, given)``:
-    the model that minimises the message when ``given`` is None, else the
-    given model restated with its msg1.  Both are scored by ``data_costs``,
-    so fitted and alternative parameters compare on equal footing.  A
-    transformed estimator also supplies ``_scored``, which scores the
-    mapped data; its ``_model`` maps and fits without scoring.  Given
-    parameters reach either only as the model the family's
+    Every estimator supplies one hook, ``_model(ds, given)``: the model
+    that minimises the message when ``given`` is None, else the given
+    model restated with its msg1.  Both are scored by ``data_costs``, so
+    fitted and alternative parameters compare on equal footing.  Given
+    parameters reach the hook only as the model the family's
     ``parameterise`` built from them, so they are checked first.
     """
 
@@ -162,17 +161,14 @@ class Estimator:
         fit = self._scored(ds, self.family.parameterise(sp))
         return fit.msg1, fit.msg2
 
-    def _check(self, ds: DataSet) -> None:
+    def _scored(self, ds: DataSet, given: Model | None) -> FitResult:
+        """The fitted (given None) or given model's two-part message for the data."""
         if len(ds) == 0:
             raise EstimationError("cannot estimate from an empty dataset")
         if ds.kind != self.family.kind:
             raise EstimationError(
                 f"{self.family.name} estimator needs {self.family.kind} data, got {ds.kind}"
             )
-
-    def _scored(self, ds: DataSet, given: Model | None) -> FitResult:
-        """The fitted (given None) or given model's two-part message for the data."""
-        self._check(ds)
         try:
             model = self._model(ds, given)
         except (OverflowError, FloatingPointError):
@@ -311,20 +307,15 @@ class IndependentProductEstimator(Estimator):
 class TransformedEstimator(Estimator):
     """Maps the data through the family's function, then fits the base family.
 
+    The base fit reads the mapped AoMs for its priors and its sd floor.
     Mapping by an invertible function leaves the information content of the
-    data unchanged, so both message parts carry over from the base family's
-    message for the mapped data.
+    data unchanged, so msg1 is the base fit's, and msg2 the base model's
+    cost of the mapped data, up to rounding.
     """
 
     def __init__(self, family, ps=None):
         super().__init__(family, ps)
         self.base = family.base.estimator(ps)
-
-    def _scored(self, ds: DataSet, given: Model | None) -> FitResult:
-        self._check(ds)
-        f = self.family.f
-        fit = self.base._scored(map_dataset(ds, f), None if given is None else given.base)
-        return FitResult(fit.model.transform(f), fit.msg1, fit.msg2)
 
     def _model(self, ds: DataSet, given: Model | None) -> Model:
         f = self.family.f

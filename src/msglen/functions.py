@@ -25,11 +25,12 @@ vector map's array views ``apply_v`` and ``jacobian`` and the ``slogdet``
 default of ``nl_jacobian_det``.  So a per-value answer is the same bytes
 at every numpy SIMD level, on one platform with one libm.  The column
 forms (``f_col``, ``map_col``; see ``Function``) answer for a whole column
-at once, for ``map_dataset`` and scoring.  Only ``log``, ``exp``,
-``linear`` and ``cartesian2polar`` give them with numpy, whose SIMD
-kernels may round a last digit differently from ``math``, so the digits
-that ``fit``, ``eval`` and ``sample`` print still follow numpy's CPU
-dispatch; every other function answers through its per-value methods.
+at once, for ``map_dataset`` and cost columns.  Only ``log``, ``exp``,
+``linear`` and ``cartesian2polar`` give them with numpy, as does every
+scalar map's ``nl_jacobian_det_col`` (``np.log``); numpy's SIMD kernels
+may round a last digit differently from ``math``, so the digits that
+``fit``, ``eval`` and ``sample`` print still follow numpy's CPU dispatch.
+Every other function answers through its per-value methods.
 
 Function objects are immutable and pure; they are shared library values
 addressable by name (``log``, ``exp``, ``polar2cartesian``, ...).
@@ -277,6 +278,9 @@ class Cts2Cts(Function):
 
     def d_dx_col(self, x: np.ndarray) -> np.ndarray:
         return np.array(each_value(self.d_dx, x, math.nan), dtype=np.float64)
+
+    def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
+        return -np.log(np.abs(self.d_dx_col(x)))
 
     def map_col(self, x: np.ndarray, aom: np.ndarray) -> tuple:
         """The columns (x, aom) of scalar data mapped as ``apply`` maps one
@@ -671,6 +675,8 @@ class DiscreteBijection(IntegerSpace, Function):
     def nl_jacobian_det(self, k: int) -> float:
         """A bijection of integers moves no probability mass: 0 nits."""
         return 0.0
+
+    nl_jacobian_det_col = nl_jacobian_det
 
     def __call__(self, k: int) -> int:
         return self.apply_i(k)

@@ -20,11 +20,11 @@ column of a dataset at once; their defaults loop over the per-value
 methods.  A cost's column form is not finite for a value outside the
 support or one the per-value method rejects.  The normal model overrides
 them with numpy, a product adds up its components' ``nl_pdf_col``
-columns, and every other model answers through its per-value methods; a
-transformed model's cost column is its base's cost of ``f.map_col``'s
-columns.  Fits score by these columns, as ``eval`` does.  ``random_col``
-draws from ``rng`` exactly as n ``random_v`` calls do, so a seeded sample
-is the same drawn either way.
+columns, a transformed model computes its rule below on columns, and
+every other model answers through its per-value methods.  Fits score by
+these columns, as ``eval`` does.  ``random_col`` draws from ``rng``
+exactly as n ``random_v`` calls do, so a seeded sample is the same drawn
+either way.
 
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
@@ -36,14 +36,16 @@ a bijection of integers) and its inverse:
     contains_mf(v) = f.contains(v) and contains_m(f(v))
     nl_pdf_mf(v)   = nl_pdf_m(f(v)) + f.nl_jacobian_det(v)
 
-with f(v) computed once for both.  A transformed model draws random data
-by drawing from the base model and applying f's inverse; its column form
-draws the base column and applies ``f.inverse()``'s column map, and a row
-that map cannot settle (a value outside the inverse's domain or not
-finite) goes to the per-value inverse.  A value drawn through numpy's SIMD
-``exp``, ``log``, ``atan2`` or ``hypot`` may differ from the per-draw
-value by one ulp.  All density arithmetic is carried out on negative logs
-(nits); plain probabilities are exponentiated views.
+with f(v) computed once for both, and ``nl_pdf_col`` the same rule on
+columns, from ``f.f_col`` and ``f.nl_jacobian_det_col``.  A transformed
+model draws random data by drawing from the base model and applying f's
+inverse; its column form draws the base column and applies
+``f.inverse()``'s column map, and a row that map cannot settle (a value
+outside the inverse's domain or not finite) goes to the per-value
+inverse.  A value drawn through numpy's SIMD ``exp``, ``log``, ``atan2``
+or ``hypot`` may differ from the per-draw value by one ulp.  All density
+arithmetic is carried out on negative logs (nits); plain probabilities
+are exponentiated views.
 """
 
 from __future__ import annotations
@@ -309,10 +311,8 @@ class Model:
         return np.array(each_value(self._nl_pdf_in_support, values, math.nan), dtype=np.float64)
 
     def nl_pr_col(self, *columns) -> np.ndarray:
-        """nl_pr of every row of columns as ``DataSet.columns`` gives them
-        or ``map_col`` maps them, as an array; not finite where a row is
-        outside the support or unscorable, or where a transformed model's
-        map leaves it unsettled (``values.settled``)."""
+        """nl_pr of every row of ``DataSet.columns``, as an array; not finite
+        where a row is outside the support or unscorable."""
         raise NotImplementedError
 
     def random_col(self, rng, n: int):
@@ -421,8 +421,9 @@ class VectorModel(Model):
         return nl - ln_aoms
 
     def nl_pr_col(self, x, aom) -> np.ndarray:
-        # A row of another dimension is outside the support: nl_pdf_col gives
-        # NaN.  The log AoMs are added a column at a time, left to right.
+        # NaN for a row of another dimension; the log AoMs add left to right.
+        if x.shape[1] != self.dim:
+            return np.full(len(x), math.nan)
         return self.nl_pdf_col(x) - sum(np.log(aom).T)
 
     def random_col(self, rng, n: int) -> np.ndarray:
@@ -544,10 +545,7 @@ class IndependentProductModel(VectorModel):
         return nl
 
     def nl_pdf_col(self, values) -> np.ndarray:
-        # The sum of the components' columns, left to right; NaN for rows of
-        # another dimension.
-        if values.shape[1] != self.dim:
-            return np.full(len(values), math.nan)
+        # The sum of the components' columns, left to right.
         return sum(c.nl_pdf_col(values[:, j]) for j, c in enumerate(self.components))
 
     def random_v(self, rng) -> tuple:
@@ -636,11 +634,8 @@ class _TransformedModel(Model):
         nl = self.base._nl_pdf_in_support(y)
         return None if nl is None else nl + self.f.nl_jacobian_det(v)
 
-    def nl_pr_col(self, *columns) -> np.ndarray:
-        # A row the map leaves unsettled, such as one with a subnormal AoM,
-        # goes to nl_pr.
-        mapped = self.f.map_col(*columns)
-        return np.where(settled(*mapped), self.base.nl_pr_col(*mapped), math.nan)
+    def nl_pdf_col(self, values) -> np.ndarray:
+        return self.base.nl_pdf_col(self.f.f_col(values)) + self.f.nl_jacobian_det_col(values)
 
     def random_v(self, rng):
         return self._preimage(self.base.random_v(rng))

@@ -98,6 +98,22 @@ class TestModelExpr:
         code, _, err = run(["fit", expr, "-"], capsys)
         assert code == 1 and "integer" in err
 
+    @pytest.mark.parametrize(
+        "template, column",
+        [
+            ("multistate:0:3(0.1,0.2,0.3,0.4).transform(rotate({}))", 49),
+            ("rd:normal^2(0,1;0,1).transform(permute({},0))", 39),
+            ("multistate:0:{}", 13),
+        ],
+        ids=["rotate", "permute", "multistate"],
+    )
+    def test_an_integer_past_the_digit_limit_is_a_usage_error(self, template, column, capsys):
+        # int() refuses a string of more digits than sys.get_int_max_str_digits().
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(["sample", template.format("9" * (limit + 700)), "1"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: an integer has at most {limit} digits (at column {column})\n"
+
     def test_integer_arguments_are_not_rounded(self, tmp_path, capsys):
         # 2^53 + 1 is the first integer a float cannot hold.
         shift = 2**53 + 1
@@ -198,6 +214,13 @@ class TestFit:
         code, out, err = run(["fit", "rd:normal^2", path, "--aom-const", "1"], capsys)
         assert (code, out) == (2, "")
         assert err == "error: rd:normal^2 cannot fit these data: the fit overflows a float\n"
+
+    def test_transformed_overflow_names_the_transformed_family(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "big.csv", "x1,x2\n1e308,1\n-1e308,2\n")
+        family = "rd:normal^2.transform(permute(1,0))"
+        code, out, err = run(["fit", family, path, "--aom-const", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {family} cannot fit these data: the fit overflows a float\n"
 
     def test_overflowing_map_is_data_error(self, tmp_path, capsys):
         path = write_csv(tmp_path, "big.csv", "x\n1000\n1001\n")
@@ -452,7 +475,7 @@ class TestEval:
         params = ";".join(f"{fit[f'param.{j}.mean']},{fit[f'param.{j}.sd']}" for j in (0, 1))
         code, out, _ = run(["eval", polar.format(f"({params})")] + argv, capsys)
         assert code == 0
-        assert kv(out)["total"] == fit["msg2"] == "38.72196133818088"
+        assert kv(out)["total"] == fit["msg2"] == "38.72196133818089"
 
 
 class TestSample:
@@ -979,7 +1002,8 @@ class TestOverflowingMapNamesTheRow:
 
 class TestSubnormalAom:
     """log of log maps the AoM 0.01 at x = 1e308 to 1.4e-313, below the
-    normal floats: eval scores the row per datum, and fit refuses it."""
+    normal floats.  No mapped AoM enters a cost, so eval scores the row as
+    nl_pr does; fit maps its data, and refuses it."""
 
     ARGS = ["-", "--aom-const", "0.01"]
 

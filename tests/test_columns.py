@@ -45,7 +45,7 @@ from msglen import bounded_uniform
 from msglen import cli
 from msglen.estimation import data_costs
 from msglen.functions import Cts2Cts, CtsD2CtsD, Log
-from msglen.models import DEFAULT_SAMPLE_AOM
+from msglen.models import DEFAULT_SAMPLE_AOM, NormalModel
 from msglen.values import map_items, settled
 
 REL = 1e-12
@@ -275,16 +275,6 @@ def test_data_costs_agree_with_nl_pr(name):
         )
 
 
-@pytest.mark.parametrize(
-    "name", sorted(name for name, (model, _, _) in MODELS.items() if hasattr(model, "base"))
-)
-def test_transformed_costs_are_the_base_costs_of_the_mapped_data(name):
-    # Scoring and fitting cost each row alike, bit for bit.
-    model, sample, _ = MODELS[name]
-    ds = sample(np.random.default_rng(len(name)))
-    assert data_costs(model, ds) == data_costs(model.base, map_dataset(ds, model.f))
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_a_products_costs_add_alike_per_datum_and_per_column(dim):
     # nl_pdf adds the components' densities, and nl_pr the log AoMs, left to
@@ -303,6 +293,24 @@ def test_a_products_costs_add_alike_per_datum_and_per_column(dim):
     wide = x * rng.uniform(-3.0, 3.0, x.shape)
     want = model.nl_pdf_col(wide).tolist()
     assert [repr(model.nl_pdf(v)) for v in map(tuple, wide.tolist())] == list(map(repr, want))
+
+
+def test_a_transformed_product_component_is_scored_by_columns(monkeypatch):
+    # A transformed model's cost column is its per-value rule computed on
+    # columns, so a product scores a transformed component without calling
+    # a per-value method.
+    model = independent_rd([normal.transform(log), normal])(((0.5, 0.6), (1.0, 2.0)))
+    ds = DataSet(_vector_rows(np.random.default_rng(17), (0.1, 9.0), (-5.0, 7.0)))
+    want = [model.nl_pr(d) for d in ds]
+
+    def refuse(*args):
+        raise AssertionError("a per-value method was called")
+
+    monkeypatch.setattr(Log, "apply_x", refuse)
+    monkeypatch.setattr(NormalModel, "nl_pdf", refuse)
+    costs, total = data_costs(model, ds)
+    assert all(_close(c, w) for c, w in zip(costs, want))
+    assert _close(total, math.fsum(want))
 
 
 def _outcome(call):
@@ -365,7 +373,8 @@ def test_per_datum_cost_is_the_density_less_the_log_aoms(name, data):
 
 def test_a_subnormal_mapped_aom_is_scored_per_datum():
     # log of log maps the AoM 0.01 at 1e308 to 1.4e-313, whose log has lost
-    # digits; the row is unsettled, so its cost is the per-datum nl_pr's.
+    # digits.  The cost column maps no AoM, so the row costs what the
+    # per-datum nl_pr gives.
     model = normal.transform(log).transform(log)((0.0, 1.0))
     ds = DataSet.continuous([1e308, 2.0], [0.01, 0.01])
     costs, _ = data_costs(model, ds)

@@ -9,6 +9,11 @@ print the same bytes with every dispatched feature switched off
 script, this file prints those answers, one line each.  The inputs are
 built from Python floats, since numpy's own array arithmetic is
 dispatched too.
+
+A transformed model's cost column is its per-value rule computed on
+columns, so with the dispatch off, where numpy's ``log`` and ``exp`` on
+x86-64 are the C library's as ``math``'s are, the column and ``nl_pr``
+agree bit for bit.  Run as ``test_dispatch.py costs``, this file prints both, row by row.
 """
 
 import math
@@ -23,8 +28,10 @@ import pytest
 
 import msglen
 from msglen import CtsDatum, DiscreteDatum, MsglenError, VecDatum
+from msglen.estimation import data_costs
 from msglen.functions import LIBRARY, Cts2Cts, DiscreteBijection
 from test_columns import FUNCTIONS, MODELS
+from test_columns import N as COST_ROWS
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__
@@ -47,6 +54,15 @@ RANGES = {
     "componentwise": [(1e-2, 1e2), (-5.0, 5.0)],
     "permute": [(-5.0, 5.0), (-5.0, 5.0)],
 }
+
+
+# The transformed models of test_columns.MODELS whose cost column is nl_pr
+# bit for bit.  polar's column takes numpy's hypot, and math.hypot is
+# CPython's own algorithm, not the C library's, so a few of its rows differ
+# in the last place at every dispatch level.
+SAME_COSTS = sorted(
+    name for name, (model, _, _) in MODELS.items() if hasattr(model, "base") and name != "polar"
+)
 
 
 def _aoms(rng, dim: int) -> list:
@@ -84,7 +100,15 @@ def print_answers() -> None:
             print(name, "pdf", i, _answer(lambda: model.pdf(v)))
 
 
-def _answers(disabled: str | None) -> list:
+def print_costs() -> None:
+    for name in SAME_COSTS:
+        model, sample, _ = MODELS[name]
+        ds = sample(np.random.default_rng(len(name)))
+        for i, (cost, d) in enumerate(zip(data_costs(model, ds)[0], ds)):
+            print(name, i, repr(cost), repr(model.nl_pr(d)))
+
+
+def _answers(disabled: str | None, *args: str) -> list:
     src = str(Path(msglen.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -92,7 +116,7 @@ def _answers(disabled: str | None) -> list:
     if disabled is not None:
         env["NPY_DISABLE_CPU_FEATURES"] = disabled
     proc = subprocess.run(
-        [sys.executable, __file__], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, __file__, *args], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -112,5 +136,13 @@ def test_per_value_answers_are_the_same_at_every_dispatch_level():
     assert not differ, f"{len(differ)} answers differ, first {differ[0]}"
 
 
+@pytest.mark.skipif(not __cpu_dispatch__, reason="numpy dispatches no CPU features")
+def test_cost_column_is_the_per_datum_cost_without_dispatch():
+    rows = [line.split() for line in _answers(" ".join(__cpu_dispatch__), "costs")]
+    assert len(rows) == len(SAME_COSTS) * COST_ROWS
+    differ = [row for row in rows if row[2] != row[3]]
+    assert not differ, f"{len(differ)} costs differ, first {differ[0]}"
+
+
 if __name__ == "__main__":
-    print_answers()
+    print_costs() if sys.argv[1:] == ["costs"] else print_answers()
