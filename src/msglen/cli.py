@@ -165,14 +165,20 @@ def _parse_function(sc: _Scanner, family: UPModel):
     """The function named in ``.transform(...)``; whether it can transform
     the family is for ``family.transform`` to check."""
     name = sc.ident()
+    pos = sc.pos
+    # The permutations of a discrete space take the family's bounds.
+    discrete = ("reverse", "rotate") if family.kind == "discrete" else ()
+    if name not in (*fn.LIBRARY, "linear", "permute", *discrete):
+        needed = fn.FUNCTION_CLASS[family.kind].__name__
+        raise ModelExprError(f"unknown function {name!r} ({family.name} needs a {needed})", pos=pos)
     args = []
     if sc.take("(") and not sc.take(")"):
         args = sc.number_list(exact=True)
         sc.expect(")")
     pos = sc.pos
+    if args and name in (*fn.LIBRARY, "reverse"):
+        raise ModelExprError(f"{name} takes no arguments", pos=pos)
     if name in fn.LIBRARY:
-        if args:
-            raise ModelExprError(f"{name} takes no arguments", pos=pos)
         return fn.LIBRARY[name]
     if name == "linear":
         if len(args) != 2:
@@ -180,17 +186,11 @@ def _parse_function(sc: _Scanner, family: UPModel):
         return fn.linear(args[0], args[1])
     if name == "permute":
         return fn.ComponentPermutation(args)
-    # The permutations of a discrete space take the family's bounds.
-    if name == "reverse" and family.kind == "discrete":
-        if args:
-            raise ModelExprError("reverse takes no arguments", pos=pos)
+    if name == "reverse":
         return fn.ReversePermutation(family.lo, family.hi)
-    if name == "rotate" and family.kind == "discrete":
-        if len(args) != 1:
-            raise ModelExprError("rotate takes (k)", pos=pos)
-        return fn.Rotation(family.lo, family.hi, args[0])
-    needed = fn.FUNCTION_CLASS[family.kind].__name__
-    raise ModelExprError(f"unknown function {name!r} ({family.name} needs a {needed})", pos=pos)
+    if len(args) != 1:
+        raise ModelExprError("rotate takes (k)", pos=pos)
+    return fn.Rotation(family.lo, family.hi, args[0])
 
 
 def parse_model_expr(text: str) -> UPModel | Model:
@@ -240,13 +240,14 @@ def _read_source(path: str) -> str:
     """The whole CSV text of a path, or of stdin for ``-``."""
     name = "stdin" if path == "-" else path
     try:
+        # A byte-order mark (spreadsheets export one) is not part of the text.
         if path == "-":
             text = sys.stdin.read()
             # stdin may decode with surrogateescape, which turns bytes that are
             # not UTF-8 into lone surrogates; those do not encode back.
             text.encode("utf-8")
-            return text
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return text.removeprefix("\ufeff")
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             return handle.read()
     except OSError as e:
         raise CsvError(f"cannot read {name}: {e.strerror or e}") from e
@@ -256,10 +257,15 @@ def _read_source(path: str) -> str:
         raise CsvError(f"cannot read {name}: not UTF-8 text (character {e.start})") from e
 
 
-def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
+def _build_schema(args, target: UPModel | Model) -> tuple[list[ColumnSpec], str]:
+    """The schema target's flags give, and the CSV text it reads; a flag
+    combination that no header can mend is refused before the text is read."""
     if target.kind == "discrete" and (args.aom_col or args.aom_const is not None):
         flag = "--aom-col" if args.aom_col else "--aom-const"
         raise ModelExprError(f"{target.name} models discrete data; {flag} is for continuous data")
+    if args.aom_col and args.aom_const is not None:
+        raise ModelExprError("give --aom-col or --aom-const, not both")
+    text = _read_source(args.csv)
     ncols = target.dim if target.kind == "vec" else 1
     aom_cols = list(args.aom_col or [])
     if args.col:
@@ -282,14 +288,14 @@ def _build_schema(args, target: UPModel | Model, text: str) -> list[ColumnSpec]:
         else:
             aom_col = aom_cols[j] if aom_cols else None
             specs.append(ColumnSpec(name, kind="cts", aom_col=aom_col, aom_const=args.aom_const))
-    return specs
+    return specs, text
 
 
 def _read_dataset(args, target: UPModel | Model) -> DataSet:
     """The CSV data for target, read as its flags say.  One continuous column
     read for a vector target (dimension 1) becomes 1-vectors."""
-    text = _read_source(args.csv)
-    ds = dataset_from_csv(text, _build_schema(args, target, text))
+    specs, text = _build_schema(args, target)
+    ds = dataset_from_csv(text, specs)
     if target.kind == "vec" and ds.kind == "cts":
         ds = DataSet.continuous(ds.x.reshape(-1, 1), ds.aom.reshape(-1, 1), ds.schema)
     return ds

@@ -42,7 +42,7 @@ from .models import (
     MultiStateModel,
     NormalModel,
 )
-from .values import DataSet, _at_index, map_dataset, map_items, settled
+from .values import DataSet, _at_index, map_dataset, map_items, settle
 
 __all__ = [
     "LN_2",
@@ -195,13 +195,10 @@ def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
         raise DomainError(f"{model.name} scores {model.kind} data, got {ds.kind}")
     with np.errstate(all="ignore"):
         costs = model.nl_pr_col(*ds.columns)
-    doubted = np.flatnonzero(~settled(costs)).tolist()
-    costs = costs.tolist()
     # The per-datum nl_pr decides each row the columns could not score: it
     # raises the row's own error, naming the row, or gives its cost (which
     # may be infinite, as for a state of probability 0).
-    for i, cost in zip(doubted, map_items(model.nl_pr, ds, doubted)):
-        costs[i] = cost
+    costs = settle((costs,), lambda i: map_items(model.nl_pr, ds, [i]))[0].tolist()
     try:
         return costs, math.fsum(costs)
     except OverflowError:

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
 from .functions import FUNCTION_CLASS, IntegerSpace, _real
-from .values import MIN_AOM, CtsDatum, DiscreteDatum, VecDatum, _view, each_value, settled
+from .values import MIN_AOM, CtsDatum, DiscreteDatum, VecDatum, _view, each_value, settle
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
@@ -644,18 +644,17 @@ class _TransformedModel(Model):
         drawn = self.base.random_col(rng, n)
         with np.errstate(all="ignore"):
             values = self._f_inv.f_col(drawn)
-        doubted = np.flatnonzero(~settled(values)).tolist()
-        if not doubted:
-            return values
-        # The per-value inverse is the reference for these rows: it raises
-        # for the first draw without a preimage, or gives the row's value.
-        values = list(values) if isinstance(values, tuple) else values.copy()
-        for i in doubted:
+
+        def preimage(i: int) -> tuple:
+            # The per-value inverse is the reference for the rows the column
+            # leaves unsettled: it raises for the first draw without a
+            # preimage, or gives the row's value.  A scalar row is passed as
+            # random_v gives it: a Python float, whose arithmetic raises where
+            # numpy's warns, and whose repr is plain.
             v = drawn[i]
-            # A scalar row as random_v gives it: a Python float, whose
-            # arithmetic raises where numpy's warns, and whose repr is plain.
-            values[i] = self._preimage(float(v) if isinstance(v, np.floating) else v)
-        return tuple(values) if isinstance(drawn, tuple) else values
+            return (self._preimage(float(v) if isinstance(v, np.floating) else v),)
+
+        return settle((values,), preimage)[0]
 
     def _preimage(self, v):
         """f's inverse of a value the base model drew, as random_v gives it;

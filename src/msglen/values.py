@@ -23,7 +23,7 @@ import math
 import reprlib
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -223,14 +223,16 @@ class DataSet:
             return self._set_empty()
         if x.ndim == 2 and x.shape[1] < 1:
             raise InvalidDatumError("a vector datum needs at least one component")
-        bad = np.flatnonzero(~settled(x, aom))
-        if bad.size:
+        cls = CtsDatum if x.ndim == 1 else VecDatum
+
+        def datum(i: int) -> tuple:
             # The row's own datum says what is wrong with it.
-            i = int(bad[0])
             try:
-                (CtsDatum if x.ndim == 1 else VecDatum)(x[i].tolist(), aom[i].tolist())
+                return astuple(cls(x[i].tolist(), aom[i].tolist()))
             except InvalidDatumError as e:
                 raise _at_index(e, i) from e
+
+        x, aom = settle((x, aom), datum)
         x.flags.writeable = aom.flags.writeable = False
         self.kind = "cts" if x.ndim == 1 else "vec"
         self.x, self.aom, self.values = x, aom, None
@@ -324,6 +326,22 @@ def settled(column, aom=None) -> np.ndarray:
     if aom is not None:
         ok &= np.isfinite(aom) & (aom >= MIN_AOM)
     return ok if ok.ndim == 1 else ok.all(axis=1)
+
+
+def settle(columns: tuple, reference) -> tuple:
+    """The columns, with every row that ``settled`` refuses answered by the
+    per-datum path: ``reference(i)`` gives row i's entry of each column, or
+    raises that row's own error.  Rows the columns settle keep their column
+    answers.  The answered rows are written into copies, and a tuple column
+    stays a tuple."""
+    doubted = np.flatnonzero(~settled(*columns)).tolist()
+    if not doubted:
+        return columns
+    out = [list(c) if isinstance(c, tuple) else c.copy() for c in columns]
+    for i in doubted:
+        for column, value in zip(out, reference(i)):
+            column[i] = value
+    return tuple(tuple(c) if isinstance(c, list) else c for c in out)
 
 
 def each_value(fn, column, fill) -> list:
@@ -608,7 +626,9 @@ def map_items(fn, ds: DataSet, rows=None) -> list:
 
 def map_dataset(ds: DataSet, f) -> DataSet:
     """Apply a function object to every row, AoMs included, by its column
-    map (``f.map_col``); ``f.apply`` decides each row that is not settled.
+    map (``f.map_col``).  The rows the column map leaves unsettled, and
+    only those, are mapped by ``f.apply``, the per-datum reference
+    (``settle``); every other row keeps its column answer.
 
     The function's data kind must match the dataset's.  An element outside
     the function's domain raises a DomainError, one where it collapses
@@ -619,19 +639,11 @@ def map_dataset(ds: DataSet, f) -> DataSet:
         return DataSet((), ds.schema)
     from .functions import FUNCTION_CLASS
 
-    expected = FUNCTION_CLASS[ds.kind]
-    if not isinstance(f, expected):
-        raise TransformError(
-            f"cannot map a {ds.kind} dataset with {type(f).__name__}"
-        )
+    if not isinstance(f, FUNCTION_CLASS[ds.kind]):
+        raise TransformError(f"cannot map a {ds.kind} dataset with {type(f).__name__}")
     with np.errstate(all="ignore"):
         columns = f.map_col(*ds.columns)
-    doubted = np.flatnonzero(~settled(*columns)).tolist()
-    if doubted:
-        # The per-datum map is the reference: the first of these rows that it
-        # rejects raises its own error, naming the row.  Should it reject none,
-        # it maps the whole dataset.
-        map_items(f.apply, ds, doubted)
-        return DataSet(map_items(f.apply, ds), ds.schema)
+    # A row's mapped datum gives its entries of the columns (x and aom, or value).
+    columns = settle(columns, lambda i: astuple(*map_items(f.apply, ds, [i])))
     build = DataSet.discrete if ds.kind == "discrete" else DataSet.continuous
     return build(*columns, ds.schema)

@@ -172,6 +172,19 @@ class TestFit:
         assert code1 == 0 and code2 == 0
         assert float(kv(out1)["msg"]) == pytest.approx(float(kv(out2)["msg"]), abs=1e-9)
 
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path, capsys, monkeypatch):
+        # Spreadsheets export UTF-8 with a byte-order mark before the header.
+        text = "x,err\n1.5,0.1\n2.5,0.1\n4.0,0.1\n"
+        flags = ["--col", "x", "--aom-col", "err", "--format", "kv"]
+        plain = run(["fit", "normal", write_csv(tmp_path, "plain.csv", text)] + flags, capsys)
+        assert plain[0] == 0
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert run(["fit", "normal", str(path)] + flags, capsys) == plain
+        stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(["fit", "normal", "-"] + flags, capsys) == plain
+
     def test_fit_uniform_rejects_out_of_bounds(self, tmp_path, capsys):
         path = write_csv(tmp_path, "d.csv", "k\n1\n7\n")
         code, _, err = run(["fit", "uniform:0:3", path], capsys)
@@ -1152,6 +1165,12 @@ class TestExpressionErrors:
             (["eval", "normal(0,1).transform(linear(1))"], "linear takes (a,b)"),
             (["fit", "uniform:0:3.transform(reverse(1))"], "reverse takes no arguments"),
             (["fit", "normal", "--aom-col", "e1", "--aom-col", "e2"], "once per data column"),
+            (["fit", "normal", "--aom-col", "e1", "--aom-const", "1"], "not both"),
+            (
+                ["fit", "normal.transform(compose(log,exp))"],
+                "unknown function 'compose' (normal needs a Cts2Cts)",
+            ),
+            (["fit", "normal.transform(foo(bar))"], "unknown function 'foo'"),
         ],
     )
     def test_exits_1_with_one_line(self, argv, message, capsys, monkeypatch):
@@ -1159,3 +1178,9 @@ class TestExpressionErrors:
         argv = argv[:2] + ["-"] + argv[2:]
         code, out, err = run(argv, capsys, csv_text, monkeypatch)
         assert code == 1 and out == "" and _one_error_line(err) and message in err
+
+    def test_a_flag_conflict_is_refused_before_the_csv_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        argv = ["fit", "normal", missing, "--aom-col", "e1", "--aom-const", "1"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "" and _one_error_line(err) and "not both" in err

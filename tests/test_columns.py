@@ -434,6 +434,25 @@ def test_rows_the_columns_doubt_but_apply_accepts_are_mapped_by_apply():
     assert list(out) == [CtsDatum(3.0, 0.2), CtsDatum(7.0, 0.2), CtsDatum(11.0, 0.2)]
 
 
+class Nudged(Log):
+    """log whose column map is one ulp above the per-value map, and NaN at 3.0."""
+
+    name = "nudged"
+
+    def f_col(self, x):
+        y = np.nextafter([self.apply_x(v) for v in x.tolist()], math.inf)
+        return np.where(x == 3.0, math.nan, y)
+
+
+def test_only_the_rows_the_columns_doubt_are_mapped_by_apply():
+    f = Nudged()
+    ds = DataSet.continuous([1.5, 3.0, 5.0, 7.0], [0.1] * 4)
+    x, aom = f.map_col(ds.x, ds.aom)
+    want = [f.apply(d) if i == 1 else CtsDatum(x[i], aom[i]) for i, d in enumerate(ds)]
+    assert all(want[i] != f.apply(ds[i]) for i in (0, 2, 3))
+    assert list(map_dataset(ds, f)) == want
+
+
 def test_infinite_cost_comes_from_the_per_datum_path():
     model = multistate(0, 1)((0.0, 1.0))
     costs, total = data_costs(model, DataSet([DiscreteDatum(1), DiscreteDatum(0)]))
