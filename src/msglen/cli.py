@@ -34,7 +34,7 @@ from .checks import SUITES
 from .errors import CsvError, DomainError, ModelExprError, MsglenError
 from .estimation import LN_2, data_costs
 from .models import DEFAULT_SAMPLE_AOM, Model, UPModel
-from .values import ColumnSpec, CtsDatum, DataSet, dataset_from_csv, read_header
+from .values import ColumnSpec, CtsDatum, DataSet, _at_index, dataset_from_csv, read_header
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -356,7 +356,7 @@ def _real_costs(
         return costs, total
     for i, cost in enumerate(costs):
         if not math.isfinite(cost):
-            raise DomainError(f"index {i}: {model.name} {verb} a row that costs {cost!r} {unit}")
+            raise _at_index(DomainError(f"{model.name} {verb} a row that costs {cost!r} {unit}"), i)
     raise DomainError(f"{model.name} {verb} rows whose costs sum past the float range")
 
 

@@ -311,8 +311,6 @@ class Identity(Cts2Cts):
     def d_dx(self, x: float) -> float:
         return 1.0
 
-    f_col = apply_x
-
     def inverse(self) -> Cts2Cts:
         return self
 
@@ -363,10 +361,6 @@ class Reciprocal(Cts2Cts):
 
     def d_dx(self, x: float) -> float:
         return -1.0 / (x * x)
-
-    # The per-value arithmetic, on arrays.
-    f_col = apply_x
-    d_dx_col = d_dx
 
     def inverse(self) -> Cts2Cts:
         return self

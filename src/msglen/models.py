@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import DomainError, MsglenError, ParameterError, TransformError
 from .functions import FUNCTION_CLASS, IntegerSpace, _real
-from .values import MIN_AOM, CtsDatum, DiscreteDatum, VecDatum, _view, each_value, settle
+from .values import CtsDatum, DiscreteDatum, VecDatum, _aom_as_is, _view, each_value, settle
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
@@ -434,11 +434,6 @@ class VectorModel(Model):
         if all(map(math.isfinite, v)) and _aom_as_is(aom):
             return _view(VecDatum, components=v, aoms=aoms)
         return VecDatum(v, aoms)  # raises the datum's own error
-
-
-def _aom_as_is(aom) -> bool:
-    """Whether a datum would hold aom as it is: a float, finite, at least MIN_AOM."""
-    return type(aom) is float and MIN_AOM <= aom < math.inf
 
 
 class NormalModel(ContinuousModel):

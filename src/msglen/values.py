@@ -54,6 +54,40 @@ __all__ = [
 MIN_AOM = sys.float_info.min
 
 
+def aom_fault(aom: float) -> str | None:
+    """What is wrong with aom as a datum's AoM, as the end of a sentence
+    about it ("must be positive"), or None when it is valid: an AoM is
+    finite and at least ``MIN_AOM``.  ``settled`` states the same rule for
+    a column, and ``_aom_as_is`` for a float that needs no conversion."""
+    if not math.isfinite(aom):
+        return "must be finite"
+    if aom <= 0.0:
+        return "must be positive"
+    if aom < MIN_AOM:
+        return f"must be at least {MIN_AOM!r}"
+    return None
+
+
+def _aom_as_is(aom) -> bool:
+    """Whether a datum would hold aom as it is: a float, finite, at least MIN_AOM."""
+    return type(aom) is float and MIN_AOM <= aom < math.inf
+
+
+def settled(column, aom=None) -> np.ndarray:
+    """One bool per row: whether the column forms settled it, by the rule a
+    dataset validates its rows by.  A row of a tuple column is settled when
+    it is an int; a row of a float column, (N,) or (N, D), when its values
+    are finite and its AoMs (``aom``, when given) pass ``aom_fault``."""
+    if isinstance(column, tuple):
+        if set(map(type, column)) <= {int}:  # one pass in C
+            return np.ones(len(column), dtype=bool)
+        return np.array([isinstance(k, int) for k in column], dtype=bool)
+    ok = np.isfinite(column)
+    if aom is not None:
+        ok &= np.isfinite(aom) & (aom >= MIN_AOM)
+    return ok if ok.ndim == 1 else ok.all(axis=1)
+
+
 def _require_finite(name: str, value: float) -> float:
     """value as a float; anything but a finite real number is invalid."""
     try:
@@ -78,10 +112,8 @@ class CtsDatum:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _require_finite("x", self.x))
         aom = _require_finite("aom", self.aom)
-        if aom <= 0.0:
-            raise InvalidDatumError(f"aom must be positive, got {aom!r}")
-        if aom < MIN_AOM:
-            raise InvalidDatumError(f"aom must be at least {MIN_AOM!r}, got {aom!r}")
+        if fault := aom_fault(aom):
+            raise InvalidDatumError(f"aom {fault}, got {aom!r}")
         object.__setattr__(self, "aom", aom)
 
 
@@ -101,10 +133,8 @@ class VecDatum:
             raise InvalidDatumError(
                 f"{len(comps)} components but {len(aoms)} aoms"
             )
-        if any(a <= 0.0 for a in aoms):
-            raise InvalidDatumError("every aom must be positive")
-        if min(aoms) < MIN_AOM:
-            raise InvalidDatumError(f"every aom must be at least {MIN_AOM!r}")
+        if fault := aom_fault(min(aoms)):
+            raise InvalidDatumError(f"every aom {fault}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "aoms", aoms)
 
@@ -187,16 +217,12 @@ class DataSet:
     def continuous(cls, x, aom, schema=None) -> "DataSet":
         """A dataset of the columns ``x`` and ``aom``: (N,) for scalar data,
         (N, D) for D-vectors.  Both are copied."""
-        ds = cls._of_columns(schema)
-        ds._set_continuous(x, aom)
-        return ds
+        return cls._of_columns(schema)._set_continuous(x, aom)
 
     @classmethod
     def discrete(cls, values, schema=None) -> "DataSet":
         """A dataset of the integer column ``values``."""
-        ds = cls._of_columns(schema)
-        ds._set_discrete(tuple(values))
-        return ds
+        return cls._of_columns(schema)._set_discrete(values)
 
     @classmethod
     def _of_columns(cls, schema) -> "DataSet":
@@ -205,13 +231,20 @@ class DataSet:
         ds._items = None
         return ds
 
-    def _set_empty(self) -> None:
-        self.kind, self.x, self.aom, self.values = "empty", None, None, None
+    # The setters hold columns once settle accepts every row, answering a
+    # row it refuses by reference(i), by default the row's own datum (which
+    # raises that row's error); each returns the dataset.
 
-    def _set_continuous(self, x, aom) -> None:
+    def _set_empty(self) -> "DataSet":
+        self.kind, self.x, self.aom, self.values = "empty", None, None, None
+        return self
+
+    def _set_continuous(self, x, aom, reference=None) -> "DataSet":
+        # A caller's columns are copied, as it may change them; a map's own are not.
+        copy = True if reference is None else None
         try:
-            x = np.array(x, dtype=np.float64)
-            aom = np.array(aom, dtype=np.float64)
+            x = np.array(x, dtype=np.float64, copy=copy)
+            aom = np.array(aom, dtype=np.float64, copy=copy)
         except (TypeError, ValueError, OverflowError):
             raise InvalidDatumError("continuous columns must hold real numbers") from None
         if x.shape != aom.shape or x.ndim not in (1, 2):
@@ -224,29 +257,19 @@ class DataSet:
         if x.ndim == 2 and x.shape[1] < 1:
             raise InvalidDatumError("a vector datum needs at least one component")
         cls = CtsDatum if x.ndim == 1 else VecDatum
-
-        def datum(i: int) -> tuple:
-            # The row's own datum says what is wrong with it.
-            try:
-                return astuple(cls(x[i].tolist(), aom[i].tolist()))
-            except InvalidDatumError as e:
-                raise _at_index(e, i) from e
-
-        x, aom = settle((x, aom), datum)
+        x, aom = settle((x, aom), reference or (lambda i: _own_datum(cls, i, x, aom)))
         x.flags.writeable = aom.flags.writeable = False
         self.kind = "cts" if x.ndim == 1 else "vec"
         self.x, self.aom, self.values = x, aom, None
+        return self
 
-    def _set_discrete(self, values: tuple) -> None:
+    def _set_discrete(self, values, reference=None) -> "DataSet":
+        values = tuple(values)
         if not values:
             return self._set_empty()
-        for i, v in enumerate(values):
-            if not isinstance(v, int):
-                try:
-                    DiscreteDatum(v)
-                except InvalidDatumError as e:
-                    raise _at_index(e, i) from e
+        (values,) = settle((values,), reference or (lambda i: _own_datum(DiscreteDatum, i, values)))
         self.kind, self.x, self.aom, self.values = "discrete", None, None, values
+        return self
 
     @property
     def dim(self) -> int:
@@ -314,18 +337,15 @@ def _at_index(e: MsglenError, i: int) -> MsglenError:
     return err
 
 
-def settled(column, aom=None) -> np.ndarray:
-    """One bool per row: whether the column forms settled it.  A row of a
-    tuple column is settled when it is not None; a row of a float column,
-    (N,) or (N, D), when its values are finite and its AoMs (``aom``, when
-    given) finite and at least ``MIN_AOM``, the rule a dataset validates
-    its rows by."""
-    if isinstance(column, tuple):
-        return np.array([k is not None for k in column], dtype=bool)
-    ok = np.isfinite(column)
-    if aom is not None:
-        ok &= np.isfinite(aom) & (aom >= MIN_AOM)
-    return ok if ok.ndim == 1 else ok.all(axis=1)
+def _own_datum(cls, i: int, *columns) -> tuple:
+    """Row i's own datum of cls, as its entries of a dataset's columns: the
+    reference that settles them.  A row no datum holds raises that datum's
+    error, naming index i."""
+    row = (c[i] if isinstance(c, tuple) else c[i].tolist() for c in columns)
+    try:
+        return astuple(cls(*row))
+    except InvalidDatumError as e:
+        raise _at_index(e, i) from e
 
 
 def settle(columns: tuple, reference) -> tuple:
@@ -417,8 +437,8 @@ def _parse_int(text: str, rownum: int, colname: str) -> int:
 
 def _parse_aom(text: str, rownum: int, colname: str) -> float:
     a = _parse_float(text, rownum, colname)
-    if a <= 0:
-        raise CsvError(f"row {rownum}: AoM in column {colname!r} must be positive", row=rownum)
+    if fault := aom_fault(a):
+        raise CsvError(f"row {rownum}: AoM in column {colname!r} {fault}", row=rownum)
     return a
 
 
@@ -489,10 +509,8 @@ def _open_csv(source, schema) -> tuple[tuple, dict | None, str | None]:
     for s in specs:
         if s.aom_col is not None and s.aom_const is not None:
             raise SchemaError(f"column {s.name!r}: give an AoM column or a constant, not both")
-        if s.aom_const is not None and not (
-            math.isfinite(s.aom_const) and s.aom_const > 0
-        ):
-            raise SchemaError(f"column {s.name!r}: constant AoM must be positive")
+        if s.aom_const is not None and (fault := aom_fault(s.aom_const)):
+            raise SchemaError(f"column {s.name!r}: constant AoM {fault}")
 
     lines = io.StringIO(source if isinstance(source, str) else source.read())
     header = read_header(lines)
@@ -516,8 +534,8 @@ def _loaded_columns(specs, index, text) -> dict | None:
     the same empty lines; numpy raises on a whitespace-only line, which csv
     skips.  (csv before Python 3.11 refuses any NUL, where numpy reads it as
     a character.)  Any cell numpy cannot parse makes it raise, and a cell csv
-    would reject as a value (not finite, or an AoM not positive) fails the
-    checks after it.
+    would reject as a value (not finite, or an AoM that ``aom_fault``
+    refuses) fails ``settled`` after it.
     """
     if text is None or specs[0].kind != "cts":
         return None
@@ -525,8 +543,7 @@ def _loaded_columns(specs, index, text) -> dict | None:
         return None
     if _has_long_line(text, csv.field_size_limit()):
         return None
-    aom_names = {s.aom_col for s in specs} - {None}
-    names = {s.name for s in specs} | aom_names
+    names = {name for s in specs for name in (s.name, s.aom_col) if name is not None}
     usecols = sorted({index[name] for name in names})
     try:
         with warnings.catch_warnings():
@@ -538,7 +555,7 @@ def _loaded_columns(specs, index, text) -> dict | None:
     except Exception:  # the per-cell reader says what is wrong
         return None
     columns = {name: table[:, usecols.index(index[name])] for name in names}
-    if not np.isfinite(table).all() or any((columns[a] <= 0).any() for a in aom_names):
+    if not all(settled(columns[s.name], columns.get(s.aom_col)).all() for s in specs):
         return None
     return columns
 
@@ -600,9 +617,10 @@ def _continuous(specs, column) -> DataSet:
             aoms.append(column(s.aom_col, _parse_aom))
         else:
             aom = s.aom_const if s.aom_const is not None else infer_default_aom(xs[-1])
-            if math.isinf(aom):
+            if aom_fault(aom):  # an inferred AoM; _open_csv checked the constant
+                apart = "far apart" if math.isinf(aom) else "close together"
                 raise SchemaError(
-                    f"column {s.name!r}: its values are too far apart to infer an AoM; "
+                    f"column {s.name!r}: its values are too {apart} to infer an AoM; "
                     "give one with --aom-col or --aom-const"
                 )
             aoms.append(np.full(len(xs[-1]), aom))
@@ -627,8 +645,9 @@ def map_items(fn, ds: DataSet, rows=None) -> list:
 def map_dataset(ds: DataSet, f) -> DataSet:
     """Apply a function object to every row, AoMs included, by its column
     map (``f.map_col``).  The rows the column map leaves unsettled, and
-    only those, are mapped by ``f.apply``, the per-datum reference
-    (``settle``); every other row keeps its column answer.
+    only those, are mapped by ``f.apply``, the per-datum reference, in the
+    one ``settle`` of the mapped dataset's build; every other row keeps its
+    column answer.
 
     The function's data kind must match the dataset's.  An element outside
     the function's domain raises a DomainError, one where it collapses
@@ -643,7 +662,7 @@ def map_dataset(ds: DataSet, f) -> DataSet:
         raise TransformError(f"cannot map a {ds.kind} dataset with {type(f).__name__}")
     with np.errstate(all="ignore"):
         columns = f.map_col(*ds.columns)
+    out = DataSet._of_columns(ds.schema)
+    build = out._set_discrete if ds.kind == "discrete" else out._set_continuous
     # A row's mapped datum gives its entries of the columns (x and aom, or value).
-    columns = settle(columns, lambda i: astuple(*map_items(f.apply, ds, [i])))
-    build = DataSet.discrete if ds.kind == "discrete" else DataSet.continuous
-    return build(*columns, ds.schema)
+    return build(*columns, reference=lambda i: astuple(*map_items(f.apply, ds, [i])))

@@ -27,7 +27,7 @@ from msglen.models import (
     TransformedContinuousFamily,
     UPModel,
 )
-from msglen.values import ColumnSpec, dataset_from_csv
+from msglen.values import ColumnSpec, DataSet, dataset_from_csv
 
 
 def run(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -97,6 +97,10 @@ class TestModelExpr:
             parse_model_expr(expr)
         code, _, err = run(["fit", expr, "-"], capsys)
         assert code == 1 and "integer" in err
+
+    def test_rotate_takes_one_argument(self):
+        with pytest.raises(ModelExprError, match=r"rotate takes \(k\)"):
+            parse_model_expr("multistate:0:3.transform(rotate(1,2))")
 
     @pytest.mark.parametrize(
         "template, column",
@@ -1036,6 +1040,64 @@ class TestSubnormalAom:
         assert err == (
             "error: index 0: log shrinks the AoM at 1e+308 to 1e-310, below the normal floats\n"
         )
+
+
+class TestAomDoors:
+    """Each CSV door refuses an AoM by the dataset's own rule, as a one-line
+    error that names the column, never a dataset index."""
+
+    @pytest.mark.parametrize(
+        "stdin, flags, message",
+        [
+            (
+                "x,err\n1,0.1\n2,1e-310\n",
+                ["--aom-col", "err"],
+                "row 2: AoM in column 'err' must be at least 2.2250738585072014e-308",
+            ),
+            (
+                "x\n1\n2\n",
+                ["--aom-const", "1e-310"],
+                "column 'x': constant AoM must be at least 2.2250738585072014e-308",
+            ),
+            ("x\n1\n2\n", ["--aom-const", "inf"], "column 'x': constant AoM must be finite"),
+            (
+                "x\n5e-324\n1e-323\n",
+                [],
+                "column 'x': its values are too close together to infer an AoM; "
+                "give one with --aom-col or --aom-const",
+            ),
+        ],
+        ids=["cell", "constant", "infinite-constant", "inferred"],
+    )
+    def test_fit_exits_2_with_one_line(self, stdin, flags, message, capsys, monkeypatch):
+        code, out, err = run(["fit", "normal", "-", *flags], capsys, stdin, monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_vector_column_is_named(self, capsys, monkeypatch):
+        code, out, err = run(
+            ["fit", "rd:normal^2", "-"], capsys, "x1,x2\n1,5e-324\n2,1e-323\n", monkeypatch
+        )
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert err.startswith("error: column 'x2': its values are too close together")
+
+
+class TestRowErrorsCarryTheirIndex:
+    def test_a_row_that_costs_inf_is_named_by_index(self):
+        model = cli._require_model(parse_model_expr("multistate:0:2(0.5,0.5,0)"))
+        with pytest.raises(DomainError) as err:
+            cli._real_costs(model, DataSet.discrete((0, 2, 1)), "scored")
+        assert err.value.index == 1
+        assert str(err.value) == "index 1: multistate:0:2 scored a row that costs inf nits"
+
+    def test_a_failed_column_draw_is_reported_when_no_single_draw_fails(
+        self, capsys, monkeypatch
+    ):
+        def failing(self, rng, n):
+            raise DomainError("the column draw failed")
+
+        monkeypatch.setattr(models.NormalModel, "random_col", failing)
+        code, out, err = run(["sample", "normal(0,1)", "5", "--seed", "0"], capsys)
+        assert (code, out, err) == (2, "", "error: the column draw failed\n")
 
 
 class TestBranches:

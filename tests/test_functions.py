@@ -329,6 +329,12 @@ class TestApplyVector:
         with pytest.raises(DomainError):
             cartesian2polar.apply(VecDatum((0.0, 0.0), (0.1, 0.1)))
 
+    def test_cartesian2polar_refuses_the_origin_per_value(self):
+        with pytest.raises(DomainError, match="singular at the origin"):
+            cartesian2polar.jacobian_rows((0.0, 0.0))
+        with pytest.raises(DegenerateTransformError, match="singular at the origin"):
+            cartesian2polar.nl_jacobian_det((0.0, 0.0))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             polar2cartesian.apply(VecDatum((1.0,), (0.1,)))

@@ -588,6 +588,12 @@ class TestProducts:
         with pytest.raises(ParameterError, match="continuous"):
             independent_rd([multistate(0, 1)])
 
+    def test_a_value_outside_a_component_support_is_outside_the_product(self):
+        m = IndependentProductModel([NormalModel(0, 1), NormalModel(0, 1)])
+        assert not m.contains((math.inf, 0.0))
+        with pytest.raises(DomainError, match="outside the support of rd:normal"):
+            m.pdf((math.inf, 0.0))
+
 
 class TestMultiStateModelChecks:
     def test_probabilities_must_be_iterable(self):

@@ -120,6 +120,121 @@ class TestSubnormalAom:
         )
 
 
+class TestOneAomRule:
+    """Every door that admits an AoM asks ``values.aom_fault``, so the CSV
+    reader never yields an AoM that the dataset's own check refuses, and
+    each door's error names the row or column it read."""
+
+    @pytest.mark.parametrize(
+        "aom, fault",
+        [
+            (0.1, None),
+            (MIN_AOM, None),
+            (1e-310, "must be at least 2.2250738585072014e-308"),
+            (0.0, "must be positive"),
+            (-1.0, "must be positive"),
+            (math.inf, "must be finite"),
+            (math.nan, "must be finite"),
+        ],
+    )
+    def test_the_rule_and_its_column_form_agree(self, aom, fault):
+        assert values.aom_fault(aom) == fault
+        assert settled(np.ones(1), np.array([aom])).tolist() == [fault is None]
+
+    @pytest.mark.parametrize("read", [dataset_from_csv, values._dataset_by_cells])
+    def test_a_subnormal_aom_cell_names_its_row_and_column(self, read):
+        with pytest.raises(CsvError) as err:
+            read("x,err\n1,0.1\n2,1e-310\n", [ColumnSpec("x", aom_col="err")])
+        assert err.value.row == 2
+        assert str(err.value) == (
+            "row 2: AoM in column 'err' must be at least 2.2250738585072014e-308"
+        )
+
+    @pytest.mark.parametrize(
+        "aom, fault",
+        [
+            (1e-310, "must be at least 2.2250738585072014e-308"),
+            (math.inf, "must be finite"),
+            (-1.0, "must be positive"),
+        ],
+    )
+    def test_a_constant_aom_names_its_column(self, aom, fault):
+        with pytest.raises(SchemaError) as err:
+            dataset_from_csv("x\n1\n2\n", [ColumnSpec("x", aom_const=aom)])
+        assert str(err.value) == f"column 'x': constant AoM {fault}"
+
+    @pytest.mark.parametrize(
+        "text, schema, column",
+        [
+            ("x\n5e-324\n1e-323\n", [ColumnSpec("x")], "x"),
+            ("x1,x2\n1,5e-324\n2,1e-323\n", [ColumnSpec("x1"), ColumnSpec("x2")], "x2"),
+        ],
+        ids=["scalar", "vector"],
+    )
+    def test_an_inferred_aom_below_the_normal_floats_names_its_column(
+        self, text, schema, column
+    ):
+        with pytest.raises(SchemaError) as err:
+            dataset_from_csv(text, schema)
+        assert str(err.value) == (
+            f"column {column!r}: its values are too close together to infer an AoM; "
+            "give one with --aom-col or --aom-const"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), min_size=1),
+        st.booleans(),
+    )
+    @example([(5e-324, 0.1), (1e-323, 0.1)], False)
+    @example([(1.0, 0.1), (2.0, 1e-310)], True)
+    def test_a_read_is_a_dataset_or_a_reader_error(self, rows, aom_col):
+        text = "x,e\n" + "".join(f"{x!r},{e!r}\n" for x, e in rows)
+        schema = [ColumnSpec("x", aom_col="e" if aom_col else None)]
+        try:
+            ds = dataset_from_csv(text, schema)
+        except (CsvError, SchemaError):
+            return
+        assert len(ds) == len(rows)
+
+
+class TestOneCheckPerBuild:
+    """Each build checks its rows once, through ``settle``: discrete
+    columns as continuous ones, and a mapped dataset as a read one."""
+
+    @pytest.mark.parametrize(
+        "ds, f",
+        [
+            (DataSet.continuous([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]), log),
+            (DataSet.discrete((0, 2, 3)), ReversePermutation(0, 3)),
+        ],
+        ids=["cts", "discrete"],
+    )
+    def test_map_dataset_checks_its_answer_once(self, ds, f, monkeypatch):
+        calls = []
+
+        def counted(*columns):
+            calls.append(columns)
+            return settled(*columns)
+
+        monkeypatch.setattr(values, "settled", counted)
+        out = map_dataset(ds, f)
+        assert len(calls) == 1
+        assert list(out) == [f.apply(d) for d in ds]
+
+    def test_a_discrete_build_checks_through_the_join(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(values, "settled", lambda *c: calls.append(c) or settled(*c))
+        assert DataSet.discrete(range(5)).values == (0, 1, 2, 3, 4)
+        assert len(calls) == 1
+
+    def test_a_tuple_row_is_settled_when_it_is_an_int(self):
+        assert settled((1, 2, 3)).tolist() == [True, True, True]
+        assert settled((1, None, 2.5, True, np.int64(3))).tolist() == [
+            True, False, False, True, False,
+        ]
+
+
 class TestDataSet:
     def test_homogeneity(self):
         with pytest.raises(InvalidDatumError):
@@ -128,6 +243,11 @@ class TestDataSet:
     def test_vector_dims_must_agree(self):
         with pytest.raises(InvalidDatumError):
             DataSet((VecDatum((1.0,), (0.1,)), VecDatum((1.0, 2.0), (0.1, 0.1))))
+
+    def test_repr_and_empty_iteration(self):
+        assert repr(DataSet.continuous([1.0, 2.0], [0.1, 0.1])) == "<DataSet cts, 2 rows>"
+        assert repr(DataSet()) == "<DataSet empty, 0 rows>"
+        assert list(DataSet()) == []
 
     def test_kind(self):
         assert DataSet(()).kind == "empty"
