@@ -9,9 +9,11 @@ The pieces:
   and composition; the machinery that makes transforms well behaved.
 * ``models``: the two-stage model hierarchy (families and parameterised
   models) and capability-preserving transforms, e.g.
-  ``normal.transform(log)`` is the log-normal family.
-* ``estimation``: estimators producing fits with msg1 (model statement)
-  and msg2 (data given model) in nits.
+  ``normal.transform(log)`` is the log-normal family.  Each family fits
+  itself through one hook, ``_model``.
+* ``estimation``: the one ``Estimator``, which wraps a family's hook and
+  scores its fits with msg1 (model statement) and msg2 (data given model)
+  in nits.
 * ``cli``: ``msglen fit | eval | sample | check`` on CSV data.
 """
 
@@ -28,10 +30,7 @@ from .errors import (
     SchemaError,
     TransformError,
 )
-from .estimation import (
-    FitResult,
-    NormalPriors,
-)
+from .estimation import FitResult
 from .functions import (
     Componentwise,
     ComponentPermutation,
@@ -48,6 +47,7 @@ from .functions import (
 )
 from .models import (
     DEFAULT_SAMPLE_AOM,
+    NormalPriors,
     bounded_uniform,
     independent_rd,
     multistate,

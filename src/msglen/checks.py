@@ -17,7 +17,6 @@ import numpy as np
 
 from . import functions as fn
 from . import models
-from .estimation import NormalPriors
 from .values import CtsDatum, DataSet, DiscreteDatum, VecDatum, map_dataset
 
 __all__ = ["CheckResult", "SUITES"]
@@ -65,7 +64,7 @@ def _random_normal_dataset(rng, n: int, mean: float, sd: float) -> DataSet:
 def _plain_and_mapped_fits(rng):
     """For each function f, a normal fit to random data and a fit of the
     f-transformed normal to the same data mapped through f's inverse."""
-    ps = NormalPriors(mu_range=1e4, sigma_bounds=(1e-9, 1e6))
+    ps = models.NormalPriors(mu_range=1e4, sigma_bounds=(1e-9, 1e6))
     for f, mean, sd in (
         (fn.log, 0.0, 1.0),
         (fn.exp, 6.0, 0.5),  # data kept positive so exp's inverse applies

@@ -571,9 +571,13 @@ class Cartesian2Polar(CtsD2CtsD):
         return ((x / r, y / r), (-y / r2, x / r2))
 
     def nl_jacobian_det(self, v) -> float:
+        # It refuses wherever jacobian_rows does, so a cost and a fit's mapped
+        # AoMs refuse the same rows.
         r = math.hypot(*v)
         if r == 0.0:
             raise DegenerateTransformError("cartesian2polar is singular at the origin")
+        if r * r == 0.0:
+            raise DegenerateTransformError(f"the Jacobian of cartesian2polar overflows at {v}")
         return math.log(r)
 
     def f_col(self, x: np.ndarray) -> np.ndarray:
@@ -591,7 +595,10 @@ class Cartesian2Polar(CtsD2CtsD):
         return np.stack((np.stack((xs / r, ys / r), -1), np.stack((-ys / r2, xs / r2), -1)), axis=1)
 
     def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
-        return np.log(np.hypot(x[:, 0], x[:, 1]))
+        r = np.hypot(x[:, 0], x[:, 1])
+        nl = np.log(r)
+        nl[r * r == 0.0] = math.nan  # a row nl_jacobian_det refuses
+        return nl
 
     def inverse(self) -> CtsD2CtsD:
         return polar2cartesian

@@ -4,7 +4,12 @@ Models come in two stages.  An unparameterised model (a *family*) holds
 the problem-defining parameters, which are given rather than estimated:
 the bounds of a discrete space, the component families of a product.  It
 can be called with statistical parameters to make a parameterised model,
-and it can hand out an estimator that fits those parameters to data.  A
+and it fits those parameters to data through one hook, ``_model(ds,
+given, ps)``: the model that minimises the two-part message of the data
+when ``given`` is None, else the given model restated with its msg1.
+``estimator(ps)`` wraps that hook in ``estimation.Estimator``, which scores
+the model's data by ``data_costs``.  A product fits each component on its
+own column, and a transformed family fits its base to the mapped data.  A
 parameterised model answers ``pr``/``nl_pr`` for data from its space and
 can draw random data.
 
@@ -54,18 +59,23 @@ import math
 import reprlib
 from array import array
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import accumulate, islice
 
 import numpy as np
 
-from .errors import DomainError, MsglenError, ParameterError, TransformError
+from .errors import DomainError, EstimationError, MsglenError, ParameterError, TransformError
 from .functions import FUNCTION_CLASS, IntegerSpace, _real
-from .values import CtsDatum, DiscreteDatum, VecDatum, _aom_as_is, _view, each_value, settle
+from .values import CtsDatum, DataSet, DiscreteDatum, VecDatum, _aom_as_is, _at_index, _view
+from .values import each_value, map_dataset, settle
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
     "MAX_STATES",
     "MAX_DIM",
+    "KAPPA_2",
+    "MULTISTATE_LATTICE_CONSTANT",
+    "NormalPriors",
     "UPModel",
     "Model",
     "DiscreteFamily",
@@ -99,6 +109,13 @@ MAX_STATES = 10**6
 # component and a data column per dimension, so a larger one is rejected
 # before its components are built.
 MAX_DIM = 10**6
+
+# Optimal two-dimensional quantising lattice constant, 5 / (36 sqrt 3).
+KAPPA_2 = 5.0 / (36.0 * math.sqrt(3.0))
+
+# The multistate statement cost is ((k-1)/2) ln(N / MULTISTATE_LATTICE_CONSTANT)
+# plus the log volume ln(sqrt(k) / (k-1)!) of the probability simplex.
+MULTISTATE_LATTICE_CONSTANT = 12.0
 
 
 # What fixes each kind's data space besides the kind itself; a transforming
@@ -142,6 +159,16 @@ class UPModel:
         return self.parameterise(sp)
 
     def estimator(self, ps=None):
+        """The family's estimator: it fits and scores data by ``_model``."""
+        from .estimation import Estimator
+
+        return Estimator(self, ps)
+
+    def _model(self, ds: DataSet, given: "Model | None", ps) -> "Model":
+        """The model of ``ds``, a non-empty dataset of the family's kind: the
+        one that minimises the message when ``given`` is None, else the
+        given model (which ``parameterise`` built) restated with its msg1.
+        ``ps`` holds the estimator's parameters, None for the defaults."""
         raise NotImplementedError
 
     def transform(self, f) -> "UPModel":
@@ -172,8 +199,43 @@ class VectorFamily(UPModel):
     dim = 0
 
 
+@dataclass(frozen=True)
+class NormalPriors:
+    """Prior choices for the Normal estimator.
+
+    ``mu_range`` is the width of the uniform prior on the mean;
+    ``sigma_bounds`` bound the 1/sigma prior on the scale.  Either may be
+    None, in which case it is derived from the data: the mean range is the
+    data range widened by 10 percent and the sigma bounds run from a tenth
+    of the smallest AoM to ten times the data range.
+    """
+
+    mu_range: float | None = None
+    sigma_bounds: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.mu_range is not None and _real("mu_range", self.mu_range) <= 0:
+            raise ParameterError("mu_range must be positive")
+        if self.sigma_bounds is not None:
+            try:
+                lo, hi = (_real("sigma_bounds", b) for b in self.sigma_bounds)
+            except (TypeError, ValueError):
+                raise ParameterError("sigma_bounds takes two numbers (lo, hi)") from None
+            if not (0 < lo < hi):
+                raise ParameterError("sigma_bounds must satisfy 0 < lo < hi")
+
+
 class NormalFamily(ContinuousFamily):
-    """The Gaussian family; its problem-defining parameters are trivial."""
+    """The Gaussian family; its problem-defining parameters are trivial.
+
+    The fit follows the standard Wallace-Freeman construction: the
+    parameter statement cost is the negative log prior density plus half
+    the log determinant of the Fisher information, plus a quantisation term
+    from the two-dimensional lattice constant.  With a flat prior on the
+    mean and a 1/sigma prior on the scale, the minimising parameters are
+    the sample mean and the (N-1)-denominator standard deviation.  ``ps``
+    is a NormalPriors; None resolves every prior from the data.
+    """
 
     name = "normal"
 
@@ -184,10 +246,39 @@ class NormalFamily(ContinuousFamily):
             raise ParameterError(f"normal takes (mean, sd), got {reprlib.repr(sp)}") from None
         return NormalModel(mu, sigma)
 
-    def estimator(self, ps=None):
-        from .estimation import NormalEstimator
-
-        return NormalEstimator(self, ps)
+    def _model(self, ds: DataSet, given: "NormalModel | None", ps) -> "NormalModel":
+        ps = ps or NormalPriors()
+        xs, aoms = ds.x, ds.aom
+        n = len(xs)
+        span = float(xs.max()) - float(xs.min())
+        min_aom = float(aoms.min())
+        mu_range = ps.mu_range
+        if mu_range is None:
+            # Degenerate data has no range; fall back to the AoM scale.
+            mu_range = max(1.1 * span, min_aom)
+        if ps.sigma_bounds is not None:
+            s_lo, s_hi = ps.sigma_bounds
+        else:
+            s_lo = min_aom / 10.0
+            s_hi = 10.0 * max(span, min_aom)
+        if given is None:
+            # fsum over Python floats: exact sums, so the fit does not depend
+            # on the order numpy would add in.
+            mean = math.fsum(xs.tolist()) / n
+            # As Python's ** does, a deviation whose square overflows raises.
+            with np.errstate(over="raise"):
+                ss = math.fsum(np.square(xs - mean).tolist())
+            sd = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
+            # The AoM bounds the resolution of the data; an estimated sd below
+            # the quantisation noise of the measurements is not supportable.
+            sd = max(sd, (math.fsum(aoms.tolist()) / n) / math.sqrt(12.0))
+            sd = min(max(sd, s_lo), s_hi)
+        else:
+            mean, sd = given.mean, given.sd
+        neg_log_prior = math.log(mu_range) + math.log(sd) + math.log(math.log(s_hi / s_lo))
+        half_log_fisher = 0.5 * math.log(2.0) + math.log(n) - 2.0 * math.log(sd)
+        msg1 = max(0.0, neg_log_prior + half_log_fisher + 1.0 + math.log(KAPPA_2))
+        return NormalModel(mean, sd, msg1=msg1)
 
 
 class BoundedUniformFamily(DiscreteFamily):
@@ -202,10 +293,9 @@ class BoundedUniformFamily(DiscreteFamily):
             raise ParameterError("the bounded uniform has no statistical parameters")
         return BoundedUniformModel(self.lo, self.hi)
 
-    def estimator(self, ps=None):
-        from .estimation import BoundedUniformEstimator
-
-        return BoundedUniformEstimator(self, ps)
+    def _model(self, ds: DataSet, given, ps) -> "BoundedUniformModel":
+        # Nothing to estimate: the statistical parameters are trivial.
+        return BoundedUniformModel(self.lo, self.hi)
 
 
 class MultiStateFamily(DiscreteFamily):
@@ -222,10 +312,22 @@ class MultiStateFamily(DiscreteFamily):
     def parameterise(self, sp) -> "MultiStateModel":
         return MultiStateModel(self.lo, self.hi, sp)
 
-    def estimator(self, ps=None):
-        from .estimation import MultiStateEstimator
-
-        return MultiStateEstimator(self, ps)
+    def _model(self, ds: DataSet, given: "MultiStateModel | None", ps) -> "MultiStateModel":
+        lo, hi, k = self.lo, self.hi, self.size
+        n = len(ds)
+        if given is None:
+            counts = [0] * k
+            for i, v in enumerate(ds.values):
+                if not lo <= v <= hi:
+                    raise _at_index(DomainError(f"{v} is outside the data space [{lo}, {hi}]"), i)
+                counts[v - lo] += 1
+            probs = [(c + 0.5) / (n + 0.5 * k) for c in counts]
+        else:
+            probs = given.probs
+        # In log space: (k-1)! overflows a float past k = 171.
+        log_volume = 0.5 * math.log(k) - math.lgamma(k)
+        cost = 0.5 * (k - 1) * math.log(n / MULTISTATE_LATTICE_CONSTANT) + log_volume
+        return MultiStateModel(lo, hi, probs, msg1=max(0.0, cost))
 
 
 def _product_name(components) -> str:
@@ -237,7 +339,13 @@ def _product_name(components) -> str:
 
 
 class IndependentProductFamily(VectorFamily):
-    """Independent continuous components; the pdf is the product of the parts."""
+    """Independent continuous components; the pdf is the product of the parts.
+
+    A fit fits each component to its own column of the data.  The columns
+    are independent, so the product's msg1 is the sum of its components'
+    msg1s, and its cost column the sum of their columns.  ``ps`` is None or
+    one estimator parameter group per component.
+    """
 
     def __init__(self, components):
         # At most one component past the limit is taken from the iterable.
@@ -264,10 +372,33 @@ class IndependentProductFamily(VectorFamily):
         parts = tuple(c.parameterise(s) for c, s in zip(self.components, sp))
         return IndependentProductModel(parts)
 
-    def estimator(self, ps=None):
-        from .estimation import IndependentProductEstimator
+    def _component_ps(self, ps) -> tuple:
+        ps = (None,) * self.dim if ps is None else tuple(ps)
+        if len(ps) != self.dim:
+            raise EstimationError(f"{self.name} takes {self.dim} estimator parameter groups")
+        return ps
 
-        return IndependentProductEstimator(self, ps)
+    def estimator(self, ps=None):
+        # A wrong number of groups is refused here, not at the first fit.
+        self._component_ps(ps)
+        return super().estimator(ps)
+
+    def _model(
+        self, ds: DataSet, given: "IndependentProductModel | None", ps
+    ) -> "IndependentProductModel":
+        dim = self.dim
+        if ds.dim != dim:
+            raise EstimationError(f"{self.name} needs {dim}-vectors, got {ds.dim}")
+        parts_given = (None,) * dim if given is None else given.components
+        parts = [
+            c._model(DataSet.continuous(ds.x[:, j], ds.aom[:, j]), g, p)
+            for j, (c, g, p) in enumerate(zip(self.components, parts_given, self._component_ps(ps)))
+        ]
+        # Left to right: sum() of floats compensates from Python 3.12 on.
+        msg1 = 0.0
+        for part in parts:
+            msg1 += part.msg1
+        return IndependentProductModel(parts, msg1)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +691,15 @@ class IndependentProductModel(VectorModel):
 
 
 class _TransformedFamily(UPModel):
-    """A family whose models are the base family's models transformed by f."""
+    """A family whose models are the base family's models transformed by f.
+
+    A fit maps the data through f, AoMs included, fits the base family to
+    the mapped data and transforms the fitted model.  The base fit reads
+    the mapped AoMs for its priors and its sd floor.  Mapping by an
+    invertible function leaves the information content of the data
+    unchanged, so msg1 is the base fit's, and msg2 the base model's cost of
+    the mapped data, up to rounding.
+    """
 
     def __init__(self, base: UPModel, f):
         self.base = base
@@ -573,9 +712,13 @@ class _TransformedFamily(UPModel):
         return self.base.parameterise(sp).transform(self.f)
 
     def estimator(self, ps=None):
-        from .estimation import TransformedEstimator
+        # The base refuses its own parameters here, not at the first fit.
+        self.base.estimator(ps)
+        return super().estimator(ps)
 
-        return TransformedEstimator(self, ps)
+    def _model(self, ds: DataSet, given: "Model | None", ps) -> "Model":
+        base_given = None if given is None else given.base
+        return self.base._model(map_dataset(ds, self.f), base_given, ps).transform(self.f)
 
 
 class TransformedContinuousFamily(_TransformedFamily, ContinuousFamily):

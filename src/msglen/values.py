@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import reprlib
 import sys
 import warnings
@@ -175,6 +176,17 @@ class ColumnSpec:
     aom_const: float | None = None
     lo: int | None = None
     hi: int | None = None
+
+
+# What each ColumnSpec field may hold, as ``_open_csv`` checks it.
+_SPEC_FIELDS = {
+    "name": (str, "a string"),
+    "kind": (str, "a string"),
+    "aom_col": ((str, type(None)), "a string or None"),
+    "aom_const": ((numbers.Real, type(None)), "a number or None"),
+    "lo": ((numbers.Integral, type(None)), "an integer or None"),
+    "hi": ((numbers.Integral, type(None)), "an integer or None"),
+}
 
 
 class DataSet:
@@ -499,6 +511,10 @@ def _open_csv(source, schema) -> tuple[tuple, dict | None, str | None]:
     specs = tuple(schema)
     if not specs:
         raise SchemaError("schema must name at least one column")
+    for s in specs:
+        for field, (types, what) in _SPEC_FIELDS.items():
+            if not isinstance(value := getattr(s, field), types):
+                raise SchemaError(f"column {s.name!r}: {field} must be {what}, got {value!r}")
     kinds = {s.kind for s in specs}
     if not kinds <= {"cts", "discrete"}:
         raise SchemaError(f"unknown column kind in {sorted(kinds)}")

@@ -1042,6 +1042,42 @@ class TestSubnormalAom:
         )
 
 
+class TestEvalAndFitRefuseTheSameRows:
+    """A map's Jacobian term refuses wherever its Jacobian does, so eval of a
+    model and fit of its family refuse the same edge rows.  The one
+    exception is a row whose mapped AoM leaves the normal floats: no mapped
+    AoM enters a cost, so eval scores it, and fit refuses it."""
+
+    ARGS = ["-", "--aom-const", "0.1"]
+
+    # (family, parameters, transform, CSV text)
+    @pytest.mark.parametrize(
+        "family, params, transform, text",
+        [
+            ("normal", "(0,1)", ".transform(exp)", "x\n1000\n"),
+            ("normal", "(0,1)", ".transform(exp)", "x\n-800\n"),
+            ("normal", "(0,1)", ".transform(inv)", "x\n1e-200\n"),
+            ("normal", "(0,1)", ".transform(inv)", "x\n0\n"),
+            ("normal", "(0,1)", ".transform(log)", "x\n-1\n"),
+            ("rd:normal^2", "(0,1;0,1)", ".transform(cartesian2polar)", "x1,x2\n0,0\n"),
+            ("rd:normal^2", "(0,1;0,1)", ".transform(cartesian2polar)", "x1,x2\n1e-200,0\n"),
+            ("rd:normal^2", "(0,1;0,1)", ".transform(polar2cartesian)", "x1,x2\n-1,1\n"),
+        ],
+    )
+    def test_both_exit_2(self, family, params, transform, text, capsys, monkeypatch):
+        for argv in (["eval", family + params + transform], ["fit", family + transform]):
+            code, out, err = run([*argv, *self.ARGS], capsys, text, monkeypatch)
+            assert (code, out) == (2, ""), argv
+            assert _one_error_line(err) and err.startswith("error: index 0: ")
+
+    def test_an_aom_past_the_normal_floats_is_the_exception(self, capsys, monkeypatch):
+        text, model = "x\n1e308\n", "normal(0,1).transform(log)"
+        code, out, _ = run(["eval", model, *self.ARGS], capsys, text, monkeypatch)
+        assert code == 0 and out
+        code, _, err = run(["fit", "normal.transform(log)", *self.ARGS], capsys, text, monkeypatch)
+        assert code == 2 and "below the normal floats" in err
+
+
 class TestAomDoors:
     """Each CSV door refuses an AoM by the dataset's own rule, as a one-line
     error that names the column, never a dataset index."""

@@ -25,9 +25,17 @@ from msglen import (
     log,
     map_dataset,
 )
+from msglen import estimation
 from msglen.errors import MsglenError
 from msglen.estimation import LN_2, FitResult, data_costs
-from msglen.models import NormalModel, bounded_uniform, independent_rd, multistate, normal
+from msglen.models import (
+    ContinuousFamily,
+    NormalModel,
+    bounded_uniform,
+    independent_rd,
+    multistate,
+    normal,
+)
 
 WIDE = NormalPriors(mu_range=1e4, sigma_bounds=(1e-9, 1e6))
 
@@ -243,6 +251,12 @@ class TestIndependentProductEstimator:
         with pytest.raises(EstimationError):
             independent_rd([normal, normal]).estimator((WIDE,))
 
+    def test_a_transformed_product_refuses_them_at_estimator(self):
+        # A transformed family refuses what its base refuses, at the same call.
+        family = independent_rd([normal, normal]).transform(cartesian2polar)
+        with pytest.raises(EstimationError, match="takes 2 estimator parameter groups"):
+            family.estimator((WIDE,))
+
     def test_transformed_component(self):
         # a log-normal column fits as a normal column of the logs
         rng = np.random.default_rng(8)
@@ -260,6 +274,45 @@ class TestIndependentProductEstimator:
         sp = ((log_normal.base.mean, log_normal.base.sd), (plain_normal.mean, plain_normal.sd))
         msg1, msg2 = family.estimator().message_length(DataSet(tuple(raw)), sp)
         assert (msg1, msg2) == pytest.approx((fit.msg1, fit.msg2), abs=1e-9)
+
+
+class UnitNormalFamily(ContinuousFamily):
+    """Normals of sd 1, defined by parameterise and _model alone."""
+
+    name = "unit-normal"
+
+    def parameterise(self, sp) -> NormalModel:
+        (mean,) = sp
+        return NormalModel(mean, 1.0)
+
+    def _model(self, ds, given, ps) -> NormalModel:
+        mean = math.fsum(ds.x.tolist()) / len(ds) if given is None else given.mean
+        return NormalModel(mean, 1.0, msg1=0.5 * math.log(len(ds)))
+
+
+class TestOneEstimator:
+    """Every family fits through the one Estimator, which asks its _model."""
+
+    def test_estimation_defines_one_estimator_class(self):
+        assert [name for name in estimation.__all__ if name.endswith("Estimator")] == ["Estimator"]
+        for family in (normal, multistate(0, 3), independent_rd([normal]), normal.transform(log)):
+            assert type(family.estimator()) is estimation.Estimator
+
+    def test_a_family_with_only_parameterise_and_model_fits_and_states(self):
+        ds = DataSet.continuous([0.5, 1.5, 4.0], [0.1, 0.1, 0.1])
+        estimator = UnitNormalFamily().estimator()
+        fit = estimator.estimate(ds)
+        assert (fit.model.mean, fit.model.sd) == (2.0, 1.0)
+        assert (fit.msg1, fit.msg2) == (0.5 * math.log(3), data_costs(fit.model, ds)[1])
+        msg1, msg2 = estimator.message_length(ds, (1.0,))
+        assert (msg1, msg2) == (0.5 * math.log(3), data_costs(NormalModel(1.0, 1.0), ds)[1])
+
+    def test_its_transform_fits_through_the_same_hook(self):
+        ds = DataSet.continuous([0.5, 1.5, 4.0], [0.1, 0.1, 0.1])
+        plain = UnitNormalFamily().estimator().estimate(ds)
+        fit = UnitNormalFamily().transform(log).estimator().estimate(map_dataset(ds, exp))
+        assert fit.model.base.mean == plain.model.mean
+        assert fit.msg1 == plain.msg1
 
 
 class TestTransformedEstimator:

@@ -5,6 +5,7 @@ from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from msglen import (
@@ -538,6 +539,43 @@ class TestNormalizeSuite:
             "permuted probabilities sum (reverse[0,3])": True,
             "permuted probabilities sum (rotate(1)[0,3])": True,
         }
+
+
+def _mass_through(f, mu: float, sigma: float) -> float:
+    """The Gauss-Legendre mass of normal(mu, sigma).transform(f), from its
+    own pdf.  The panels are the preimages under f of panels of the base's
+    data space: steps of sigma/2 out to 20 sigma, and log-spaced steps of
+    sqrt(10) from 1e-12 to 100 on either side of 0, so that an inv panel
+    reaches |x| = 1e12.  Each run of edges that f's image holds is one
+    series of panels."""
+    m = normal.transform(f)((mu, sigma))
+    g = f.inverse()
+    logs = [s * 10.0 ** (j / 2) for s in (-1.0, 1.0) for j in range(-24, 5)]
+    steps = [mu + sigma * k / 2 for k in range(-40, 41)]
+    ys = sorted({0.0, *logs, *(y for y in steps if abs(y) >= 1e-12)})
+    runs = [[]]
+    for y in ys:
+        if g.contains(y):
+            runs[-1].append(g(y))
+        else:
+            runs.append([])
+    panels = [checks._gauss_legendre(sorted(run), 24) for run in runs if len(run) > 1]
+    return math.fsum(w * m.pdf(x) for nodes in panels for x, w in nodes)
+
+
+class TestScalarMassOracle:
+    """A scalar transform moves the base's mass on f's image and no more:
+    1 for a map onto the line (or the line less a point), and Phi(mu/sigma)
+    for exp, whose image is the positive half-line."""
+
+    @pytest.mark.parametrize(
+        "f", [identity, log, exp, inv, linear(2.0, 1.0), linear(-0.5, 3.0)], ids=lambda f: f.name
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(mu=st.floats(-3.0, 3.0), sigma=st.floats(0.1, 3.2))
+    def test_mass_is_the_base_mass_on_the_image(self, f, mu, sigma):
+        image_mass = 0.5 * math.erfc(-mu / (sigma * math.sqrt(2.0))) if f is exp else 1.0
+        assert abs(_mass_through(f, mu, sigma) - image_mass) <= 1e-9
 
 
 class TestDataSpaces:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import sys
 import warnings
 
@@ -320,6 +321,21 @@ class TestCsv:
                 "a,k\n1,2\n",
                 [ColumnSpec("a", aom_const=0.1), ColumnSpec("k", kind="discrete")],
             )
+
+    # A field of the wrong type is a SchemaError naming the column and the field.
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            (ColumnSpec("x", aom_const="0.1"), "column 'x': aom_const"),
+            (ColumnSpec("x", aom_col=["e"]), "column 'x': aom_col"),
+            (ColumnSpec(["x"]), "column ['x']: name"),
+            (ColumnSpec("k", kind="discrete", lo="0", hi=3), "column 'k': lo"),
+            (ColumnSpec("k", kind="discrete", lo=0.5, hi=3), "column 'k': lo"),
+        ],
+    )
+    def test_field_of_wrong_type_is_schema_error(self, spec, named):
+        with pytest.raises(SchemaError, match=re.escape(named)):
+            dataset_from_csv("x,e,k\n1,0.1,1\n", [spec])
 
     X = [ColumnSpec("x", aom_const=0.1)]
     X_E = [ColumnSpec("x", aom_col="e")]
