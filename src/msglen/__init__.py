@@ -5,8 +5,8 @@ The pieces:
 
 * ``values``: measured data (nominal value + accuracy of measurement),
   datasets, CSV ingestion, and AoM-propagating dataset mapping.
-* ``functions``: function objects with derivatives, inverses, Jacobians
-  and composition; the machinery that makes transforms well behaved.
+* ``functions``: function objects with derivatives, inverses and
+  Jacobians; the machinery that makes transforms well behaved.
 * ``models``: the two-stage model hierarchy (families and parameterised
   models) and capability-preserving transforms, e.g.
   ``normal.transform(log)`` is the log-normal family.  Each family fits
@@ -37,7 +37,6 @@ from .functions import (
     ReversePermutation,
     Rotation,
     cartesian2polar,
-    compose,
     exp,
     identity,
     inv,
@@ -83,7 +82,6 @@ __all__ = [
     "exp",
     "inv",
     "linear",
-    "compose",
     "polar2cartesian",
     "cartesian2polar",
     "Componentwise",

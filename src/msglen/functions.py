@@ -59,8 +59,6 @@ __all__ = [
     "Function",
     "Cts2Cts",
     "Linear",
-    "Composed",
-    "compose",
     "CtsD2CtsD",
     "Componentwise",
     "ComponentPermutation",
@@ -185,31 +183,6 @@ def _each_contained(owner, fn, column, fill) -> list:
     """each_value of fn over a column, with fill for every value outside
     owner's domain or support (``owner.contains``)."""
     return each_value(lambda v: fn(v) if owner.contains(v) else fill, column, fill)
-
-
-class _PreimageDomain(Domain):
-    """Points of `inner`'s domain whose image lands in `outer`'s domain."""
-
-    __slots__ = ("inner", "outer_domain")
-
-    def __init__(self, inner: "Cts2Cts", outer_domain: Domain):
-        self.inner = inner
-        self.outer_domain = outer_domain
-
-    def contains(self, x: float) -> bool:
-        if not self.inner.domain.contains(x):
-            return False
-        try:
-            return self.outer_domain.contains(self.inner.apply_x(x))
-        except (OverflowError, ValueError):
-            return False
-
-    def sample(self, rng) -> float:
-        for _ in range(200):
-            x = self.inner.domain.sample(rng)
-            if self.contains(x):
-                return x
-        raise DomainError("could not sample the composed domain")
 
 
 class Function:
@@ -389,30 +362,6 @@ class Linear(Cts2Cts):
 
     def inverse(self) -> Cts2Cts:
         return Linear(1.0 / self.a, -self.b / self.a)
-
-
-class Composed(Cts2Cts):
-    """outer after inner, with the chain-rule derivative."""
-
-    def __init__(self, outer: Cts2Cts, inner: Cts2Cts):
-        self.outer = outer
-        self.inner = inner
-        self.name = f"compose({outer.name},{inner.name})"
-        self.domain = _PreimageDomain(inner, outer.domain)
-
-    def apply_x(self, x: float) -> float:
-        return self.outer.apply_x(self.inner.apply_x(x))
-
-    def d_dx(self, x: float) -> float:
-        return self.outer.d_dx(self.inner.apply_x(x)) * self.inner.d_dx(x)
-
-    def inverse(self) -> Cts2Cts:
-        return Composed(self.inner.inverse(), self.outer.inverse())
-
-
-def compose(outer: Cts2Cts, inner: Cts2Cts) -> Cts2Cts:
-    """The function x -> outer(inner(x))."""
-    return Composed(outer, inner)
 
 
 class CtsD2CtsD(Function):

@@ -34,9 +34,11 @@ either way.
 Both stages can be transformed by an invertible function of the matching
 kind, and the transform preserves the capability of what it wraps: a
 transformed continuous family is still a continuous family with a pdf.
-One rule serves every kind, because each function class supplies its
-domain, its map, its -ln |Jacobian| (-ln |f'(x)| for a scalar map, 0 for
-a bijection of integers) and its inverse:
+A chain ``m.transform(f).transform(g)`` is the one composition of maps,
+of every kind: it takes a datum through g, then f.  One rule serves every
+kind, because each function class supplies its domain, its map, its
+-ln |Jacobian| (-ln |f'(x)| for a scalar map, 0 for a bijection of
+integers) and its inverse:
 
     contains_mf(v) = f.contains(v) and contains_m(f(v))
     nl_pdf_mf(v)   = nl_pdf_m(f(v)) + f.nl_jacobian_det(v)
@@ -59,6 +61,7 @@ import math
 import reprlib
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
@@ -159,10 +162,20 @@ class UPModel:
         return self.parameterise(sp)
 
     def estimator(self, ps=None):
-        """The family's estimator: it fits and scores data by ``_model``."""
+        """The family's estimator: it fits and scores data by ``_model``.
+        Parameters the family cannot use are refused here, not at a fit."""
         from .estimation import Estimator
 
+        self._check_ps(ps)
         return Estimator(self, ps)
+
+    def _check_ps(self, ps) -> None:
+        """Refuse estimator parameters that ``_model`` cannot use; a family
+        takes none but None unless it says otherwise."""
+        if ps is not None:
+            raise EstimationError(
+                f"{self.name} takes no estimator parameters, got {reprlib.repr(ps)}"
+            )
 
     def _model(self, ds: DataSet, given: "Model | None", ps) -> "Model":
         """The model of ``ds``, a non-empty dataset of the family's kind: the
@@ -245,6 +258,10 @@ class NormalFamily(ContinuousFamily):
         except (TypeError, ValueError):
             raise ParameterError(f"normal takes (mean, sd), got {reprlib.repr(sp)}") from None
         return NormalModel(mu, sigma)
+
+    def _check_ps(self, ps) -> None:
+        if ps is not None and not isinstance(ps, NormalPriors):
+            raise EstimationError(f"normal takes NormalPriors or None, got {reprlib.repr(ps)}")
 
     def _model(self, ds: DataSet, given: "NormalModel | None", ps) -> "NormalModel":
         ps = ps or NormalPriors()
@@ -373,15 +390,17 @@ class IndependentProductFamily(VectorFamily):
         return IndependentProductModel(parts)
 
     def _component_ps(self, ps) -> tuple:
-        ps = (None,) * self.dim if ps is None else tuple(ps)
-        if len(ps) != self.dim:
-            raise EstimationError(f"{self.name} takes {self.dim} estimator parameter groups")
-        return ps
+        if ps is None:
+            return (None,) * self.dim
+        if not isinstance(ps, Sequence) or len(ps) != self.dim:
+            raise EstimationError(
+                f"{self.name} takes {self.dim} estimator parameter groups, got {reprlib.repr(ps)}"
+            )
+        return tuple(ps)
 
-    def estimator(self, ps=None):
-        # A wrong number of groups is refused here, not at the first fit.
-        self._component_ps(ps)
-        return super().estimator(ps)
+    def _check_ps(self, ps) -> None:
+        for c, p in zip(self.components, self._component_ps(ps)):
+            c._check_ps(p)
 
     def _model(
         self, ds: DataSet, given: "IndependentProductModel | None", ps
@@ -711,10 +730,8 @@ class _TransformedFamily(UPModel):
     def parameterise(self, sp) -> "Model":
         return self.base.parameterise(sp).transform(self.f)
 
-    def estimator(self, ps=None):
-        # The base refuses its own parameters here, not at the first fit.
-        self.base.estimator(ps)
-        return super().estimator(ps)
+    def _check_ps(self, ps) -> None:
+        self.base._check_ps(ps)
 
     def _model(self, ds: DataSet, given: "Model | None", ps) -> "Model":
         base_given = None if given is None else given.base

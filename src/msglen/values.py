@@ -381,8 +381,8 @@ def each_value(fn, column, fill) -> list:
     take: a float, a tuple of floats for a vector row, or an int.
 
     A value fn raises on gives ``fill``, which the caller picks so that the
-    row counts as one the column forms cannot answer (NaN, or False for a
-    membership test).  Such rows go to the per-datum path, which raises
+    row counts as one the column forms cannot answer (NaN, a row of NaNs,
+    or None for an int).  Such rows go to the per-datum path, which raises
     fn's own error for them; so any exception is caught here, and none is
     lost.
     """

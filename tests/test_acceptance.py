@@ -13,8 +13,6 @@ import numpy as np
 from scipy import integrate
 
 from msglen import (
-    Componentwise,
-    ComponentPermutation,
     CtsDatum,
     DataSet,
     NormalPriors,
@@ -22,10 +20,7 @@ from msglen import (
     Rotation,
     VecDatum,
     cartesian2polar,
-    compose,
     exp,
-    identity,
-    inv,
     linear,
     log,
     map_dataset,
@@ -33,33 +28,14 @@ from msglen import (
 )
 from msglen.cli import main as cli_main
 from msglen.models import independent_rd, multistate, normal
+from test_functions import CTS_FUNCTIONS, VECTOR_FUNCTIONS, sample_vector_point
 
 WIDE = NormalPriors(mu_range=1e4, sigma_bounds=(1e-9, 1e6))
-
-SCALAR_FUNCTIONS = [identity, log, exp, inv, linear(2.0, 1.0), compose(linear(2.0, 0.0), log)]
-VECTOR_FUNCTIONS = [
-    polar2cartesian,
-    cartesian2polar,
-    Componentwise([log, exp]),
-    ComponentPermutation([1, 0]),
-]
 
 
 def report(name, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def sample_vector_point(f, rng):
-    r = 10.0 ** float(rng.uniform(-1, 2))
-    theta = float(rng.uniform(0.05, 2.0 * math.pi - 0.05))
-    if f is polar2cartesian:
-        return np.array([r, theta])
-    if f is cartesian2polar:
-        return polar2cartesian.apply_v([r, theta])
-    if isinstance(f, Componentwise):
-        return np.array([p.domain.sample(rng) for p in f.parts])
-    return rng.normal(0.0, 2.0, size=f.dim)
 
 
 def test_criterion_1_parameterise_transform_commute():
@@ -175,7 +151,7 @@ def test_criterion_5_aom_propagation():
     one-bit-per-doubling rule."""
     rng = np.random.default_rng(42)
     worst_scalar = 0.0
-    for f in SCALAR_FUNCTIONS:
+    for f in CTS_FUNCTIONS:
         for _ in range(100):
             x = f.domain.sample(rng)
             eps = 10.0 ** float(rng.uniform(-6, -1))
@@ -234,7 +210,7 @@ def test_criterion_6_derivatives_vs_finite_differences():
     """Analytic derivatives and Jacobians track central finite differences."""
     rng = np.random.default_rng(42)
     worst_scalar = 0.0
-    for f in SCALAR_FUNCTIONS:
+    for f in CTS_FUNCTIONS:
         for _ in range(100):
             x = f.domain.sample(rng)
             h = 1e-6 * max(1.0, abs(x))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -336,6 +337,16 @@ class TestEval:
         )
         assert code == 0
         assert float(kv(out)["total"]) == pytest.approx(0.9189385332046727, rel=1e-9)
+
+    def test_readme_example_prints_what_it_says(self, capsys, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r'echo "([^"]*)" \| msglen (eval [^#\n]*?) *# (\S+) nits\n', readme)
+        assert example, "README has no eval example"
+        csv_text, command, shown = example.groups()
+        code, out, _ = run(shlex.split(command), capsys, csv_text + "\n", monkeypatch)
+        assert code == 0
+        total = re.search(r"^total: (\S+)$", out, re.MULTILINE).group(1)
+        assert f"{float(total):.6f}" == shown
 
     def test_empty_csv_totals_zero(self, capsys, monkeypatch):
         code, out, _ = run(

@@ -29,7 +29,6 @@ from msglen import (
     Rotation,
     VecDatum,
     cartesian2polar,
-    compose,
     exp,
     identity,
     independent_rd,
@@ -74,7 +73,6 @@ FUNCTIONS = {
     "exp": (exp, lambda rng: _scalar_rows(rng, -50.0, 50.0)),
     "inv": (inv, lambda rng: _scalar_rows(rng, 0.01, 100.0)),
     "linear": (linear(-3.0, 2.0), lambda rng: _scalar_rows(rng, -50.0, 50.0)),
-    "compose": (compose(exp, log), lambda rng: _scalar_rows(rng, 1e-3, 1e3)),
     "polar2cartesian": (
         polar2cartesian, lambda rng: _vector_rows(rng, (1e-2, 1e2), (0.0, 2.0 * math.pi))
     ),
@@ -476,7 +474,6 @@ COLUMN_FORMS = {
     ),
     "log": (log.f_col, np.array([0.0, -1.0]), np.array([1.0, 2.0])),
     "inv": (inv.f_col, np.array([0.0]), np.array([-2.0, 2.0])),
-    "compose": (compose(exp, log).f_col, np.array([-1.0]), np.array([1.0])),
     "reverse": (ReversePermutation(0, 3).f_col, (-1, 7), (0, 3)),
     "rotate": (Rotation(0, 3, 1).f_col, (-1, 7), (0, 3)),
     "multistate": (multistate(0, 3)((0.1, 0.2, 0.3, 0.4)).nl_pdf_col, (-1, 4), (0, 3)),

@@ -48,7 +48,6 @@ RANGES = {
     "exp": [(-50.0, 50.0)],
     "inv": [(0.01, 100.0)],
     "linear": [(-50.0, 50.0)],
-    "compose": [(1e-3, 1e3)],
     "polar2cartesian": [(1e-2, 1e2), (0.0, 2.0 * math.pi)],
     "cartesian2polar": [(-5.0, 5.0), (-5.0, 5.0)],
     "componentwise": [(1e-2, 1e2), (-5.0, 5.0)],

@@ -315,6 +315,35 @@ class TestOneEstimator:
         assert fit.msg1 == plain.msg1
 
 
+# Estimator parameters a family cannot use, with the text that refuses them.
+BAD_ESTIMATOR_PARAMETERS = {
+    "normal, a string": (normal, "junk", "normal takes NormalPriors or None, got 'junk'"),
+    "normal, a dict": (
+        normal, {"mu_range": 1}, "normal takes NormalPriors or None, got {'mu_range': 1}"
+    ),
+    "product, an int": (
+        independent_rd([normal, normal]), 5, "rd:normal^2 takes 2 estimator parameter groups, got 5"
+    ),
+    "product, a bad group": (
+        independent_rd([normal, normal]),
+        ("junk", None),
+        "normal takes NormalPriors or None, got 'junk'",
+    ),
+    "transformed normal": (
+        normal.transform(log), "junk", "normal takes NormalPriors or None, got 'junk'"
+    ),
+    "multistate": (multistate(0, 3), 1, "multistate:0:3 takes no estimator parameters, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ESTIMATOR_PARAMETERS))
+def test_estimator_refuses_parameters_the_family_cannot_use(case):
+    family, ps, text = BAD_ESTIMATOR_PARAMETERS[case]
+    with pytest.raises(EstimationError) as err:
+        family.estimator(ps)
+    assert str(err.value) == text
+
+
 class TestTransformedEstimator:
     def test_identity_transform_matches_plain(self):
         rng = np.random.default_rng(42)
