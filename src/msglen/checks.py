@@ -43,7 +43,7 @@ def check_commute_sp() -> list[CheckResult]:
             parameterised_first = models.normal.parameterise(sp).transform(f)
             worst = 0.0
             for _ in range(100):
-                x = f.inverse().apply_x(float(rng.normal(sp[0], sp[1])))
+                x = f.inverse()(float(rng.normal(sp[0], sp[1])))
                 d = CtsDatum(x, 10.0 ** float(rng.uniform(-4, -1)))
                 worst = max(
                     worst,
@@ -115,8 +115,8 @@ def check_jacobian() -> list[CheckResult]:
         r = 10.0 ** float(rng.uniform(-3, 3))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         polar = np.array([r, theta])
-        cart = pc.apply_v(polar)
-        prod = pc.jacobian(cp.apply_v(cart)) @ cp.jacobian(cart)
+        cart = np.array(pc(polar))
+        prod = np.array(pc.jacobian(cp(cart))) @ np.array(cp.jacobian(cart))
         worst_prod = max(worst_prod, float(np.max(np.abs(prod - np.eye(2)))))
         worst_pc = max(
             worst_pc, abs(abs(float(np.linalg.det(pc.jacobian(polar)))) - r) / r
@@ -135,19 +135,19 @@ def check_jacobian() -> list[CheckResult]:
         theta = float(rng.uniform(0.05, 2.0 * math.pi - 0.05))
         v = np.array([r, theta])
         worst_fd = max(worst_fd, _jacobian_fd_error(pc, v))
-        worst_fd = max(worst_fd, _jacobian_fd_error(cp, pc.apply_v(v)))
+        worst_fd = max(worst_fd, _jacobian_fd_error(cp, np.array(pc(v))))
     out.append(_result("jacobian vs finite differences", worst_fd, 1e-5))
     return out
 
 
 def _jacobian_fd_error(f, v: np.ndarray) -> float:
-    jac = f.jacobian(v)
+    jac = np.array(f.jacobian(v))
     worst = 0.0
     for j in range(f.dim):
         h = 1e-6 * max(1.0, abs(float(v[j])))
         step = np.zeros(f.dim)
         step[j] = h
-        col = (f.apply_v(v + step) - f.apply_v(v - step)) / (2.0 * h)
+        col = (np.array(f(v + step)) - np.array(f(v - step))) / (2.0 * h)
         for i in range(f.dim):
             scale = max(1.0, abs(jac[i, j]))
             worst = max(worst, abs(col[i] - jac[i, j]) / scale)
@@ -183,7 +183,7 @@ def check_normalize() -> list[CheckResult]:
     coin = models.multistate(0, 3).parameterise((0.1, 0.2, 0.3, 0.4))
     for g in (fn.ReversePermutation(0, 3), fn.Rotation(0, 3, 1)):
         permuted = coin.transform(g)
-        total = math.fsum(permuted.pr_value(k) for k in permuted.space())
+        total = math.fsum(permuted.pdf(k) for k in permuted.space())
         out.append(_result(f"permuted probabilities sum ({g.name})", abs(total - 1.0), 1e-12))
     return out
 

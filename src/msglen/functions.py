@@ -17,11 +17,12 @@ Three kinds of function can transform data and models:
 
 All three subclass ``Function`` and share the protocol that transformed
 models are built on: ``contains(value)`` (is the value in the function's
-domain), ``f(value)`` (the map itself), ``nl_jacobian_det(value)``
-(-ln |det J|, which is -ln |f'(x)| for a scalar map and 0 for a bijection
-of integers) and ``inverse()``.  These per-value methods and ``apply``
-compute with ``math`` on floats and tuples; numpy serves them only as a
-vector map's array views ``apply_v`` and ``jacobian`` and the ``slogdet``
+domain), ``f(value)`` (the map itself, which each subclass defines as
+``__call__``), ``nl_jacobian_det(value)`` (-ln |det J|, which is
+-ln |f'(x)| for a scalar map and 0 for a bijection of integers) and
+``inverse()``.  These per-value methods, a scalar map's ``d_dx``, a
+vector map's ``jacobian`` (a tuple of rows) and ``apply`` compute with
+``math`` on floats and tuples; numpy serves them only as the ``slogdet``
 default of ``nl_jacobian_det``.  So a per-value answer is the same bytes
 at every numpy SIMD level, on one platform with one libm.  The column
 forms (``f_col``, ``map_col``; see ``Function``) answer for a whole column
@@ -179,10 +180,10 @@ def _integer(what: str, value) -> int:
     raise ParameterError(f"{what} takes integer arguments, got {reprlib.repr(value)}")
 
 
-def _each_contained(owner, fn, column, fill) -> list:
-    """each_value of fn over a column, with fill for every value outside
-    owner's domain or support (``owner.contains``)."""
-    return each_value(lambda v: fn(v) if owner.contains(v) else fill, column, fill)
+def _each_contained(f, column, fill) -> list:
+    """each_value of f over a column, with fill for every value outside
+    f's domain (``f.contains``)."""
+    return each_value(lambda v: f(v) if f.contains(v) else fill, column, fill)
 
 
 class Function:
@@ -215,17 +216,11 @@ class Cts2Cts(Function):
 
     domain: Domain = Domain.real()
 
-    def apply_x(self, x: float) -> float:
-        raise NotImplementedError
-
     def d_dx(self, x: float) -> float:
         raise NotImplementedError
 
     def contains(self, x: float) -> bool:
         return self.domain.contains(x)
-
-    def __call__(self, x: float) -> float:
-        return self.apply_x(x)
 
     def _slope(self, x: float) -> float:
         """f'(x) for x in the domain; a zero, non-finite or overflowing
@@ -247,7 +242,7 @@ class Cts2Cts(Function):
         return -math.log(abs(self._slope(x)))
 
     def f_col(self, x: np.ndarray) -> np.ndarray:
-        return np.array(_each_contained(self, self.apply_x, x, math.nan), dtype=np.float64)
+        return np.array(_each_contained(self, x, math.nan), dtype=np.float64)
 
     def d_dx_col(self, x: np.ndarray) -> np.ndarray:
         return np.array(each_value(self.d_dx, x, math.nan), dtype=np.float64)
@@ -264,7 +259,7 @@ class Cts2Cts(Function):
         """Map a measured datum; the AoM scales by |f'(x)|."""
         slope = self._slope(d.x)
         try:
-            y = self.apply_x(d.x)
+            y = self(d.x)
         except OverflowError:
             raise DomainError(f"{self.name}({d.x!r}) overflows a float") from None
         aom = d.aom * abs(slope)
@@ -278,7 +273,7 @@ class Cts2Cts(Function):
 class Identity(Cts2Cts):
     name = "identity"
 
-    def apply_x(self, x: float) -> float:
+    def __call__(self, x: float) -> float:
         return x
 
     def d_dx(self, x: float) -> float:
@@ -292,7 +287,7 @@ class Log(Cts2Cts):
     name = "log"
     domain = Domain.positive()
 
-    def apply_x(self, x: float) -> float:
+    def __call__(self, x: float) -> float:
         return math.log(x)
 
     def d_dx(self, x: float) -> float:
@@ -310,11 +305,10 @@ class Log(Cts2Cts):
 class Exp(Cts2Cts):
     name = "exp"
 
-    def apply_x(self, x: float) -> float:
+    def __call__(self, x: float) -> float:
         return math.exp(x)
 
-    def d_dx(self, x: float) -> float:
-        return math.exp(x)
+    d_dx = __call__
 
     def f_col(self, x: np.ndarray) -> np.ndarray:
         return np.exp(x)
@@ -329,7 +323,7 @@ class Reciprocal(Cts2Cts):
     name = "inv"
     domain = Domain.nonzero()
 
-    def apply_x(self, x: float) -> float:
+    def __call__(self, x: float) -> float:
         return 1.0 / x
 
     def d_dx(self, x: float) -> float:
@@ -349,13 +343,13 @@ class Linear(Cts2Cts):
             raise ParameterError(f"linear needs a != 0, got ({self.a}, {self.b})")
         self.name = f"linear({self.a:g},{self.b:g})"
 
-    def apply_x(self, x: float) -> float:
+    def __call__(self, x: float) -> float:
         return self.a * x + self.b
 
     def d_dx(self, x: float) -> float:
         return self.a
 
-    f_col = apply_x
+    f_col = __call__
 
     def d_dx_col(self, x: np.ndarray) -> np.ndarray:
         return np.full_like(x, self.a)
@@ -367,29 +361,18 @@ class Linear(Cts2Cts):
 class CtsD2CtsD(Function):
     """An R^D -> R^D map with a Jacobian; may declare an inverse.  Its
     methods take any length-D sequence of floats.  A subclass defines the
-    map and Jacobian as tuples, ``image`` and ``jacobian_rows``;
-    ``apply_v`` and ``jacobian`` are their array views."""
+    map, ``__call__``, as a tuple of floats, and its Jacobian,
+    ``jacobian(v)``, as the tuple of the D x D matrix's rows."""
 
     dim = 0
 
-    def image(self, v) -> tuple:
-        """f(v), as a tuple of floats."""
-        raise NotImplementedError
-
-    def jacobian_rows(self, v) -> tuple:
+    def jacobian(self, v) -> tuple:
         """The D x D matrix of partial derivatives at v, as a tuple of rows."""
         raise NotImplementedError
 
-    def apply_v(self, v) -> np.ndarray:
-        return np.array(self.image(v), dtype=np.float64)
-
-    def jacobian(self, v) -> np.ndarray:
-        """The D x D matrix of partial derivatives at v."""
-        return np.array(self.jacobian_rows(v), dtype=np.float64)
-
     def nl_jacobian_det(self, v) -> float:
         """-ln |det J(v)|, in nits."""
-        sign, logabs = np.linalg.slogdet(self.jacobian(v))
+        sign, logabs = np.linalg.slogdet(np.array(self.jacobian(v), dtype=np.float64))
         if sign == 0:
             raise DegenerateTransformError(f"{self.name} has a singular Jacobian at {v}")
         return float(-logabs)
@@ -397,19 +380,16 @@ class CtsD2CtsD(Function):
     def contains(self, v) -> bool:
         return len(v) == self.dim
 
-    def __call__(self, v) -> tuple:
-        return self.image(v)
-
     def f_col(self, x: np.ndarray) -> np.ndarray:
         """The (N, D) array of the rows' images."""
         nan = (math.nan,) * self.dim
-        y = np.array(_each_contained(self, self.image, x, nan), dtype=np.float64)
+        y = np.array(_each_contained(self, x, nan), dtype=np.float64)
         return y.reshape(len(x), self.dim)
 
     def jacobian_col(self, x: np.ndarray) -> np.ndarray:
         """The (N, D, D) stack of the rows' Jacobians."""
         nan = ((math.nan,) * self.dim,) * self.dim
-        jac = np.array(each_value(self.jacobian_rows, x, nan), dtype=np.float64)
+        jac = np.array(each_value(self.jacobian, x, nan), dtype=np.float64)
         return jac.reshape(len(x), self.dim, self.dim)
 
     def nl_jacobian_det_col(self, x: np.ndarray) -> np.ndarray:
@@ -442,7 +422,7 @@ class CtsD2CtsD(Function):
         if not self.contains(v):
             raise DomainError(f"{v} is outside the domain of {self.name}")
         log_target = -self.nl_jacobian_det(v) + math.fsum(math.log(a) for a in d.aoms)
-        rows = self.jacobian_rows(v)
+        rows = self.jacobian(v)
         try:  # log raises where a raw AoM is 0, and fsum where one overflows
             log_raw = [math.log(math.fsum(abs(j) * a for j, a in zip(r, d.aoms))) for r in rows]
         except (OverflowError, ValueError):
@@ -462,7 +442,7 @@ class CtsD2CtsD(Function):
             raise DegenerateTransformError(
                 f"{self.name} shrinks an AoM component at {v} below the normal floats"
             )
-        return VecDatum(self.image(v), out_aoms)
+        return VecDatum(self(v), out_aoms)
 
 
 class Polar2Cartesian(CtsD2CtsD):
@@ -474,11 +454,11 @@ class Polar2Cartesian(CtsD2CtsD):
     def contains(self, v) -> bool:
         return len(v) == self.dim and v[0] > 0.0 and 0.0 <= v[1] < TWO_PI
 
-    def image(self, v) -> tuple:
+    def __call__(self, v) -> tuple:
         r, theta = v
         return (r * math.cos(theta), r * math.sin(theta))
 
-    def jacobian_rows(self, v) -> tuple:
+    def jacobian(self, v) -> tuple:
         r, theta = v
         c, s = math.cos(theta), math.sin(theta)
         return ((c, -r * s), (s, r * c))
@@ -502,14 +482,14 @@ class Cartesian2Polar(CtsD2CtsD):
     def contains(self, v) -> bool:
         return len(v) == self.dim and math.hypot(*v) > 0.0
 
-    def image(self, v) -> tuple:
+    def __call__(self, v) -> tuple:
         x, y = v
         theta = math.atan2(y, x) % TWO_PI
         if theta >= TWO_PI:  # tiny negative angles round up to 2*pi
             theta = 0.0
         return (math.hypot(x, y), theta)
 
-    def jacobian_rows(self, v) -> tuple:
+    def jacobian(self, v) -> tuple:
         x, y = v
         r = math.hypot(x, y)
         if r == 0.0:
@@ -520,7 +500,7 @@ class Cartesian2Polar(CtsD2CtsD):
         return ((x / r, y / r), (-y / r2, x / r2))
 
     def nl_jacobian_det(self, v) -> float:
-        # It refuses wherever jacobian_rows does, so a cost and a fit's mapped
+        # It refuses wherever jacobian does, so a cost and a fit's mapped
         # AoMs refuse the same rows.
         r = math.hypot(*v)
         if r == 0.0:
@@ -574,10 +554,10 @@ class Componentwise(CtsD2CtsD):
     def contains(self, v) -> bool:
         return len(v) == self.dim and all(p.contains(x) for p, x in zip(self.parts, _floats(v)))
 
-    def image(self, v) -> tuple:
-        return tuple([p.apply_x(x) for p, x in zip(self.parts, _floats(v))])
+    def __call__(self, v) -> tuple:
+        return tuple([p(x) for p, x in zip(self.parts, _floats(v))])
 
-    def jacobian_rows(self, v) -> tuple:
+    def jacobian(self, v) -> tuple:
         slopes = [p.d_dx(x) for p, x in zip(self.parts, _floats(v))]
         cols = range(self.dim)
         return tuple(tuple(s if i == j else 0.0 for j in cols) for i, s in enumerate(slopes))
@@ -602,10 +582,10 @@ class ComponentPermutation(CtsD2CtsD):
         # The same permutation matrix at every point: row i picks component perm[i].
         self._jacobian = tuple(tuple(float(k == j) for k in range(self.dim)) for j in perm)
 
-    def image(self, v) -> tuple:
+    def __call__(self, v) -> tuple:
         return tuple([v[j] for j in self.perm])
 
-    def jacobian_rows(self, v) -> tuple:
+    def jacobian(self, v) -> tuple:
         return self._jacobian
 
     def nl_jacobian_det(self, v) -> float:
@@ -619,20 +599,14 @@ class ComponentPermutation(CtsD2CtsD):
 class DiscreteBijection(IntegerSpace, Function):
     """A one-to-one map of the bounded integer space [lo, hi] onto itself."""
 
-    def apply_i(self, k: int) -> int:
-        raise NotImplementedError
-
     def nl_jacobian_det(self, k: int) -> float:
         """A bijection of integers moves no probability mass: 0 nits."""
         return 0.0
 
     nl_jacobian_det_col = nl_jacobian_det
 
-    def __call__(self, k: int) -> int:
-        return self.apply_i(k)
-
     def f_col(self, values) -> tuple:
-        return tuple(_each_contained(self, self.apply_i, values, None))
+        return tuple(_each_contained(self, values, None))
 
     def map_col(self, values) -> tuple:
         """The mapped column (values,) of discrete data."""
@@ -641,7 +615,7 @@ class DiscreteBijection(IntegerSpace, Function):
     def apply(self, d: DiscreteDatum) -> DiscreteDatum:
         if not self.contains(d.value):
             raise DomainError(f"{d.value} is outside [{self.lo}, {self.hi}]")
-        return DiscreteDatum(self.apply_i(d.value))
+        return DiscreteDatum(self(d.value))
 
 
 class ReversePermutation(DiscreteBijection):
@@ -651,7 +625,7 @@ class ReversePermutation(DiscreteBijection):
         super().__init__(lo, hi)
         self.name = f"reverse[{lo},{hi}]"
 
-    def apply_i(self, k: int) -> int:
+    def __call__(self, k: int) -> int:
         return self.lo + self.hi - k
 
     def inverse(self) -> DiscreteBijection:
@@ -666,7 +640,7 @@ class Rotation(DiscreteBijection):
         self.shift = _integer("rotate", shift)
         self.name = f"rotate({self.shift})[{lo},{hi}]"
 
-    def apply_i(self, k: int) -> int:
+    def __call__(self, k: int) -> int:
         return self.lo + (k - self.lo + self.shift) % self.size
 
     def inverse(self) -> DiscreteBijection:

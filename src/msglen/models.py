@@ -508,8 +508,6 @@ class DiscreteModel(IntegerSpace, Model):
         IntegerSpace.__init__(self, lo, hi)
         Model.__init__(self, msg1)
 
-    pr_value = Model.pdf
-
     def nl_pr(self, d: DiscreteDatum) -> float:
         nl = self._nl_pdf_in_support(d.value)
         if nl is None:

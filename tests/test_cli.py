@@ -81,7 +81,7 @@ class TestModelExpr:
     def test_discrete_transform_uses_bounds(self):
         fam = parse_model_expr("uniform:0:3.transform(reverse)")
         m = fam.parameterise(())
-        assert [m.pr_value(k) for k in m.space()] == pytest.approx([0.25] * 4)
+        assert [m.pdf(k) for k in m.space()] == pytest.approx([0.25] * 4)
         parse_model_expr("multistate:0:5.transform(rotate(2))")
 
     @pytest.mark.parametrize(

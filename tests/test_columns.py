@@ -127,10 +127,10 @@ class Flatten(CtsD2CtsD):
     name = "flatten"
     dim = 2
 
-    def image(self, v):
+    def __call__(self, v):
         return (float(v[0]), float(v[1]))
 
-    def jacobian_rows(self, v):
+    def jacobian(self, v):
         return ((1.0, 0.0), (0.0, float(v[1])))
 
     def nl_jacobian_det(self, v):
@@ -304,7 +304,7 @@ def test_a_transformed_product_component_is_scored_by_columns(monkeypatch):
     def refuse(*args):
         raise AssertionError("a per-value method was called")
 
-    monkeypatch.setattr(Log, "apply_x", refuse)
+    monkeypatch.setattr(Log, "__call__", refuse)
     monkeypatch.setattr(NormalModel, "nl_pdf", refuse)
     costs, total = data_costs(model, ds)
     assert all(_close(c, w) for c, w in zip(costs, want))
@@ -416,7 +416,7 @@ class Doubtful(Cts2Cts):
 
     name = "doubtful"
 
-    def apply_x(self, x):
+    def __call__(self, x):
         return 2.0 * x + 1.0
 
     def d_dx(self, x):
@@ -438,7 +438,7 @@ class Nudged(Log):
     name = "nudged"
 
     def f_col(self, x):
-        y = np.nextafter([self.apply_x(v) for v in x.tolist()], math.inf)
+        y = np.nextafter([self(v) for v in x.tolist()], math.inf)
         return np.where(x == 3.0, math.nan, y)
 
 
@@ -501,7 +501,7 @@ class Twice(Cts2Cts):
 
     name = "twice"
 
-    def apply_x(self, x):
+    def __call__(self, x):
         return 2.0 * x + 1.0
 
     def d_dx(self, x):
@@ -517,10 +517,10 @@ class Swap(CtsD2CtsD):
     name = "swap"
     dim = 2
 
-    def image(self, v):
+    def __call__(self, v):
         return (float(v[1]), float(v[0]))
 
-    def jacobian_rows(self, v):
+    def jacobian(self, v):
         return ((0.0, 1.0), (1.0, 0.0))
 
     def inverse(self):
@@ -657,7 +657,7 @@ class ColumnlessExp(Cts2Cts):
 
     name = "columnless-exp"
 
-    def apply_x(self, x):
+    def __call__(self, x):
         return math.exp(x)
 
     def d_dx(self, x):

@@ -49,7 +49,7 @@ VECTOR_FUNCTIONS = [
 
 def central_diff(f, x, h=None):
     h = h if h is not None else 1e-6 * max(1.0, abs(x))
-    return (f.apply_x(x + h) - f.apply_x(x - h)) / (2.0 * h)
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def sample_vector_point(f, rng):
@@ -59,7 +59,7 @@ def sample_vector_point(f, rng):
     if f is polar2cartesian:
         return np.array([r, theta])
     if f is cartesian2polar:
-        return polar2cartesian.apply_v([r, theta])
+        return np.array(polar2cartesian([r, theta]))
     if isinstance(f, Componentwise):
         return np.array([p.domain.sample(rng) for p in f.parts])
     return rng.normal(0.0, 2.0, size=f.dim)
@@ -82,7 +82,7 @@ class TestInverses:
         f_inv = f.inverse()
         for _ in range(100):
             x = f.domain.sample(rng)
-            assert f_inv.apply_x(f.apply_x(x)) == pytest.approx(x, rel=1e-9, abs=1e-12)
+            assert f_inv(f(x)) == pytest.approx(x, rel=1e-9, abs=1e-12)
 
     def test_log_exp_pair(self):
         assert log.inverse() is exp
@@ -108,7 +108,7 @@ class TestInverses:
         class Square(Cts2Cts):
             name = "square"
 
-            def apply_x(self, x):
+            def __call__(self, x):
                 return x * x
 
             def d_dx(self, x):
@@ -159,7 +159,7 @@ class TestApplyScalar:
         class Cube(Cts2Cts):
             name = "cube"
 
-            def apply_x(self, x):
+            def __call__(self, x):
                 return x ** 3
 
             def d_dx(self, x):
@@ -201,12 +201,12 @@ class TestJacobians:
         rng = np.random.default_rng(42)
         for _ in range(100):
             v = sample_vector_point(f, rng)
-            jac = f.jacobian(v)
+            jac = np.array(f.jacobian(v))
             for j in range(f.dim):
                 h = 1e-6 * max(1.0, abs(float(v[j])))
                 step = np.zeros(f.dim)
                 step[j] = h
-                col = (f.apply_v(v + step) - f.apply_v(v - step)) / (2.0 * h)
+                col = (np.array(f(v + step)) - np.array(f(v - step))) / (2.0 * h)
                 np.testing.assert_allclose(col, jac[:, j], rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("f", VECTOR_FUNCTIONS, ids=lambda f: f.name)
@@ -227,8 +227,10 @@ class TestJacobians:
         for _ in range(100):
             r = 10.0 ** float(rng.uniform(-3, 3))
             theta = float(rng.uniform(0, 2 * math.pi))
-            cart = polar2cartesian.apply_v([r, theta])
-            prod = polar2cartesian.jacobian(cartesian2polar.apply_v(cart)) @ cartesian2polar.jacobian(cart)
+            cart = polar2cartesian([r, theta])
+            prod = np.array(polar2cartesian.jacobian(cartesian2polar(cart))) @ np.array(
+                cartesian2polar.jacobian(cart)
+            )
             np.testing.assert_allclose(prod, np.eye(2), atol=1e-9)
 
     def test_inverse_jacobian_product(self):
@@ -237,11 +239,10 @@ class TestJacobians:
             f_inv = f.inverse()
             for _ in range(20):
                 v = sample_vector_point(f, rng)
-                prod = f.jacobian(v) @ np.linalg.inv(f.jacobian(v))
-                np.testing.assert_allclose(prod, np.eye(f.dim), atol=1e-9)
-                w = f.apply_v(v)
+                jac = np.array(f.jacobian(v))
+                np.testing.assert_allclose(jac @ np.linalg.inv(jac), np.eye(f.dim), atol=1e-9)
                 np.testing.assert_allclose(
-                    f_inv.jacobian(w) @ f.jacobian(v), np.eye(f.dim), atol=1e-8
+                    np.array(f_inv.jacobian(f(v))) @ jac, np.eye(f.dim), atol=1e-8
                 )
 
 
@@ -280,11 +281,11 @@ class TestApplyVector:
             name = "collapse"
             dim = 2
 
-            def image(self, v):
+            def __call__(self, v):
                 s = float(v[0]) + float(v[1])
                 return (s, s)
 
-            def jacobian_rows(self, v):
+            def jacobian(self, v):
                 return ((1.0, 1.0), (1.0, 1.0))
 
         with pytest.raises(DegenerateTransformError):
@@ -303,7 +304,7 @@ class TestApplyVector:
 
     def test_cartesian2polar_refuses_the_origin_per_value(self):
         with pytest.raises(DomainError, match="singular at the origin"):
-            cartesian2polar.jacobian_rows((0.0, 0.0))
+            cartesian2polar.jacobian((0.0, 0.0))
         with pytest.raises(DegenerateTransformError, match="singular at the origin"):
             cartesian2polar.nl_jacobian_det((0.0, 0.0))
 
@@ -351,18 +352,18 @@ class TestDiscreteBijections:
     )
     def test_bijection_on_space(self, g):
         space = range(g.lo, g.hi + 1)
-        image = sorted(g.apply_i(k) for k in space)
+        image = sorted(g(k) for k in space)
         assert image == list(space)
         g_inv = g.inverse()
-        assert all(g_inv.apply_i(g.apply_i(k)) == k for k in space)
+        assert all(g_inv(g(k)) == k for k in space)
 
     def test_reverse_example(self):
         g = ReversePermutation(0, 3)
-        assert [g.apply_i(k) for k in range(4)] == [3, 2, 1, 0]
+        assert [g(k) for k in range(4)] == [3, 2, 1, 0]
 
     def test_rotate_example(self):
         g = Rotation(0, 3, 1)
-        assert [g.apply_i(k) for k in range(4)] == [1, 2, 3, 0]
+        assert [g(k) for k in range(4)] == [1, 2, 3, 0]
 
     def test_out_of_bounds(self):
         with pytest.raises(DomainError):
@@ -417,7 +418,7 @@ class TestIntegerSpace:
 
     def test_int64_range_accepted(self):
         g = ReversePermutation(-(2**63), 2**63 - 1)
-        assert g.size == 2**64 and g.apply_i(-(2**63)) == 2**63 - 1
+        assert g.size == 2**64 and g(-(2**63)) == 2**63 - 1
 
 
 class TestIntegerArguments:
@@ -445,7 +446,7 @@ class TestIntegerArguments:
 
 def test_tiny_negative_angle_maps_to_zero():
     # atan2 gives -1e-17, whose remainder mod 2*pi rounds up to 2*pi itself
-    assert cartesian2polar.apply_v([1.0, -1e-17])[1] == 0.0
+    assert cartesian2polar([1.0, -1e-17])[1] == 0.0
 
 
 def test_componentwise_needs_a_function():
@@ -458,43 +459,46 @@ def test_vector_methods_take_any_sequence(f):
     v = (1.5, 0.75)
     for seq in (list(v), np.array(v)):
         assert f.contains(seq) == f.contains(v)
-        assert np.array_equal(f.apply_v(seq), f.apply_v(v))
-        assert np.array_equal(f.jacobian(seq), f.jacobian(v))
+        assert f(seq) == f(v)
+        assert f.jacobian(seq) == f.jacobian(v)
         assert f.nl_jacobian_det(seq) == f.nl_jacobian_det(v)
     out = f.apply(VecDatum(v, (0.01, 0.02)))
     assert all(type(c) is float for c in out.components + out.aoms)
 
 
 @pytest.mark.parametrize("f", VECTOR_FUNCTIONS, ids=lambda f: f.name)
-def test_vector_maps_give_their_arrays_from_their_tuples(f):
-    # image and jacobian_rows compute with math on tuples; apply_v and
-    # jacobian are the same numbers as float64 arrays, f(v) is the tuple.
+def test_vector_maps_answer_with_tuples_of_floats(f):
+    # f(v) and jacobian(v) compute with math on tuples: the map is a tuple
+    # of D floats and the Jacobian a tuple of D such rows.
     v = tuple(sample_vector_point(f, np.random.default_rng(3)).tolist())
-    image, rows = f.image(v), f.jacobian_rows(v)
-    assert type(image) is tuple and all(type(c) is float for c in image)
-    assert f(v) == image
-    assert f.apply_v(v).dtype == np.float64 and f.apply_v(v).tolist() == list(image)
-    assert f.jacobian(v).dtype == np.float64 and f.jacobian(v).tolist() == [list(r) for r in rows]
+    image, rows = f(v), f.jacobian(v)
+    assert type(image) is tuple and len(image) == f.dim
+    assert all(type(c) is float for c in image)
+    assert type(rows) is tuple and len(rows) == f.dim
+    assert all(type(r) is tuple and len(r) == f.dim for r in rows)
+    assert all(type(c) is float for r in rows for c in r)
 
 
-def test_a_vector_map_without_tuple_forms_is_abstract():
-    # image and jacobian_rows are the one per-value form; the arrays are
-    # views of them, so a subclass that defines neither has no map.
+def test_a_vector_map_without_its_own_forms_is_abstract():
+    # __call__ and jacobian are the one per-value form of the map and its
+    # Jacobian, so a subclass that defines neither has no map.
     class Blank(CtsD2CtsD):
         name = "blank"
         dim = 2
 
     f = Blank()
-    for call in (f, f.apply_v, f.jacobian):
+    with pytest.raises(TypeError, match="not callable"):
+        f((1.0, 3.0))
+    for call in (f.jacobian, f.nl_jacobian_det):
         with pytest.raises(NotImplementedError):
             call((1.0, 3.0))
 
 
 def test_permutation_builds_its_jacobian_once():
     f = ComponentPermutation([2, 0, 1])
-    assert f.image((1.0, 2.0, 3.0)) == (3.0, 1.0, 2.0)
-    assert f.jacobian_rows((1.0, 2.0, 3.0)) is f.jacobian_rows((4.0, 5.0, 6.0))
-    jac = f.jacobian((1.0, 2.0, 3.0))
+    assert f((1.0, 2.0, 3.0)) == (3.0, 1.0, 2.0)
+    assert f.jacobian((1.0, 2.0, 3.0)) is f.jacobian((4.0, 5.0, 6.0))
+    jac = np.array(f.jacobian((1.0, 2.0, 3.0)))
     assert np.array_equal(jac @ np.array([1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
 
 
