@@ -333,6 +333,12 @@ class Reciprocal(Cts2Cts):
         return self
 
 
+def _text(x: float) -> str:
+    """x as ``:g`` writes it where that reads back as x, else its repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 class Linear(Cts2Cts):
     """x -> a*x + b with a != 0."""
 
@@ -341,7 +347,7 @@ class Linear(Cts2Cts):
         self.b = _real("linear", b)
         if self.a == 0.0:
             raise ParameterError(f"linear needs a != 0, got ({self.a}, {self.b})")
-        self.name = f"linear({self.a:g},{self.b:g})"
+        self.name = f"linear({_text(self.a)},{_text(self.b)})"
 
     def __call__(self, x: float) -> float:
         return self.a * x + self.b

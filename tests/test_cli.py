@@ -74,6 +74,15 @@ class TestModelExpr:
         fam = parse_model_expr("normal.transform(linear(2,1)).transform(exp)")
         assert fam.name == "normal.transform(linear(2,1)).transform(exp)"
 
+    def test_fit_prints_the_linear_map_it_fitted(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "d.csv", "x\n1.5\n2.5\n4.0\n")
+        argv = ["fit", "normal.transform(linear(1.23456789,0))", path, "--format", "kv"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        name = kv(out)["model"]
+        assert name == "normal.transform(linear(1.23456789,0))"
+        assert parse_model_expr(name).f.a == 1.23456789
+
     def test_parameterised_transform(self):
         m = parse_model_expr("normal(0,1).transform(log)")
         assert m.pdf(1.0) == pytest.approx(0.3989422804014327, rel=1e-12)

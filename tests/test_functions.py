@@ -379,6 +379,16 @@ class TestConstructors:
         with pytest.raises(ParameterError):
             linear(0.0, 1.0)
 
+    def test_linear_names_state_their_arguments(self):
+        # A name that rounds its arguments would name two maps alike.
+        assert linear(1.0000001, 0.0).name == "linear(1.0000001,0)"
+        assert linear(1.0000001, 0.0).name != linear(1.0, 0.0).name
+        assert linear(2.0, 1.0).name == "linear(2,1)"
+        assert linear(1e-20, 0.0).name == "linear(1e-20,0)"
+        assert linear(1e308, 0.0).name == "linear(1e+308,0)"
+        third = "0.3333333333333333"
+        assert linear(3.0, 1.0).inverse().name == f"linear({third},-{third})"
+
     def test_permutation_validated(self):
         with pytest.raises(ParameterError):
             ComponentPermutation([0, 0])
