@@ -3,8 +3,9 @@
 numpy picks SIMD kernels for ``log``, ``exp``, ``hypot``, ``arctan2``,
 ``**`` and more from the CPU's features at import, and a kernel may round
 the last bit differently from ``math``.  The per-value methods compute
-with ``math``, so ``f.apply``, ``nl_pr``, ``pdf`` and ``random_v`` must
-print the same bytes with every dispatched feature switched off
+with ``math``, so a function's protocol (``f(v)``, ``d_dx`` or
+``jacobian``, ``nl_jacobian_det``) and ``f.apply``, and a model's
+``nl_pr``, ``pdf`` and ``random_v``, must print the same bytes with every dispatched feature switched off
 (``NPY_DISABLE_CPU_FEATURES``) as with none switched off.  Run as a
 script, this file prints those answers, one line each.  The inputs are
 built from Python floats, since numpy's own array arithmetic is
@@ -39,6 +40,8 @@ except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__
 
 N = 3000
+# The values of each function whose protocol answers are printed too.
+PROTOCOL_N = 1000
 
 # The ranges each continuous function of test_columns.FUNCTIONS draws its
 # data from, component by component.
@@ -84,6 +87,14 @@ def print_answers() -> None:
             x, aoms = [rng.uniform(lo, hi) for lo, hi in ranges], _aoms(rng, len(ranges))
             d = CtsDatum(x[0], aoms[0]) if isinstance(f, Cts2Cts) else VecDatum(x, aoms)
             print(name, "apply", i, _answer(lambda: f.apply(d)))
+            if i < PROTOCOL_N:
+                if isinstance(f, Cts2Cts):
+                    v, slope, slope_name = d.x, f.d_dx, "d_dx"
+                else:
+                    v, slope, slope_name = d.components, f.jacobian, "jacobian"
+                print(name, "f", i, _answer(lambda: f(v)))
+                print(name, slope_name, i, _answer(lambda: slope(v)))
+                print(name, "nl_jacobian_det", i, _answer(lambda: f.nl_jacobian_det(v)))
     for name, (model, _, _) in MODELS.items():
         gen = np.random.default_rng(len(name))
         for i in range(N):
@@ -130,7 +141,8 @@ def test_ranges_cover_every_continuous_function():
 @pytest.mark.skipif(not __cpu_dispatch__, reason="numpy dispatches no CPU features")
 def test_per_value_answers_are_the_same_at_every_dispatch_level():
     native, baseline = _answers(None), _answers(" ".join(__cpu_dispatch__))
-    assert len(native) == len(baseline) == N * (len(RANGES) + 3 * len(MODELS))
+    lines = N * (len(RANGES) + 3 * len(MODELS)) + 3 * PROTOCOL_N * len(RANGES)
+    assert len(native) == len(baseline) == lines
     differ = [(a, b) for a, b in zip(native, baseline) if a != b]
     assert not differ, f"{len(differ)} answers differ, first {differ[0]}"
 
