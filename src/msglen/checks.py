@@ -115,7 +115,7 @@ def check_jacobian() -> list[CheckResult]:
         r = 10.0 ** float(rng.uniform(-3, 3))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         polar = np.array([r, theta])
-        cart = np.array(pc(polar))
+        cart = pc(polar)
         prod = np.array(pc.jacobian(cp(cart))) @ np.array(cp.jacobian(cart))
         worst_prod = max(worst_prod, float(np.max(np.abs(prod - np.eye(2)))))
         worst_pc = max(

@@ -212,7 +212,9 @@ class Function:
 
 
 class Cts2Cts(Function):
-    """A scalar function with a pointwise derivative; may declare an inverse."""
+    """A scalar function with a pointwise derivative; may declare an
+    inverse.  A subclass defines the map as ``__call__`` and its
+    derivative as ``d_dx``."""
 
     domain: Domain = Domain.real()
 
@@ -603,7 +605,8 @@ class ComponentPermutation(CtsD2CtsD):
 
 
 class DiscreteBijection(IntegerSpace, Function):
-    """A one-to-one map of the bounded integer space [lo, hi] onto itself."""
+    """A one-to-one map of the bounded integer space [lo, hi] onto itself;
+    a subclass defines the map as ``__call__``."""
 
     def nl_jacobian_det(self, k: int) -> float:
         """A bijection of integers moves no probability mass: 0 nits."""

@@ -403,6 +403,14 @@ class TestFunctionBase:
         assert all(issubclass(cls, Function) for cls in FUNCTION_CLASS.values())
         assert all(isinstance(f, Function) for f in LIBRARY.values())
 
+    def test_each_function_class_defines_its_own_map(self):
+        # f(v) is the map itself: no class forwards it to a per-kind hook.
+        built = [linear(2.0, 1.0), ComponentPermutation([1, 0]), ReversePermutation(0, 3)]
+        for f in [*LIBRARY.values(), *built, Rotation(0, 3, 1), Componentwise([log, exp])]:
+            assert "__call__" in type(f).__dict__, f.name
+        for cls in FUNCTION_CLASS.values():
+            assert "__call__" not in cls.__dict__
+
     def test_discrete_bijection_repr(self):
         assert repr(Rotation(0, 3, 1)) == "<Rotation rotate(1)[0,3]>"
         assert repr(ReversePermutation(0, 3)) == "<ReversePermutation reverse[0,3]>"

@@ -178,7 +178,6 @@ def emit() -> None:
         if save is not None:
             Path(save).write_text(out.getvalue(), encoding="utf-8", newline="")
         results[name] = [code, out.getvalue(), err.getvalue()]
-    sys.stdin = sys.__stdin__
     json.dump(results, sys.__stdout__)
 
 
