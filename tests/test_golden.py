@@ -48,9 +48,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 NUMPY_VERSION = GOLDEN / "NUMPY_VERSION"
 SEED = 901
 
-# name -> rows: the inputs the commands read, each written by the
-# perfbench writer of that name.  data.csv is the README's file, with an
-# err column, from the log-normal writer that adds one.
+# file name -> (perfbench writer, rows): the inputs the commands read.
+# data.csv is the README's file, with an err column, from the log-normal
+# writer that adds one.
 INPUTS = {
     "lognormal_1k": ("lognormal_1k", 1000),
     "digits_1k": ("digits_1k", 1000),
