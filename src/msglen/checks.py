@@ -188,6 +188,17 @@ def check_normalize() -> list[CheckResult]:
     return out
 
 
+def _domain_point(f, rng) -> float:
+    """A random point of the scalar map f's domain, kept away from the
+    ends of log's and inv's: 10**U(-2, 1) for log, that of a random sign
+    for inv, else N(0, 3)."""
+    if f is fn.log or f is fn.inv:
+        negative = f is fn.inv and rng.integers(2) == 0
+        x = 10.0 ** float(rng.uniform(-2.0, 1.0))
+        return -x if negative else x
+    return float(rng.normal(0.0, 3.0))
+
+
 def check_aom() -> list[CheckResult]:
     """AoM propagation laws for scalar and vector application."""
     rng = np.random.default_rng(20240905)
@@ -196,7 +207,7 @@ def check_aom() -> list[CheckResult]:
     worst = 0.0
     for f in (fn.identity, fn.log, fn.exp, fn.inv, fn.linear(2.0, 1.0)):
         for _ in range(100):
-            x = f.domain.sample(rng)
+            x = _domain_point(f, rng)
             eps = 10.0 ** float(rng.uniform(-6, -1))
             got = f.apply(CtsDatum(x, eps)).aom
             want = eps * abs(f.d_dx(x))

@@ -382,7 +382,7 @@ def _draw_sample(model: Model, seed: int, count: int, aom: float):
     and checks them, so a row the model cannot score, or one that costs an
     infinite length, is an error too."""
     try:
-        if count and model.kind != "discrete":
+        if model.kind != "discrete":
             CtsDatum(1.0, aom)  # a bad AoM fails before the column is drawn
         drawn = model.random_col(np.random.default_rng(seed), count)
         if model.kind == "discrete":
@@ -423,6 +423,11 @@ def _write_sample(model: Model, drawn, aom: float) -> None:
 
 def cmd_sample(args) -> int:
     target = _require_model(parse_model_expr(args.model))
+    aom = args.sample_aom
+    if target.kind == "discrete" and aom is not None:
+        raise ModelExprError(
+            f"{target.name} models discrete data; --sample-aom is for continuous data"
+        )
     dim = target.dim if target.kind == "vec" else 1
     if not 0 <= args.count * dim <= MAX_SAMPLE_COUNT:
         raise ModelExprError(
@@ -433,8 +438,9 @@ def cmd_sample(args) -> int:
         raise ModelExprError(f"--seed takes a non-negative integer, got {args.seed}")
     # Every draw is made and checked before any row is written, so a failed
     # draw leaves stdout empty rather than holding a truncated sample.
-    drawn = _draw_sample(target, args.seed, args.count, args.sample_aom)
-    _write_sample(target, drawn, args.sample_aom)
+    aom = DEFAULT_SAMPLE_AOM if aom is None else aom
+    drawn = _draw_sample(target, args.seed, args.count, aom)
+    _write_sample(target, drawn, aom)
     return 0
 
 
@@ -488,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument(
         "--sample-aom",
         type=float,
-        default=DEFAULT_SAMPLE_AOM,
-        help="AoM attached to continuous draws",
+        help=f"AoM attached to continuous draws (default {DEFAULT_SAMPLE_AOM:g})",
     )
     p_sample.set_defaults(func=cmd_sample)
 

@@ -27,17 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .models import KAPPA_2, MULTISTATE_LATTICE_CONSTANT, Model, NormalPriors
+from .models import Model
 from .values import DataSet, map_items, settle
 
-__all__ = [
-    "LN_2",
-    "KAPPA_2",
-    "MULTISTATE_LATTICE_CONSTANT",
-    "FitResult",
-    "NormalPriors",
-    "Estimator",
-]
+__all__ = ["LN_2", "FitResult", "Estimator"]
 
 LN_2 = math.log(2.0)
 
@@ -119,6 +112,8 @@ class Estimator:
             )
         try:
             model = self.family._model(ds, given, self.ps)
+            if not math.isfinite(model.msg1):
+                raise OverflowError
         except (OverflowError, FloatingPointError):
             raise EstimationError(
                 f"{self.family.name} cannot fit these data: the fit overflows a float"

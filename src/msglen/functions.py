@@ -17,10 +17,11 @@ Three kinds of function can transform data and models:
 
 All three subclass ``Function`` and share the protocol that transformed
 models are built on: ``contains(value)`` (is the value in the function's
-domain), ``f(value)`` (the map itself, which each subclass defines as
-``__call__``), ``nl_jacobian_det(value)`` (-ln |det J|, which is
--ln |f'(x)| for a scalar map and 0 for a bijection of integers) and
-``inverse()``.  These per-value methods, a scalar map's ``d_dx``, a
+domain: every finite real for a scalar map unless it says otherwise, as
+``log`` and ``inv`` do), ``f(value)`` (the map itself, which each
+subclass defines as ``__call__``), ``nl_jacobian_det(value)`` (-ln |det
+J|, which is -ln |f'(x)| for a scalar map and 0 for a bijection of
+integers) and ``inverse()``.  These per-value methods, a scalar map's ``d_dx``, a
 vector map's ``jacobian`` (a tuple of rows) and ``apply`` compute with
 ``math`` on floats and tuples; numpy serves them only as the ``slogdet``
 default of ``nl_jacobian_det``.  So a per-value answer is the same bytes
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,6 @@ from .errors import (
 from .values import MIN_AOM, CtsDatum, DiscreteDatum, VecDatum, each_value
 
 __all__ = [
-    "Interval",
-    "Domain",
     "IntegerSpace",
     "Function",
     "Cts2Cts",
@@ -78,62 +76,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class Interval:
-    """An open real interval; either end may be infinite."""
-
-    lo: float = -math.inf
-    hi: float = math.inf
-
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
-    def sample(self, rng) -> float:
-        """An interior point, for randomized checks; kept away from finite ends."""
-        lo_fin, hi_fin = math.isfinite(self.lo), math.isfinite(self.hi)
-        if lo_fin and hi_fin:
-            pad = 0.01 * (self.hi - self.lo)
-            return float(rng.uniform(self.lo + pad, self.hi - pad))
-        if lo_fin:
-            return self.lo + 10.0 ** float(rng.uniform(-2.0, 1.0))
-        if hi_fin:
-            return self.hi - 10.0 ** float(rng.uniform(-2.0, 1.0))
-        return float(rng.normal(0.0, 3.0))
-
-
-class Domain:
-    """A union of disjoint intervals; where a scalar function is defined."""
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, *intervals: Interval):
-        self.intervals = intervals
-
-    def contains(self, x: float) -> bool:
-        # A plain loop: this runs on every scored datum, and any() over a
-        # generator costs more than the interval test itself.
-        for iv in self.intervals:
-            if iv.contains(x):
-                return True
-        return False
-
-    def sample(self, rng) -> float:
-        iv = self.intervals[int(rng.integers(len(self.intervals)))]
-        return iv.sample(rng)
-
-    @classmethod
-    def real(cls) -> "Domain":
-        return cls(Interval())
-
-    @classmethod
-    def positive(cls) -> "Domain":
-        return cls(Interval(lo=0.0))
-
-    @classmethod
-    def nonzero(cls) -> "Domain":
-        return cls(Interval(hi=0.0), Interval(lo=0.0))
 
 
 class IntegerSpace:
@@ -213,21 +155,20 @@ class Function:
 
 class Cts2Cts(Function):
     """A scalar function with a pointwise derivative; may declare an
-    inverse.  A subclass defines the map as ``__call__`` and its
-    derivative as ``d_dx``."""
-
-    domain: Domain = Domain.real()
+    inverse.  A subclass defines the map as ``__call__``, its derivative
+    as ``d_dx`` and, if it is narrower than the finite reals, its domain
+    as ``contains``; every checked path asks ``contains``."""
 
     def d_dx(self, x: float) -> float:
         raise NotImplementedError
 
     def contains(self, x: float) -> bool:
-        return self.domain.contains(x)
+        return -math.inf < x < math.inf
 
     def _slope(self, x: float) -> float:
         """f'(x) for x in the domain; a zero, non-finite or overflowing
         slope would collapse or blow up the measure, so it is rejected."""
-        if not self.domain.contains(x):
+        if not self.contains(x):
             raise DomainError(f"{x!r} is outside the domain of {self.name}")
         try:
             slope = self.d_dx(x)
@@ -287,7 +228,9 @@ class Identity(Cts2Cts):
 
 class Log(Cts2Cts):
     name = "log"
-    domain = Domain.positive()
+
+    def contains(self, x: float) -> bool:
+        return 0.0 < x < math.inf
 
     def __call__(self, x: float) -> float:
         return math.log(x)
@@ -323,7 +266,9 @@ class Exp(Cts2Cts):
 
 class Reciprocal(Cts2Cts):
     name = "inv"
-    domain = Domain.nonzero()
+
+    def contains(self, x: float) -> bool:
+        return 0.0 < abs(x) < math.inf
 
     def __call__(self, x: float) -> float:
         return 1.0 / x

@@ -282,17 +282,28 @@ class NormalFamily(ContinuousFamily):
             # fsum over Python floats: exact sums, so the fit does not depend
             # on the order numpy would add in.
             mean = math.fsum(xs.tolist()) / n
-            # As Python's ** does, a deviation whose square overflows raises.
+            # As Python's - does, a deviation past the float range raises.
+            # Squares past it are summed scaled by a power of two, which is
+            # exact, so an sd that is a float is found.
+            scale = 0
             with np.errstate(over="raise"):
-                ss = math.fsum(np.square(xs - mean).tolist())
-            sd = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
+                dev = xs - mean
+                try:
+                    ss = math.fsum(np.square(dev).tolist())
+                except (FloatingPointError, OverflowError):
+                    scale = math.frexp(float(np.abs(dev).max()))[1]
+                    ss = math.fsum(np.square(np.ldexp(dev, -scale)).tolist())
+            sd = math.ldexp(math.sqrt(ss / (n - 1)), scale) if n > 1 else 0.0
             # The AoM bounds the resolution of the data; an estimated sd below
             # the quantisation noise of the measurements is not supportable.
             sd = max(sd, (math.fsum(aoms.tolist()) / n) / math.sqrt(12.0))
             sd = min(max(sd, s_lo), s_hi)
         else:
             mean, sd = given.mean, given.sd
-        neg_log_prior = math.log(mu_range) + math.log(sd) + math.log(math.log(s_hi / s_lo))
+        ratio = s_hi / s_lo
+        # Far apart bounds may have a ratio past the float range, but not its log.
+        log_ratio = math.log(ratio) if ratio < math.inf else math.log(s_hi) - math.log(s_lo)
+        neg_log_prior = math.log(mu_range) + math.log(sd) + math.log(log_ratio)
         half_log_fisher = 0.5 * math.log(2.0) + math.log(n) - 2.0 * math.log(sd)
         msg1 = max(0.0, neg_log_prior + half_log_fisher + 1.0 + math.log(KAPPA_2))
         return NormalModel(mean, sd, msg1=msg1)
@@ -442,7 +453,9 @@ class Model:
         raise NotImplementedError
 
     def nl_pdf(self, v) -> float:
-        """-ln of the density at v (the probability, for discrete data), in nits."""
+        """-ln of the density at v (the probability, for discrete data), in
+        nits, for v in the support only, as a function answers only in its
+        domain; ``pdf`` and ``nl_pr`` are the checked forms."""
         raise NotImplementedError
 
     def random_v(self, rng):

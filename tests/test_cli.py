@@ -231,10 +231,16 @@ class TestFit:
         assert float(kv(out)["param.mean"]) == pytest.approx(2.0, rel=1e-12)
 
     def test_extreme_data_is_data_error(self, tmp_path, capsys):
-        path = write_csv(tmp_path, "big.csv", "x,aom\n1e300,1e300\n-1e300,1e300\n")
+        path = write_csv(tmp_path, "big.csv", "x,aom\n1e308,1e300\n-1e308,1e300\n")
         code, out, err = run(["fit", "normal", path, "--aom-col", "aom"], capsys)
         assert code == 2
         assert out == "" and len(err.strip().splitlines()) == 1
+
+    def test_squares_past_the_float_range_fit_when_the_sd_is_a_float(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "big.csv", "x,aom\n1e300,1e300\n-1e300,1e300\n")
+        code, out, _ = run(["fit", "normal", path, "--aom-col", "aom", "--format", "kv"], capsys)
+        assert code == 0
+        assert float(kv(out)["param.sd"]) == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
 
     def test_product_overflow_names_the_product(self, tmp_path, capsys):
         path = write_csv(tmp_path, "big.csv", "x1,x2\n1e308,1\n-1e308,2\n")
@@ -631,9 +637,10 @@ class TestSample:
         assert code == 2 and out == ""
         assert err == "error: aom must be positive, got 0.0\n"
 
-    def test_no_draws_take_any_aom(self, capsys):
-        code, out, _ = run(["sample", "normal(0,1)", "0", "--sample-aom", "0"], capsys)
-        assert code == 0 and out == "x,aom\n"
+    @pytest.mark.parametrize("count", ["0", "2"])
+    def test_a_bad_aom_fails_at_every_count(self, count, capsys):
+        code, out, err = run(["sample", "normal(0,1)", count, "--sample-aom", "-5"], capsys)
+        assert (code, out, err) == (2, "", "error: aom must be positive, got -5.0\n")
 
     def test_overflowing_inverse_warns_nothing(self, capsys):
         with warnings.catch_warnings():
@@ -733,8 +740,15 @@ class TestUsage:
                 ["fit", "multistate:0:3", "-", "--aom-col", "k"],
                 "multistate:0:3 models discrete data; --aom-col is for continuous data",
             ),
+            (
+                ["sample", "uniform:0:3", "3", "--sample-aom", "1e-6"],
+                "uniform:0:3 models discrete data; --sample-aom is for continuous data",
+            ),
         ],
-        ids=["no-model", "bad-count", "negative-seed", "discrete-aom-const", "discrete-aom-col"],
+        ids=[
+            "no-model", "bad-count", "negative-seed", "discrete-aom-const", "discrete-aom-col",
+            "discrete-sample-aom",
+        ],
     )
     def test_argument_error_is_one_usage_error_line(self, argv, message, capsys, monkeypatch):
         code, out, err = run(argv, capsys, "k\n1\n2\n", monkeypatch)

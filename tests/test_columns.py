@@ -43,7 +43,7 @@ from msglen import (
 from msglen import bounded_uniform
 from msglen import cli
 from msglen.estimation import data_costs
-from msglen.functions import Cts2Cts, CtsD2CtsD, Log
+from msglen.functions import Cts2Cts, CtsD2CtsD, DiscreteBijection, Log
 from msglen.models import DEFAULT_SAMPLE_AOM, NormalModel
 from msglen.values import map_items, settled
 
@@ -527,21 +527,119 @@ class Swap(CtsD2CtsD):
         return self
 
 
-@pytest.mark.parametrize(
-    "f, library, ds, model",
-    [
-        (Twice(), linear(2.0, 1.0), DataSet(_scalar_rows(np.random.default_rng(1), -5, 5)),
-         normal((0.0, 3.0))),
-        (Swap(), ComponentPermutation([1, 0]), _plane(np.random.default_rng(2)),
-         independent_rd([normal, normal])(((3.0, 0.5), (2.0, 1.0)))),
-    ],
-    ids=["Cts2Cts", "CtsD2CtsD"],
-)
-def test_subclass_with_per_value_methods_only(f, library, ds, model):
-    _assert_rows_close(list(map_dataset(ds, f)), list(map_dataset(ds, library)))
-    got = data_costs(model.transform(f), ds)[0]
-    want = data_costs(model.transform(library), ds)[0]
+class Sqrt(Cts2Cts):
+    """x -> sqrt(x) on the positive reals through the per-value methods only."""
+
+    name = "sqrt"
+
+    def contains(self, x):
+        return x > 0.0
+
+    def __call__(self, x):
+        return math.sqrt(x)
+
+    def d_dx(self, x):
+        return 0.5 / math.sqrt(x)
+
+    def inverse(self):
+        return Square()
+
+
+class Square(Cts2Cts):
+    """x -> x*x on the positive reals: the inverse of Sqrt."""
+
+    name = "square"
+    contains = Sqrt.contains
+
+    def __call__(self, x):
+        return x * x
+
+    def d_dx(self, x):
+        return 2.0 * x
+
+    def inverse(self):
+        return Sqrt()
+
+
+class HalfTurn(DiscreteBijection):
+    """k -> (k + 2) mod 4 on [0, 3] through ``__call__`` only."""
+
+    name = "halfturn"
+
+    def __init__(self):
+        super().__init__(0, 3)
+
+    def __call__(self, k):
+        return (k + 2) % 4
+
+    def inverse(self):
+        return self
+
+
+def _digits(rng):
+    return DataSet([DiscreteDatum(int(k)) for k in rng.integers(0, 4, N)])
+
+
+# A subclass, the chain of library maps it equals (in the order a datum
+# passes through them), data, a family and its parameters, and a row
+# outside the subclass's domain (None where the domain is everything).
+SUBCLASSES = {
+    "Cts2Cts": (
+        Twice(), [linear(2.0, 1.0)], DataSet(_scalar_rows(np.random.default_rng(1), -5, 5)),
+        normal, (0.0, 3.0), None,
+    ),
+    "Cts2Cts-domain": (
+        Sqrt(), [log, linear(0.5, 0.0), exp],
+        DataSet(_scalar_rows(np.random.default_rng(3), 0.1, 100.0)),
+        normal, (3.0, 2.0), CtsDatum(-1.0, 0.1),
+    ),
+    "CtsD2CtsD": (
+        Swap(), [ComponentPermutation([1, 0])], _plane(np.random.default_rng(2)),
+        independent_rd([normal, normal]), ((3.0, 0.5), (2.0, 1.0)), None,
+    ),
+    "DiscreteBijection": (
+        HalfTurn(), [Rotation(0, 3, 2)], _digits(np.random.default_rng(4)),
+        multistate(0, 3), (0.1, 0.2, 0.3, 0.4), DiscreteDatum(7),
+    ),
+}
+
+
+def _through(chain, target):
+    """target (a model or family) transformed so a datum passes through chain in order."""
+    for g in reversed(chain):
+        target = target.transform(g)
+    return target
+
+
+@pytest.mark.parametrize("case", sorted(SUBCLASSES))
+def test_subclass_with_per_value_methods_only(case):
+    f, chain, ds, family, sp, bad = SUBCLASSES[case]
+    library = ds
+    for g in chain:
+        library = map_dataset(library, g)
+    _assert_rows_close(list(map_dataset(ds, f)), list(library))
+    got = data_costs(family(sp).transform(f), ds)[0]
+    want = data_costs(_through(chain, family(sp)), ds)[0]
     assert all(_close(a, b) for a, b in zip(got, want))
+    fit = family.transform(f).estimator().estimate(ds)
+    library_fit = _through(chain, family).estimator().estimate(ds)
+    assert _close(fit.msg1, library_fit.msg1) and _close(fit.msg2, library_fit.msg2)
+    if bad is None:
+        return
+    # The row is refused with the library's error type, on every path,
+    # and the dataset paths name its index.
+    with_bad = DataSet([bad, *ds])
+    calls = [
+        (None, lambda g: g.apply(bad)),
+        (0, lambda g: map_dataset(with_bad, g)),
+        (0, lambda g: data_costs(family(sp).transform(g), with_bad)),
+        (0, lambda g: family.transform(g).estimator().estimate(with_bad)),
+    ]
+    if isinstance(f, Cts2Cts):
+        calls.append((None, lambda g: g.nl_jacobian_det(bad.x)))
+    for index, call in calls:
+        got, want = _error_of(lambda: call(f)), _error_of(lambda: call(chain[0]))
+        assert got[0] is want[0] and got[2] == want[2] == index, (got, want)
 
 
 # Vector maps to try on rows of extreme values and AoMs: the library's,
@@ -785,7 +883,10 @@ def _cells(text: str) -> np.ndarray:
 @pytest.mark.parametrize("expr", SAMPLES_EXACT + SAMPLES_ONE_ULP)
 def test_sample_writes_the_per_draw_rows(expr, aom, capsys):
     count, seed = 2500, 901
-    code = cli.main(["sample", expr, str(count), "--seed", str(seed), "--sample-aom", repr(aom)])
+    argv = ["sample", expr, str(count), "--seed", str(seed)]
+    if cli._require_model(cli.parse_model_expr(expr)).kind != "discrete":
+        argv += ["--sample-aom", repr(aom)]
+    code = cli.main(argv)
     out = capsys.readouterr().out
     want = _per_draw_sample(expr, count, seed, aom)
     assert code == 0

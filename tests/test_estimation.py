@@ -108,6 +108,21 @@ class TestNormalEstimator:
                 m1, m2 = est.message_length(ds, (mu_p, sd_p))
                 assert fit.msg <= m1 + m2 + 1e-9
 
+    @pytest.mark.parametrize(
+        "family", [normal, normal.transform(linear(2.0, 0.0))], ids=lambda f: f.name
+    )
+    def test_sigma_bounds_whose_ratio_passes_the_float_range(self, family):
+        # The inferred bounds are 1e-161 and 2e151 (4e151 mapped): their
+        # ratio is past the float range, and its log is not.
+        ds = DataSet(tuple(CtsDatum(x, 1e-160) for x in (1e150, 2e150, 3e150)))
+        assert family.estimator().estimate(ds).msg1 == pytest.approx(7.288256076584824, rel=1e-12)
+
+    def test_a_sigma_bound_past_the_float_range_is_an_estimation_error(self):
+        # The upper bound of one datum is ten times its AoM, 1e309.
+        ds = DataSet((CtsDatum(1.0, 1e308),))
+        with pytest.raises(EstimationError, match="the fit overflows a float"):
+            normal.estimator().estimate(ds)
+
     def test_explicit_priors_enter_msg1(self):
         rng = np.random.default_rng(4)
         ds = normal_dataset(rng, 30, 0.0, 1.0)

@@ -27,6 +27,7 @@ from msglen import (
     log,
     polar2cartesian,
 )
+from msglen.checks import _domain_point
 from msglen.functions import (
     FUNCTION_CLASS,
     LIBRARY,
@@ -61,7 +62,7 @@ def sample_vector_point(f, rng):
     if f is cartesian2polar:
         return np.array(polar2cartesian([r, theta]))
     if isinstance(f, Componentwise):
-        return np.array([p.domain.sample(rng) for p in f.parts])
+        return np.array([_domain_point(p, rng) for p in f.parts])
     return rng.normal(0.0, 2.0, size=f.dim)
 
 
@@ -70,7 +71,7 @@ class TestDerivatives:
     def test_matches_finite_differences(self, f):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            x = f.domain.sample(rng)
+            x = _domain_point(f, rng)
             fd = central_diff(f, x)
             assert f.d_dx(x) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -81,7 +82,7 @@ class TestInverses:
         rng = np.random.default_rng(42)
         f_inv = f.inverse()
         for _ in range(100):
-            x = f.domain.sample(rng)
+            x = _domain_point(f, rng)
             assert f_inv(f(x)) == pytest.approx(x, rel=1e-9, abs=1e-12)
 
     def test_log_exp_pair(self):
@@ -94,15 +95,17 @@ class TestInverses:
         assert cartesian2polar.inverse() is polar2cartesian
 
     def test_monotone_derivative_sign(self):
-        # invertible scalar functions never change derivative sign on a piece
+        # Invertible scalar functions never change derivative sign on a
+        # piece of their domain; inv's pieces are the two half-lines.
         rng = np.random.default_rng(42)
         for f in CTS_FUNCTIONS:
-            for piece in getattr(f.domain, "intervals", [None]):
-                signs = set()
-                for _ in range(50):
-                    x = piece.sample(rng) if piece is not None else f.domain.sample(rng)
-                    signs.add(math.copysign(1.0, f.d_dx(x)))
-                assert len(signs) == 1, f.name
+            signs = {}
+            for _ in range(100):
+                x = _domain_point(f, rng)
+                piece = x > 0.0 if f is inv else None
+                signs.setdefault(piece, set()).add(math.copysign(1.0, f.d_dx(x)))
+            assert len(signs) == (2 if f is inv else 1), f.name
+            assert all(len(s) == 1 for s in signs.values()), f.name
 
     def test_no_inverse_declared(self):
         class Square(Cts2Cts):

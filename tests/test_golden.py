@@ -108,6 +108,8 @@ ERRORS = [
     ("x\n5e-324\n1e-323\n", ["fit", "normal", "-"]),
     ("", ["sample", f"multistate:0:3(0.1,0.2,0.3,0.4).transform(rotate({'9' * 5000}))", "1"]),
     ("x\n1\n2\n", ["fit", "normal" + ".transform(identity)" * 2000, "-"]),
+    ("", ["sample", "normal(0,1)", "0", "--sample-aom", "-5"]),
+    ("", ["sample", "uniform:0:3", "3", "--sample-aom", "-5"]),
 ]
 
 

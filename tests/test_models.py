@@ -15,7 +15,6 @@ from msglen import (
     DegenerateTransformError,
     DiscreteDatum,
     DomainError,
-    EstimationError,
     InvalidDatumError,
     MsglenError,
     NormalPriors,
@@ -401,14 +400,9 @@ def test_a_chain_fits_as_its_base_fits_the_data_through_g_then_f(case):
     ds = DataSet(tuple(d for d, *costs in rows if all(isinstance(c, float) for c in costs)))
     chain = family.transform(f).transform(g).estimator()
     mapped = map_dataset(map_dataset(ds, g), f)
-    try:
-        fit = chain.estimate(ds)
-    except EstimationError:
-        # Mapped data whose squares pass the float range (exp after inv):
-        # the base fit of the mapped data overflows too.
-        with pytest.raises(EstimationError, match="the fit overflows a float"):
-            family.estimator().estimate(mapped)
-        return
+    # Every case fits, "normal exp inv" too, whose mapped values (up to
+    # about 1e304) have squares past the float range.
+    fit = chain.estimate(ds)
     assert fit.msg == pytest.approx(family.estimator().estimate(mapped).msg, rel=1e-9)
 
 
