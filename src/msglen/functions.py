@@ -27,10 +27,10 @@ vector map's ``jacobian`` (a tuple of rows) and ``apply`` compute with
 default of ``nl_jacobian_det``.  So a per-value answer is the same bytes
 at every numpy SIMD level, on one platform with one libm.  The column
 forms (``f_col``, ``map_col``; see ``Function``) answer for a whole column
-at once, for ``map_dataset`` and cost columns.  Only ``log``, ``exp``,
-``linear`` and ``cartesian2polar`` give them with numpy, as does every
-scalar map's ``nl_jacobian_det_col`` (``np.log``); numpy's SIMD kernels
-may round a last digit differently from ``math``, so the digits that
+at once, for ``map_dataset`` and cost columns.  Only ``log``, ``exp``
+and ``cartesian2polar`` give them with numpy, as does every scalar
+map's ``nl_jacobian_det_col`` (``np.log``); numpy's SIMD kernels may
+round a last digit differently from ``math``, so the digits that
 ``fit``, ``eval`` and ``sample`` print still follow numpy's CPU dispatch.
 Every other function answers through its per-value methods.
 
@@ -301,11 +301,6 @@ class Linear(Cts2Cts):
 
     def d_dx(self, x: float) -> float:
         return self.a
-
-    f_col = __call__
-
-    def d_dx_col(self, x: np.ndarray) -> np.ndarray:
-        return np.full_like(x, self.a)
 
     def inverse(self) -> Cts2Cts:
         return Linear(1.0 / self.a, -self.b / self.a)

@@ -238,6 +238,22 @@ class NormalPriors:
                 raise ParameterError("sigma_bounds must satisfy 0 < lo < hi")
 
 
+def _scaled_fsum(column: np.ndarray, square: bool = False) -> tuple:
+    """The sum of a float64 column, or of its squares, as (total, k): the
+    sum is total * 2**k, or total * 2**(2*k) for the squares.
+
+    The column is scaled by 2**-k, k the exponent of its largest magnitude,
+    before fsum adds it over Python floats.  So the sum is exact and rounded
+    once, it does not depend on the order numpy would add in, and no partial
+    sum passes the float range.  The scaling is exact unless a scaled value
+    leaves the normal floats, which needs a column that spans more than
+    about 2**1000 (2**500 for the squares).
+    """
+    k = math.frexp(float(np.abs(column).max()))[1]
+    scaled = np.ldexp(column, -k)
+    return math.fsum((np.square(scaled) if square else scaled).tolist()), k
+
+
 class NormalFamily(ContinuousFamily):
     """The Gaussian family; its problem-defining parameters are trivial.
 
@@ -279,24 +295,17 @@ class NormalFamily(ContinuousFamily):
             s_lo = min_aom / 10.0
             s_hi = 10.0 * max(span, min_aom)
         if given is None:
-            # fsum over Python floats: exact sums, so the fit does not depend
-            # on the order numpy would add in.
-            mean = math.fsum(xs.tolist()) / n
+            total, k = _scaled_fsum(xs)
+            mean = math.ldexp(total / n, k)
             # As Python's - does, a deviation past the float range raises.
-            # Squares past it are summed scaled by a power of two, which is
-            # exact, so an sd that is a float is found.
-            scale = 0
             with np.errstate(over="raise"):
                 dev = xs - mean
-                try:
-                    ss = math.fsum(np.square(dev).tolist())
-                except (FloatingPointError, OverflowError):
-                    scale = math.frexp(float(np.abs(dev).max()))[1]
-                    ss = math.fsum(np.square(np.ldexp(dev, -scale)).tolist())
-            sd = math.ldexp(math.sqrt(ss / (n - 1)), scale) if n > 1 else 0.0
+            total, k = _scaled_fsum(dev, square=True)
+            sd = math.ldexp(math.sqrt(total / (n - 1)), k) if n > 1 else 0.0
             # The AoM bounds the resolution of the data; an estimated sd below
             # the quantisation noise of the measurements is not supportable.
-            sd = max(sd, (math.fsum(aoms.tolist()) / n) / math.sqrt(12.0))
+            total, k = _scaled_fsum(aoms)
+            sd = max(sd, math.ldexp(total / n, k) / math.sqrt(12.0))
             sd = min(max(sd, s_lo), s_hi)
         else:
             mean, sd = given.mean, given.sd
@@ -576,6 +585,7 @@ class VectorModel(Model):
             raise DomainError(f"{v} is outside the support of {self.name}")
         # Left to right, as nl_pr_col adds the log AoMs; sum() of floats
         # compensates from Python 3.12 on.
+        # Inline: api-polar's eval runs this once per row, and a helper call cost about 20%.
         ln_aoms = 0.0
         for aom in d.aoms:
             ln_aoms += math.log(aom)
@@ -695,6 +705,7 @@ class IndependentProductModel(VectorModel):
     def nl_pdf(self, v) -> float:
         # Left to right, as nl_pdf_col adds the components' columns; sum() of
         # floats compensates from Python 3.12 on.
+        # Inline: api-polar's eval runs this once per row, and a helper call cost about 20%.
         nl = 0.0
         for c, x in zip(self.components, v):
             nl += c.nl_pdf(float(x))
@@ -720,7 +731,20 @@ class IndependentProductModel(VectorModel):
 # ---------------------------------------------------------------------------
 
 
-class _TransformedFamily(UPModel):
+class _Transformed:
+    """What a transform wrapper, family or model, holds: the base it wraps,
+    the function f, and the base's space attributes, under the name
+    ``base.transform(f)``."""
+
+    def __init__(self, base, f):
+        self.base = base
+        self.f = f
+        self.name = f"{base.name}.transform({f.name})"
+        for attr in _SPACE_ATTRS[base.kind]:
+            setattr(self, attr, getattr(base, attr))
+
+
+class _TransformedFamily(_Transformed, UPModel):
     """A family whose models are the base family's models transformed by f.
 
     A fit maps the data through f, AoMs included, fits the base family to
@@ -730,13 +754,6 @@ class _TransformedFamily(UPModel):
     unchanged, so msg1 is the base fit's, and msg2 the base model's cost of
     the mapped data, up to rounding.
     """
-
-    def __init__(self, base: UPModel, f):
-        self.base = base
-        self.f = f
-        self.name = f"{base.name}.transform({f.name})"
-        for attr in _SPACE_ATTRS[base.kind]:
-            setattr(self, attr, getattr(base, attr))
 
     def parameterise(self, sp) -> "Model":
         return self.base.parameterise(sp).transform(self.f)
@@ -761,19 +778,15 @@ class TransformedDiscreteFamily(_TransformedFamily, DiscreteFamily):
     """A discrete family transformed by a DiscreteBijection."""
 
 
-class _TransformedModel(Model):
+class _TransformedModel(_Transformed, Model):
     """The base model seen through f, by the one rule of every kind: f
     supplies the domain, the map, -ln |Jacobian| and the inverse."""
 
     def __init__(self, base: Model, f):
         # Not the kind's own __init__: the space attributes come from base.
         Model.__init__(self, base.msg1)
-        self.base = base
-        self.f = f
+        _Transformed.__init__(self, base, f)
         self._f_inv = f.inverse()
-        self.name = f"{base.name}.transform({f.name})"
-        for attr in _SPACE_ATTRS[base.kind]:
-            setattr(self, attr, getattr(base, attr))
 
     def params(self) -> dict:
         return self.base.params()

@@ -242,6 +242,23 @@ class TestFit:
         assert code == 0
         assert float(kv(out)["param.sd"]) == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "rows,fitted",
+        [
+            ("9e307,1\n9.1e307,1\n", "mean: 9.05e+307\nsd: 7.07106781187e+305\n"),
+            # The sd is the floor, the mean AoM 1e307 over sqrt(12).
+            ("".join(f"{x},1e307\n" for x in range(20)), "mean: 9.5\nsd: 2.88675134595e+306\n"),
+        ],
+        ids=["values", "aoms"],
+    )
+    def test_columns_that_sum_past_the_float_range_fit_when_their_mean_is_a_float(
+        self, tmp_path, capsys, rows, fitted
+    ):
+        path = write_csv(tmp_path, "big.csv", "x,aom\n" + rows)
+        code, out, _ = run(["fit", "normal", path, "--aom-col", "aom"], capsys)
+        assert code == 0
+        assert fitted in out
+
     def test_product_overflow_names_the_product(self, tmp_path, capsys):
         path = write_csv(tmp_path, "big.csv", "x1,x2\n1e308,1\n-1e308,2\n")
         code, out, err = run(["fit", "rd:normal^2", path, "--aom-const", "1"], capsys)

@@ -3,10 +3,15 @@
 Each file under ``tests/golden/`` holds one command's argv, stdin, exit
 code, stdout and stderr.  The commands cover ``fit`` (text and kv),
 ``eval --format kv`` and seeded ``sample`` for the main model
-expressions, the six ``check`` suites, the bad inputs of CI's "One-line
-errors" step and the README's command examples.  Their inputs are written
-at test time by ``perfbench/inputs.py``'s writers from fixed seeds, so the
-corpus holds only outputs.
+expressions, every ``check`` suite of ``msglen.checks.SUITES``, the bad
+inputs of ``ERRORS`` and the README's command examples.  Their inputs are
+written at test time by ``perfbench/inputs.py``'s writers from fixed
+seeds, so the corpus holds only outputs.
+
+``ERRORS`` is the one list of bad inputs.  Besides its golden files,
+``--errors`` runs each case through the real entry point, as CI does:
+
+    PYTHONPATH=src python tests/test_golden.py --errors
 
 Every command runs in one subprocess through ``msglen.cli.main``, with
 every numpy CPU dispatch feature switched off (``NPY_DISABLE_CPU_FEATURES``,
@@ -37,6 +42,7 @@ import numpy as np
 import pytest
 
 import msglen
+from msglen.checks import SUITES
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__
@@ -73,13 +79,15 @@ MODELS = {
     "uniform": ("uniform:0:9", "", "", "digits_1k", ()),
 }
 
-# The cases of CI's "One-line errors" step: (stdin, argv).
+# The bad inputs, (stdin, argv): each has a golden file, and --errors
+# runs each through the real entry point.
 ERRORS = [
     ("x\n1e308\n-1e308\n", ["fit", "normal", "-"]),
     ("", ["sample", "normal(1e300,1).transform(inv)", "1", "--seed", "0"]),
     ("", ["sample", "rd:normal^2(1e300,1;0,0.5).transform(cartesian2polar)", "1", "--seed", "0"]),
     ("x,aom\n-1,0.1\n", ["eval", "normal(0,1).transform(log)", "-", "--aom-col", "aom"]),
     ("x1,x2\n0,0\n1,1\n", ["fit", "rd:normal^2.transform(cartesian2polar)", "-"]),
+    # eval refuses the polar row that fit refuses: r*r underflows at 1e-200.
     (
         "x1,x2\n1e-200,0\n",
         ["eval", "rd:normal^2(0,1;0,1).transform(cartesian2polar)", "-", "--aom-const", "0.1"],
@@ -88,6 +96,8 @@ ERRORS = [
     ("x,aom\n1e308,1\n", ["eval", "normal(0,1)", "-", "--aom-col", "aom"]),
     ("x,aom\n1.7e154,1\n", ["eval", "normal(0,1)", "-", "--aom-col", "aom", "--bits"]),
     ("x\n1e308\n", ["fit", "normal.transform(log).transform(log)", "-", "--aom-const", "0.01"]),
+    # A chain refuses a datum that leaves a map's domain part way: log at 0
+    # here, and exp at 1000 in the second.
     (
         "x,aom\n1,0.1\n",
         ["eval", "normal(0,1).transform(log).transform(linear(1,-1))", "-", "--aom-col", "aom"],
@@ -103,11 +113,17 @@ ERRORS = [
         "x1,x2\n1e-160,1e-160\n1,2\n",
         ["fit", "rd:normal^2.transform(cartesian2polar)", "-", "--aom-const", "1e200"],
     ),
+    # The three CSV doors that admit an AoM name its column, never a dataset
+    # index (error-19..21.txt pin the text).
     ("x,err\n1,0.1\n2,1e-310\n", ["fit", "normal", "-", "--aom-col", "err"]),
     ("x\n1\n2\n", ["fit", "normal", "-", "--aom-const", "1e-310"]),
     ("x\n5e-324\n1e-323\n", ["fit", "normal", "-"]),
+    # An integer of 5000 digits, past Python's limit for converting a string.
     ("", ["sample", f"multistate:0:3(0.1,0.2,0.3,0.4).transform(rotate({'9' * 5000}))", "1"]),
+    # A chain of 2000 transforms, past cli.MAX_TRANSFORMS and deep enough to
+    # overflow the stack if it were built.
     ("x\n1\n2\n", ["fit", "normal" + ".transform(identity)" * 2000, "-"]),
+    # sample checks --sample-aom at every count, and refuses it for discrete data.
     ("", ["sample", "normal(0,1)", "0", "--sample-aom", "-5"]),
     ("", ["sample", "uniform:0:3", "3", "--sample-aom", "-5"]),
 ]
@@ -122,7 +138,7 @@ def commands() -> dict:
         out[f"{label}-fit-kv"] = (["fit", family, csv, *flags, "--format", "kv"], "", None)
         out[f"{label}-eval-kv"] = (["eval", model, csv, *flags, "--format", "kv"], "", None)
         out[f"{label}-sample"] = (["sample", model, "20", "--seed", "7"], "", None)
-    for suite in ("commute-sp", "commute-est", "info", "jacobian", "normalize", "aom"):
+    for suite in SUITES:
         out[f"check-{suite}"] = (["check", suite], "", None)
     for i, (stdin, argv) in enumerate(ERRORS):
         out[f"error-{i:02d}"] = (argv, stdin, None)
@@ -192,13 +208,19 @@ def render(argv: list, stdin: str, result: list) -> str:
     )
 
 
-def run_corpus(directory: Path) -> dict:
-    """name -> the golden text each command gives now, run in directory."""
-    write_inputs(directory)
+def msglen_env() -> dict:
+    """This environment, with the msglen this file imported first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(msglen.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_corpus(directory: Path) -> dict:
+    """name -> the golden text each command gives now, run in directory."""
+    write_inputs(directory)
+    env = msglen_env()
     env["NPY_DISABLE_CPU_FEATURES"] = " ".join(__cpu_dispatch__)
     proc = subprocess.run(
         [sys.executable, __file__, "--emit"],
@@ -223,6 +245,48 @@ def regenerate() -> None:
         (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8", newline="")
     NUMPY_VERSION.write_text(np.__version__ + "\n", encoding="utf-8")
     print(f"wrote {len(texts)} golden files with numpy {np.__version__}")
+
+
+def check_errors() -> int:
+    """Run every ERRORS case through the real entry point, with every
+    warning an error, one process each; return the number that fail.
+
+    Each command must exit 1 or 2 with an empty stdout and one "error: "
+    line on stderr.  The tests call main in-process, so a warning that
+    escapes only from the interpreter's own entry shows here alone.
+    """
+    env, failed = msglen_env(), 0
+    for stdin, argv in ERRORS:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "msglen.cli", *argv],
+            input=stdin.encode(),
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        err = proc.stderr.decode(errors="replace")
+        command = shlex.join(argv)
+        command = command if len(command) <= 100 else command[:97] + "..."
+        print(f"{command}: exit {proc.returncode}\n{err}", end="")
+        lines = err.splitlines(keepends=True)
+        if not (
+            proc.returncode in (1, 2)
+            and proc.stdout == b""
+            and len(lines) == 1
+            and lines[0].startswith("error: ")
+            and lines[0].endswith("\n")
+        ):
+            print("FAILED: want exit 1 or 2, no stdout and one 'error: ' line")
+            failed += 1
+    print(f"{len(ERRORS) - failed} of {len(ERRORS)} bad inputs give a one-line error")
+    return failed
+
+
+def test_check_errors_counts_each_command_without_a_one_line_error(monkeypatch, capsys):
+    # A usage error passes; a fit that succeeds prints to stdout and fails.
+    monkeypatch.setitem(globals(), "ERRORS", [("", ["fit"]), ("x\n1\n2\n", ["fit", "normal", "-"])])
+    assert check_errors() == 1
+    assert capsys.readouterr().out.endswith("1 of 2 bad inputs give a one-line error\n")
 
 
 @pytest.fixture(scope="module")
@@ -250,5 +314,12 @@ if __name__ == "__main__":
         emit()
     elif sys.argv[1:] == ["--regenerate"]:
         regenerate()
+    elif sys.argv[1:] == ["--errors"]:
+        sys.exit(1 if check_errors() else 0)
     else:
-        sys.exit(f"usage: {sys.argv[0]} --regenerate")
+        sys.exit(
+            f"usage: {sys.argv[0]} --regenerate | --errors | --emit\n"
+            "  --regenerate  rewrite tests/golden/ from the commands' outputs now\n"
+            "  --errors      run every ERRORS case through python -m msglen.cli\n"
+            "  --emit        print every command's outputs as JSON, run in this directory"
+        )
