@@ -7,16 +7,18 @@ minimising the total is what trades model complexity against fit.  When
 parameters are given rather than estimated, msg1 is zero.
 
 Each family fits itself through one hook, ``_model(ds, given, ps)`` (see
-``models``), and one ``Estimator`` serves every family: ``estimate`` and
-``message_length`` ask the hook for the fitted or the given model and
-score the data by ``data_costs``, as ``eval`` scores data.  Fits compose
-as models do: a product fits each component on its own column, and a
-transformed family maps the data through its function (AoMs included),
-fits the base family to the mapped data and transforms the fitted model.
-A transformed model costs a datum what its base costs the mapped datum,
-up to rounding, so fitting then transforming agrees with transforming
-then fitting on mapped data, and the total message length of a dataset
-is unchanged by mapping it through an invertible function.
+``models``), and one ``Estimator`` serves every family: it decides the
+fit's parameters and refuses data the family cannot fit, then
+``estimate`` and ``message_length`` ask the hook for the fitted or the
+given model and score the data by ``data_costs``, as ``eval`` scores
+data.  Fits compose as models do: a product fits each component on its
+own column, and a transformed family maps the data through its function
+(AoMs included), fits the base family to the mapped data and transforms
+the fitted model.  A transformed model costs a datum what its base costs
+the mapped datum, up to rounding, so fitting then transforming agrees
+with transforming then fitting on mapped data, and the total message
+length of a dataset is unchanged by mapping it through an invertible
+function.
 """
 
 from __future__ import annotations
@@ -82,15 +84,18 @@ class FitResult:
 class Estimator:
     """Maps datasets of the family's data space to fitted models.
 
-    The family's ``_model(ds, given, ps)`` gives the model that minimises
-    the message when ``given`` is None, else the given model restated with
-    its msg1.  Both are scored by ``data_costs``, so fitted and alternative
-    parameters compare on equal footing.  Given parameters reach the hook
-    only as the model the family's ``parameterise`` built from them, so
-    they are checked first.
+    The estimator is the one place a fit's inputs are decided: ``ps`` is
+    what the family's ``_resolve_ps`` made of the estimator parameters, and
+    ``_scored`` refuses a dataset that is empty or not of the family's kind
+    and dimension, before the hook sees it.  The family's ``_model(ds,
+    given, ps)`` gives the model that minimises the message when ``given``
+    is None, else the given model restated with its msg1.  Both are scored
+    by ``data_costs``, so fitted and alternative parameters compare on
+    equal footing.  Given parameters reach the hook only as the model the
+    family's ``parameterise`` built from them, so they are checked first.
     """
 
-    def __init__(self, family, ps=None):
+    def __init__(self, family, ps):
         self.family = family
         self.ps = ps
 
@@ -104,19 +109,22 @@ class Estimator:
 
     def _scored(self, ds: DataSet, given: Model | None) -> FitResult:
         """The fitted (given None) or given model's two-part message for the data."""
+        family = self.family
         if len(ds) == 0:
             raise EstimationError("cannot estimate from an empty dataset")
-        if ds.kind != self.family.kind:
+        if ds.kind != family.kind:
             raise EstimationError(
-                f"{self.family.name} estimator needs {self.family.kind} data, got {ds.kind}"
+                f"{family.name} estimator needs {family.kind} data, got {ds.kind}"
             )
+        if ds.kind == "vec" and ds.dim != family.dim:
+            raise EstimationError(f"{family.name} needs {family.dim}-vectors, got {ds.dim}")
         try:
-            model = self.family._model(ds, given, self.ps)
+            model = family._model(ds, given, self.ps)
             if not math.isfinite(model.msg1):
                 raise OverflowError
         except (OverflowError, FloatingPointError):
             raise EstimationError(
-                f"{self.family.name} cannot fit these data: the fit overflows a float"
+                f"{family.name} cannot fit these data: the fit overflows a float"
             ) from None
         return FitResult(model, model.msg1, data_costs(model, ds)[1])
 

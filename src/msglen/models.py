@@ -7,9 +7,11 @@ can be called with statistical parameters to make a parameterised model,
 and it fits those parameters to data through one hook, ``_model(ds,
 given, ps)``: the model that minimises the two-part message of the data
 when ``given`` is None, else the given model restated with its msg1.
-``estimator(ps)`` wraps that hook in ``estimation.Estimator``, which scores
-the model's data by ``data_costs``.  A product fits each component on its
-own column, and a transformed family fits its base to the mapped data.  A
+``estimator(ps)`` wraps that hook in ``estimation.Estimator``, which
+decides the fit's inputs once: ``ps`` as the family's ``_resolve_ps``
+resolves it, and the data's kind and dimension; it scores the model's
+data by ``data_costs``.  A product fits each component on its own
+column, and a transformed family fits its base to the mapped data.  A
 parameterised model answers ``pr``/``nl_pr`` for data from its space and
 can draw random data.
 
@@ -162,26 +164,28 @@ class UPModel:
         return self.parameterise(sp)
 
     def estimator(self, ps=None):
-        """The family's estimator: it fits and scores data by ``_model``.
-        Parameters the family cannot use are refused here, not at a fit."""
+        """The family's estimator: it fits and scores data by ``_model``,
+        under the parameters ``_resolve_ps`` makes of ``ps`` here, once, so
+        parameters the family cannot use are refused here, not at a fit."""
         from .estimation import Estimator
 
-        self._check_ps(ps)
-        return Estimator(self, ps)
+        return Estimator(self, self._resolve_ps(ps))
 
-    def _check_ps(self, ps) -> None:
-        """Refuse estimator parameters that ``_model`` cannot use; a family
-        takes none but None unless it says otherwise."""
+    def _resolve_ps(self, ps):
+        """The estimator parameters ``_model`` reads, resolved from ``ps``,
+        or an EstimationError for parameters it cannot use; a family takes
+        none but None unless it says otherwise."""
         if ps is not None:
             raise EstimationError(
                 f"{self.name} takes no estimator parameters, got {reprlib.repr(ps)}"
             )
 
     def _model(self, ds: DataSet, given: "Model | None", ps) -> "Model":
-        """The model of ``ds``, a non-empty dataset of the family's kind: the
-        one that minimises the message when ``given`` is None, else the
-        given model (which ``parameterise`` built) restated with its msg1.
-        ``ps`` holds the estimator's parameters, None for the defaults."""
+        """The model of ``ds``, a non-empty dataset of the family's kind (and
+        dimension): the one that minimises the message when ``given`` is
+        None, else the given model (which ``parameterise`` built) restated
+        with its msg1.  ``ps`` is what ``_resolve_ps`` made of the
+        estimator's parameters."""
         raise NotImplementedError
 
     def transform(self, f) -> "UPModel":
@@ -238,6 +242,10 @@ class NormalPriors:
                 raise ParameterError("sigma_bounds must satisfy 0 < lo < hi")
 
 
+# The normal's priors when none are given: each resolved from the data.
+_DATA_PRIORS = NormalPriors()
+
+
 def _scaled_fsum(column: np.ndarray, square: bool = False) -> tuple:
     """The sum of a float64 column, or of its squares, as (total, k): the
     sum is total * 2**k, or total * 2**(2*k) for the squares.
@@ -262,8 +270,9 @@ class NormalFamily(ContinuousFamily):
     the log determinant of the Fisher information, plus a quantisation term
     from the two-dimensional lattice constant.  With a flat prior on the
     mean and a 1/sigma prior on the scale, the minimising parameters are
-    the sample mean and the (N-1)-denominator standard deviation.  ``ps``
-    is a NormalPriors; None resolves every prior from the data.
+    the sample mean and the (N-1)-denominator standard deviation.  The
+    estimator takes a NormalPriors, or None to resolve every prior from the
+    data.
     """
 
     name = "normal"
@@ -275,12 +284,12 @@ class NormalFamily(ContinuousFamily):
             raise ParameterError(f"normal takes (mean, sd), got {reprlib.repr(sp)}") from None
         return NormalModel(mu, sigma)
 
-    def _check_ps(self, ps) -> None:
+    def _resolve_ps(self, ps) -> NormalPriors:
         if ps is not None and not isinstance(ps, NormalPriors):
             raise EstimationError(f"normal takes NormalPriors or None, got {reprlib.repr(ps)}")
+        return _DATA_PRIORS if ps is None else ps
 
-    def _model(self, ds: DataSet, given: "NormalModel | None", ps) -> "NormalModel":
-        ps = ps or NormalPriors()
+    def _model(self, ds: DataSet, given: "NormalModel | None", ps: NormalPriors) -> "NormalModel":
         xs, aoms = ds.x, ds.aom
         n = len(xs)
         span = float(xs.max()) - float(xs.min())
@@ -380,8 +389,9 @@ class IndependentProductFamily(VectorFamily):
 
     A fit fits each component to its own column of the data.  The columns
     are independent, so the product's msg1 is the sum of its components'
-    msg1s, and its cost column the sum of their columns.  ``ps`` is None or
-    one estimator parameter group per component.
+    msg1s, and its cost column the sum of their columns.  The estimator
+    takes None or one parameter group per component, each resolved by its
+    component.
     """
 
     def __init__(self, components):
@@ -409,29 +419,22 @@ class IndependentProductFamily(VectorFamily):
         parts = tuple(c.parameterise(s) for c, s in zip(self.components, sp))
         return IndependentProductModel(parts)
 
-    def _component_ps(self, ps) -> tuple:
+    def _resolve_ps(self, ps) -> tuple:
         if ps is None:
-            return (None,) * self.dim
-        if not isinstance(ps, Sequence) or len(ps) != self.dim:
+            ps = (None,) * self.dim
+        elif not isinstance(ps, Sequence) or len(ps) != self.dim:
             raise EstimationError(
                 f"{self.name} takes {self.dim} estimator parameter groups, got {reprlib.repr(ps)}"
             )
-        return tuple(ps)
-
-    def _check_ps(self, ps) -> None:
-        for c, p in zip(self.components, self._component_ps(ps)):
-            c._check_ps(p)
+        return tuple(c._resolve_ps(p) for c, p in zip(self.components, ps))
 
     def _model(
-        self, ds: DataSet, given: "IndependentProductModel | None", ps
+        self, ds: DataSet, given: "IndependentProductModel | None", ps: tuple
     ) -> "IndependentProductModel":
-        dim = self.dim
-        if ds.dim != dim:
-            raise EstimationError(f"{self.name} needs {dim}-vectors, got {ds.dim}")
-        parts_given = (None,) * dim if given is None else given.components
+        parts_given = (None,) * self.dim if given is None else given.components
         parts = [
             c._model(DataSet.continuous(ds.x[:, j], ds.aom[:, j]), g, p)
-            for j, (c, g, p) in enumerate(zip(self.components, parts_given, self._component_ps(ps)))
+            for j, (c, g, p) in enumerate(zip(self.components, parts_given, ps))
         ]
         # Left to right: sum() of floats compensates from Python 3.12 on.
         msg1 = 0.0
@@ -758,8 +761,8 @@ class _TransformedFamily(_Transformed, UPModel):
     def parameterise(self, sp) -> "Model":
         return self.base.parameterise(sp).transform(self.f)
 
-    def _check_ps(self, ps) -> None:
-        self.base._check_ps(ps)
+    def _resolve_ps(self, ps):
+        return self.base._resolve_ps(ps)
 
     def _model(self, ds: DataSet, given: "Model | None", ps) -> "Model":
         base_given = None if given is None else given.base

@@ -924,7 +924,35 @@ print(json.dumps({"codes": codes, "checks": checks}))
 """
 
 
+# Run in a fresh interpreter, so that no other test's import of numpy.ma counts.
+_INFERRED_AOM_SCRIPT = r"""
+import contextlib, io, json, sys
+import msglen.cli as cli
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["fit", "normal.transform(log)", sys.argv[1]])
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
 class TestColdPath:
+    def test_a_fit_that_infers_its_aom_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique's first call imports numpy.ma, about 10 ms of a cold fit.
+        path = write_csv(tmp_path, "d.csv", "x\n0.5\n1.5\n2.5\n4\n")
+        src = str(Path(msglen.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _INFERRED_AOM_SCRIPT, path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "numpy.ma": False}
+
     def test_fit_eval_sample_do_not_import_scipy(self, tmp_path):
         path = write_csv(tmp_path, "d.csv", "x,aom\n0.5,0.01\n1.5,0.01\n2.5,0.01\n")
         src = str(Path(msglen.__file__).resolve().parents[1])

@@ -266,6 +266,26 @@ class TestIndependentProductEstimator:
         with pytest.raises(EstimationError):
             independent_rd([normal, normal]).estimator((WIDE,))
 
+    @pytest.mark.parametrize("door", ["estimate", "message_length"])
+    @pytest.mark.parametrize(
+        "f", [None, cartesian2polar, ComponentPermutation([1, 0])], ids=["plain", "polar", "permute"]
+    )
+    def test_data_of_another_dimension_are_refused_before_they_are_mapped(self, f, door):
+        # A transformed product refuses 3-vectors as its base does, for the
+        # whole dataset, rather than blaming the first row its map rejects.
+        family = independent_rd([normal, normal])
+        if f is not None:
+            family = family.transform(f)
+        estimator = family.estimator()
+        ds = DataSet.continuous(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5]]), np.full((2, 3), 0.1))
+        with pytest.raises(EstimationError) as err:
+            if door == "estimate":
+                estimator.estimate(ds)
+            else:
+                estimator.message_length(ds, ((0.0, 1.0), (0.0, 1.0)))
+        assert str(err.value) == f"{family.name} needs 2-vectors, got 3"
+        assert err.value.index is None
+
     def test_a_transformed_product_refuses_them_at_estimator(self):
         # A transformed family refuses what its base refuses, at the same call.
         family = independent_rd([normal, normal]).transform(cartesian2polar)
@@ -357,6 +377,18 @@ def test_estimator_refuses_parameters_the_family_cannot_use(case):
     with pytest.raises(EstimationError) as err:
         family.estimator(ps)
     assert str(err.value) == text
+
+
+def test_an_estimator_holds_the_parameters_its_fits_read():
+    # Resolved once, when the estimator is made: the normal's default priors
+    # are one shared instance, and a product holds one group per component.
+    assert normal.estimator().ps == NormalPriors()
+    assert normal.estimator().ps is normal.transform(log).estimator().ps
+    assert normal.estimator(WIDE).ps is WIDE
+    family = independent_rd([normal, normal.transform(log)])
+    assert family.estimator((None, WIDE)).ps == (NormalPriors(), WIDE)
+    assert family.transform(ComponentPermutation([1, 0])).estimator().ps == (NormalPriors(),) * 2
+    assert multistate(0, 3).estimator().ps is None
 
 
 class TestTransformedEstimator:

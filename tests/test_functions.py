@@ -37,7 +37,8 @@ from msglen.functions import (
     Function,
     IntegerSpace,
 )
-from msglen.values import DiscreteDatum
+from msglen.models import normal
+from msglen.values import DataSet, DiscreteDatum, map_dataset
 
 CTS_FUNCTIONS = [identity, log, exp, inv, linear(2.0, 1.0)]
 VECTOR_FUNCTIONS = [
@@ -181,6 +182,57 @@ class TestApplyScalar:
             assert out.aom == pytest.approx(aom * abs(f.d_dx(x)), rel=1e-12)
 
 
+class _Cube(Cts2Cts):
+    """x ** 3, whose value overflows a float at 1e120 while its slope,
+    3e240, stays finite."""
+
+    name = "cube"
+
+    def __call__(self, x):
+        return x ** 3
+
+    def d_dx(self, x):
+        return 3.0 * x * x
+
+    def inverse(self):
+        return _CubeRoot()
+
+
+class _CubeRoot(Cts2Cts):
+    name = "cuberoot"
+
+    def __call__(self, y):
+        return math.copysign(abs(y) ** (1.0 / 3.0), y)
+
+    def d_dx(self, y):
+        return 1.0 / (3.0 * self(y) ** 2)
+
+    def inverse(self):
+        return _Cube()
+
+
+class TestValueOverflow:
+    """A value past the float range, at a finite slope, is a DomainError
+    wherever a datum is mapped, naming the row in a dataset."""
+
+    def test_apply(self):
+        with pytest.raises(DomainError) as err:
+            _Cube().apply(CtsDatum(1e120, 0.1))
+        assert str(err.value) == "cube(1e+120) overflows a float"
+
+    def test_map_dataset_names_the_row(self):
+        ds = DataSet.continuous([1.0, 1e120], [0.1, 0.1])
+        with pytest.raises(DomainError) as err:
+            map_dataset(ds, _Cube())
+        assert (str(err.value), err.value.index) == ("index 1: cube(1e+120) overflows a float", 1)
+
+    def test_a_fit_names_the_row(self):
+        ds = DataSet.continuous([1.0, 2.0, 1e120], [0.1, 0.1, 0.1])
+        with pytest.raises(DomainError) as err:
+            normal.transform(_Cube()).estimator().estimate(ds)
+        assert (str(err.value), err.value.index) == ("index 2: cube(1e+120) overflows a float", 2)
+
+
 class TestJacobians:
     def test_polar_to_cartesian_at_unit(self):
         np.testing.assert_allclose(
@@ -224,6 +276,12 @@ class TestJacobians:
         assert polar2cartesian.nl_jacobian_det([1.0, 2.7]) == pytest.approx(0.0, abs=1e-15)
         assert polar2cartesian.nl_jacobian_det([math.e, 0.0]) == pytest.approx(-1.0, rel=1e-12)
         assert cartesian2polar.nl_jacobian_det([math.e, 0.0]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_polar_jacobian_overflows_where_r_squared_underflows(self):
+        # r = 1e-200 is positive, but r * r is 0.0, so 1 / r^2 would divide by zero
+        with pytest.raises(DegenerateTransformError) as err:
+            cartesian2polar.jacobian((1e-200, 0.0))
+        assert str(err.value) == "the Jacobian of cartesian2polar overflows at (1e-200, 0.0)"
 
     def test_product_of_jacobians_is_identity(self):
         rng = np.random.default_rng(42)

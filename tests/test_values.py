@@ -532,6 +532,37 @@ class TestInferDefaultAom:
             assert infer_default_aom([1e308, 0.0, -1e308]) == 1e308
             assert infer_default_aom([1e308, -1e308]) == math.inf
 
+    @staticmethod
+    def _by_unique(values) -> float:
+        """The rule as stated, over np.unique's distinct values."""
+        distinct = np.unique(np.asarray(values, dtype=np.float64))
+        if distinct.size < 2:
+            return 1e-6 * max(1.0, abs(float(distinct[0])) if distinct.size else 0.0)
+        with np.errstate(over="ignore"):
+            gap = float(np.diff(distinct).min())
+        lo, hi = float(distinct[0]), float(distinct[-1])
+        floor = 1e-6 * (hi - lo)
+        if math.isinf(floor):
+            floor = 1e-6 * hi - 1e-6 * lo
+        return max(gap, floor)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 2.0]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_agrees_with_the_rule_over_distinct_values(self, values):
+        # The positive steps of the sorted column are the gaps between
+        # distinct values; repr tells -0.0 from 0.0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert repr(infer_default_aom(values)) == repr(self._by_unique(values))
+
 
 class TestMapDataset:
     def test_identity(self):
