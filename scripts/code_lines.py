@@ -1,4 +1,5 @@
-"""Print the code lines of each ``src/msglen/*.py`` file and their total.
+"""Print the code lines of each ``src/msglen/*.py`` file and their total,
+then those of each ``tests/*.py`` file and theirs.
 
 A code line is a non-blank line that holds a token other than a comment
 and lies outside every docstring (of a module, class or function).
@@ -14,7 +15,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "msglen"
+ROOT = Path(__file__).resolve().parents[1]
+TABLES = (ROOT / "src" / "msglen", ROOT / "tests")
 NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -50,12 +52,16 @@ def code_lines(path: Path) -> int:
 
 
 def main() -> int:
-    total = 0
-    for path in sorted(SRC.glob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    for i, folder in enumerate(TABLES):
+        if i:
+            print()
+        print(f"        {folder.relative_to(ROOT)}/*.py")
+        total = 0
+        for path in sorted(folder.glob("*.py")):
+            n = code_lines(path)
+            total += n
+            print(f"{n:6d}  {path.name}")
+        print(f"{total:6d}  total")
     return 0
 
 

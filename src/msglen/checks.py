@@ -1,11 +1,29 @@
 """Self-contained invariance suites behind the ``check`` CLI command.
 
-Each suite exercises one family of identities the library is built
-around: parameterise/transform commutation, estimate/transform
-commutation, information invariance under data mapping, the Jacobian
-identities of the polar maps, density normalisation, and AoM
-propagation.  Suites use fixed seeds and fixed quadrature rules, and
-need numpy alone, so repeated runs are identical.
+Each of the paper's laws is one public function that returns its
+deviation for one case, and the suites and the tests call them:
+
+* ``cost_gap(a, b, data)``: the largest gap between two models' costs of
+  the same data (parameterise/transform and estimate/transform commute);
+* ``plain_and_mapped_fits(family, f, ds, ps)``: a fit of the family to
+  ``ds`` and a fit of ``family.transform(f)`` to ``ds`` mapped through
+  f's inverse, the two fits whose models ``commute-est`` and whose msg
+  ``info`` compare;
+* ``inverse_jacobian_gap(f, v)``: how far the inverse's Jacobian at f(v)
+  times f's at v is from the identity;
+* ``det_gap(f, v, det)``: the relative error of ``|det J|`` against det;
+* ``jacobian_fd_gap(f, v)``: the Jacobian against central finite
+  differences (``finite_difference_jacobian``);
+* ``scalar_aom_gap(f, x, aom)``: the AoM ``apply`` gives against
+  ``aom * |f'(x)|``;
+* ``aom_volume_gap(f, d)``: the AoM volume ``apply`` gives against
+  ``|det J|`` times the datum's;
+* ``doubling_gap(model, d)``: a doubled AoM (volume) against a saving of
+  ln 2 nits;
+* ``mass_gap(model, nodes)``: a quadrature of the model's pdf against 1.
+
+The suites run these laws on fixed cases with fixed seeds and fixed
+quadrature rules, and need numpy alone, so repeated runs are identical.
 """
 
 from __future__ import annotations
@@ -19,7 +37,11 @@ from . import functions as fn
 from . import models
 from .values import CtsDatum, DataSet, DiscreteDatum, VecDatum, map_dataset
 
-__all__ = ["CheckResult", "SUITES"]
+__all__ = [
+    "CheckResult", "SUITES", "cost_gap", "plain_and_mapped_fits", "inverse_jacobian_gap",
+    "det_gap", "finite_difference_jacobian", "jacobian_fd_gap", "scalar_aom_gap",
+    "aom_volume_gap", "doubling_gap", "mass_gap",
+]
 
 
 @dataclass(frozen=True)
@@ -33,65 +55,138 @@ def _result(name: str, deviation: float, tol: float) -> CheckResult:
     return CheckResult(name, deviation <= tol, f"max deviation {deviation:.3g} (tol {tol:g})")
 
 
+def _log_uniform(rng, lo: float, hi: float) -> float:
+    """10 ** U(lo, hi): a draw spread evenly over the decades lo to hi."""
+    return 10.0 ** float(rng.uniform(lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# The laws: each returns its deviation for one case
+# ---------------------------------------------------------------------------
+
+
+def cost_gap(a, b, data) -> float:
+    """The largest |a.nl_pr(d) - b.nl_pr(d)| over the data, in nits."""
+    return max((abs(a.nl_pr(d) - b.nl_pr(d)) for d in data), default=0.0)
+
+
+def plain_and_mapped_fits(family, f, ds: DataSet, ps):
+    """The fit of family to ds, and the fit of family.transform(f) to ds
+    mapped through f's inverse: the first, transformed by f, should cost
+    each datum what the second does, and both should have the same msg."""
+    plain = family.estimator(ps).estimate(ds)
+    mapped = family.transform(f).estimator(ps).estimate(map_dataset(ds, f.inverse()))
+    return plain, mapped
+
+
+def inverse_jacobian_gap(f, v) -> float:
+    """The largest entry of |J_{f^-1}(f(v)) J_f(v) - I|."""
+    prod = np.array(f.inverse().jacobian(f(v))) @ np.array(f.jacobian(v))
+    return float(np.max(np.abs(prod - np.eye(f.dim))))
+
+
+def det_gap(f, v, det: float) -> float:
+    """The error of |det J_f(v)| relative to det."""
+    return abs(abs(float(np.linalg.det(f.jacobian(v)))) - det) / det
+
+
+def finite_difference_jacobian(f, v) -> np.ndarray:
+    """f's Jacobian at v by central differences, with step 1e-6 *
+    max(1, |v_j|) along component j."""
+    v = np.asarray(v, dtype=np.float64)
+    cols = []
+    for j in range(f.dim):
+        h = 1e-6 * max(1.0, abs(float(v[j])))
+        step = np.zeros(f.dim)
+        step[j] = h
+        cols.append((np.array(f(v + step)) - np.array(f(v - step))) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def jacobian_fd_gap(f, v) -> float:
+    """The largest gap between f's Jacobian at v and its central finite
+    difference, each entry relative to max(1, |J_ij|)."""
+    jac = np.array(f.jacobian(v))
+    gap = np.abs(finite_difference_jacobian(f, v) - jac) / np.maximum(1.0, np.abs(jac))
+    return float(np.max(gap))
+
+
+def scalar_aom_gap(f, x: float, aom: float) -> float:
+    """The error of the AoM of f.apply at (x, aom) relative to aom * |f'(x)|."""
+    want = aom * abs(f.d_dx(x))
+    return abs(f.apply(CtsDatum(x, aom)).aom - want) / want
+
+
+def aom_volume_gap(f, d: VecDatum) -> float:
+    """The error of the AoM volume of f.apply(d) relative to |det J| times
+    d's volume."""
+    want = math.exp(-f.nl_jacobian_det(np.array(d.components))) * d.aom_volume
+    return abs(f.apply(d).aom_volume - want) / want
+
+
+def doubling_gap(model, d) -> float:
+    """How far the nits saved by doubling d's AoM (a vector datum's first,
+    which doubles its volume) are from ln 2."""
+    if isinstance(d, VecDatum):
+        doubled = VecDatum(d.components, (2.0 * d.aoms[0], *d.aoms[1:]))
+    else:
+        doubled = CtsDatum(d.x, 2.0 * d.aom)
+    return abs(model.nl_pr(d) - model.nl_pr(doubled) - math.log(2.0))
+
+
+def mass_gap(model, nodes) -> float:
+    """|sum of w * pdf(x) over the (x, w) nodes - 1|."""
+    return abs(math.fsum(w * model.pdf(x) for x, w in nodes) - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The suites: the laws on fixed cases
+# ---------------------------------------------------------------------------
+
+
+def _normal_data(rng, n: int, mean: float, sd: float, g=fn.identity) -> list[CtsDatum]:
+    """n data, each a value g(N(mean, sd)) and then an AoM 10**U(-4, -1)."""
+    return [CtsDatum(g(float(rng.normal(mean, sd))), _log_uniform(rng, -4, -1)) for _ in range(n)]
+
+
 def check_commute_sp() -> list[CheckResult]:
     """Parameterising and transforming commute, as distributions."""
     rng = np.random.default_rng(20240901)
     out = []
     for sp in ((0.0, 1.0), (2.0, 0.5), (-1.0, 3.0)):
         for f in (fn.log, fn.linear(2.0, 1.0)):
-            transformed_first = models.normal.transform(f).parameterise(sp)
-            parameterised_first = models.normal.parameterise(sp).transform(f)
-            worst = 0.0
-            for _ in range(100):
-                x = f.inverse()(float(rng.normal(sp[0], sp[1])))
-                d = CtsDatum(x, 10.0 ** float(rng.uniform(-4, -1)))
-                worst = max(
-                    worst,
-                    abs(transformed_first.nl_pr(d) - parameterised_first.nl_pr(d)),
-                )
-            out.append(_result(f"parameterise/transform commute sp={sp} f={f.name}", worst, 1e-9))
+            data = _normal_data(rng, 100, *sp, f.inverse())
+            gap = cost_gap(
+                models.normal.transform(f).parameterise(sp),
+                models.normal.parameterise(sp).transform(f),
+                data,
+            )
+            out.append(_result(f"parameterise/transform commute sp={sp} f={f.name}", gap, 1e-9))
     return out
 
 
-def _random_normal_dataset(rng, n: int, mean: float, sd: float) -> DataSet:
-    items = tuple(
-        CtsDatum(float(rng.normal(mean, sd)), 10.0 ** float(rng.uniform(-4, -1)))
-        for _ in range(n)
-    )
-    return DataSet(items)
-
-
-def _plain_and_mapped_fits(rng):
-    """For each function f, a normal fit to random data and a fit of the
-    f-transformed normal to the same data mapped through f's inverse."""
+def _fitted_cases(rng):
+    """For each function f, plain_and_mapped_fits of the normal on random
+    data of 10 to 500 rows, under fixed priors."""
     ps = models.NormalPriors(mu_range=1e4, sigma_bounds=(1e-9, 1e6))
     for f, mean, sd in (
         (fn.log, 0.0, 1.0),
         (fn.exp, 6.0, 0.5),  # data kept positive so exp's inverse applies
         (fn.linear(3.0, -2.0), 1.0, 2.0),
     ):
-        n = int(rng.integers(10, 501))
-        ds = _random_normal_dataset(rng, n, mean, sd)
-        plain = models.normal.estimator(ps).estimate(ds)
-        mapped = models.normal.transform(f).estimator(ps).estimate(
-            map_dataset(ds, f.inverse())
-        )
-        yield f, plain, mapped
+        ds = DataSet(_normal_data(rng, int(rng.integers(10, 501)), mean, sd))
+        yield f, plain_and_mapped_fits(models.normal, f, ds, ps)
 
 
 def check_commute_est() -> list[CheckResult]:
     """Estimating then transforming equals transforming then estimating."""
     rng = np.random.default_rng(20240902)
     out = []
-    for f, plain, mapped in _plain_and_mapped_fits(rng):
-        left = plain.model.transform(f)
-        f_inv = f.inverse()
-        worst = 0.0
-        for _ in range(50):
-            x = float(rng.normal(0.0, 1.0)) if f is fn.log else float(rng.normal(6.0, 0.5))
-            d = f_inv.apply(CtsDatum(x, 1e-3))
-            worst = max(worst, abs(left.nl_pr(d) - mapped.model.nl_pr(d)))
-        out.append(_result(f"estimate/transform commute f={f.name}", worst, 1e-9))
+    for f, (plain, mapped) in _fitted_cases(rng):
+        probe = (0.0, 1.0) if f is fn.log else (6.0, 0.5)
+        data = [f.inverse().apply(CtsDatum(float(rng.normal(*probe)), 1e-3)) for _ in range(50)]
+        gap = cost_gap(plain.model.transform(f), mapped.model, data)
+        out.append(_result(f"estimate/transform commute f={f.name}", gap, 1e-9))
     return out
 
 
@@ -100,58 +195,35 @@ def check_info() -> list[CheckResult]:
     total two-part message length."""
     return [
         _result(f"info f={f.name}", abs(plain.msg - mapped.msg), 1e-9)
-        for f, plain, mapped in _plain_and_mapped_fits(np.random.default_rng(20240903))
+        for f, (plain, mapped) in _fitted_cases(np.random.default_rng(20240903))
     ]
 
 
 def check_jacobian() -> list[CheckResult]:
     """Polar/cartesian Jacobian identities and finite-difference agreement."""
     rng = np.random.default_rng(20240904)
-    out = []
     pc, cp = fn.polar2cartesian, fn.cartesian2polar
-
-    worst_prod = worst_pc = worst_cp = 0.0
+    prod, det_pc, det_cp = [], [], []
     for _ in range(100):
-        r = 10.0 ** float(rng.uniform(-3, 3))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        polar = np.array([r, theta])
+        r = _log_uniform(rng, -3, 3)
+        polar = np.array([r, float(rng.uniform(0.0, 2.0 * math.pi))])
         cart = pc(polar)
-        prod = np.array(pc.jacobian(cp(cart))) @ np.array(cp.jacobian(cart))
-        worst_prod = max(worst_prod, float(np.max(np.abs(prod - np.eye(2)))))
-        worst_pc = max(
-            worst_pc, abs(abs(float(np.linalg.det(pc.jacobian(polar)))) - r) / r
-        )
-        worst_cp = max(
-            worst_cp,
-            abs(abs(float(np.linalg.det(cp.jacobian(cart)))) - 1.0 / r) / (1.0 / r),
-        )
-    out.append(_result("jacobian product = identity", worst_prod, 1e-9))
-    out.append(_result("|det| of polar2cartesian = r", worst_pc, 1e-9))
-    out.append(_result("|det| of cartesian2polar = 1/r", worst_cp, 1e-9))
+        prod.append(inverse_jacobian_gap(cp, cart))
+        det_pc.append(det_gap(pc, polar, r))
+        det_cp.append(det_gap(cp, cart, 1.0 / r))
+    out = [
+        _result("jacobian product = identity", max(prod), 1e-9),
+        _result("|det| of polar2cartesian = r", max(det_pc), 1e-9),
+        _result("|det| of cartesian2polar = 1/r", max(det_cp), 1e-9),
+    ]
 
     worst_fd = 0.0
     for _ in range(100):
-        r = 10.0 ** float(rng.uniform(-1, 2))
-        theta = float(rng.uniform(0.05, 2.0 * math.pi - 0.05))
-        v = np.array([r, theta])
-        worst_fd = max(worst_fd, _jacobian_fd_error(pc, v))
-        worst_fd = max(worst_fd, _jacobian_fd_error(cp, np.array(pc(v))))
+        r = _log_uniform(rng, -1, 2)
+        v = np.array([r, float(rng.uniform(0.05, 2.0 * math.pi - 0.05))])
+        worst_fd = max(worst_fd, jacobian_fd_gap(pc, v), jacobian_fd_gap(cp, np.array(pc(v))))
     out.append(_result("jacobian vs finite differences", worst_fd, 1e-5))
     return out
-
-
-def _jacobian_fd_error(f, v: np.ndarray) -> float:
-    jac = np.array(f.jacobian(v))
-    worst = 0.0
-    for j in range(f.dim):
-        h = 1e-6 * max(1.0, abs(float(v[j])))
-        step = np.zeros(f.dim)
-        step[j] = h
-        col = (np.array(f(v + step)) - np.array(f(v - step))) / (2.0 * h)
-        for i in range(f.dim):
-            scale = max(1.0, abs(jac[i, j]))
-            worst = max(worst, abs(col[i] - jac[i, j]) / scale)
-    return worst
 
 
 def _gauss_legendre(edges, n: int) -> list[tuple[float, float]]:
@@ -167,24 +239,22 @@ def check_normalize() -> list[CheckResult]:
     probabilities still sum to one.  Each mass is a fixed composite
     Gauss-Legendre sum of the density's own per-value ``pdf``, whose
     panels bring both masses within 1e-13 of one."""
-    out = []
     log_normal = models.normal.transform(fn.log).parameterise((0.0, 1.0))
     decades = _gauss_legendre([0.0] + [10.0**k for k in range(-6, 7)], 24)
-    mass = math.fsum(w * log_normal.pdf(x) for x, w in decades)
-    out.append(_result("log-normal density mass", abs(mass - 1.0), 1e-4))
+    out = [_result("log-normal density mass", mass_gap(log_normal, decades), 1e-4)]
 
     plane = models.independent_rd([models.normal, models.normal])
     polar = plane.transform(fn.polar2cartesian).parameterise(((0.0, 1.0), (0.0, 1.0)))
     rs = _gauss_legendre([0.0, 2.0, 4.0, 6.0, 8.0, 20.0], 12)
     thetas = _gauss_legendre([0.0, 2.0 * math.pi], 16)
-    mass2 = math.fsum(wr * wt * polar.pdf([r, t]) for r, wr in rs for t, wt in thetas)
-    out.append(_result("bivariate normal through polar", abs(mass2 - 1.0), 1e-3))
+    nodes = [([r, t], wr * wt) for r, wr in rs for t, wt in thetas]
+    out.append(_result("bivariate normal through polar", mass_gap(polar, nodes), 1e-3))
 
     coin = models.multistate(0, 3).parameterise((0.1, 0.2, 0.3, 0.4))
     for g in (fn.ReversePermutation(0, 3), fn.Rotation(0, 3, 1)):
         permuted = coin.transform(g)
-        total = math.fsum(permuted.pdf(k) for k in permuted.space())
-        out.append(_result(f"permuted probabilities sum ({g.name})", abs(total - 1.0), 1e-12))
+        gap = mass_gap(permuted, [(k, 1.0) for k in permuted.space()])
+        out.append(_result(f"permuted probabilities sum ({g.name})", gap, 1e-12))
     return out
 
 
@@ -194,59 +264,50 @@ def _domain_point(f, rng) -> float:
     for inv, else N(0, 3)."""
     if f is fn.log or f is fn.inv:
         negative = f is fn.inv and rng.integers(2) == 0
-        x = 10.0 ** float(rng.uniform(-2.0, 1.0))
+        x = _log_uniform(rng, -2.0, 1.0)
         return -x if negative else x
     return float(rng.normal(0.0, 3.0))
+
+
+def _vector_datum(f, rng) -> VecDatum:
+    """A random 2-vector datum in the vector map f's domain: its point,
+    then its two AoMs, each 10**U(-5, -2)."""
+    if f is fn.polar2cartesian:
+        v = (_log_uniform(rng, -2, 2), float(rng.uniform(0, 2 * math.pi)))
+    elif f is fn.cartesian2polar:
+        v = (float(rng.normal(0, 2)) or 0.5, float(rng.normal(0, 2)) or 0.5)
+    else:
+        v = (_log_uniform(rng, -2, 2), float(rng.uniform(-3, 3)))
+    return VecDatum(v, (_log_uniform(rng, -5, -2), _log_uniform(rng, -5, -2)))
 
 
 def check_aom() -> list[CheckResult]:
     """AoM propagation laws for scalar and vector application."""
     rng = np.random.default_rng(20240905)
-    out = []
+    worst = max(
+        scalar_aom_gap(f, _domain_point(f, rng), _log_uniform(rng, -6, -1))
+        for f in (fn.identity, fn.log, fn.exp, fn.inv, fn.linear(2.0, 1.0))
+        for _ in range(100)
+    )
+    out = [_result("scalar AoM = aom * |f'(x)|", worst, 1e-12)]
 
-    worst = 0.0
-    for f in (fn.identity, fn.log, fn.exp, fn.inv, fn.linear(2.0, 1.0)):
-        for _ in range(100):
-            x = _domain_point(f, rng)
-            eps = 10.0 ** float(rng.uniform(-6, -1))
-            got = f.apply(CtsDatum(x, eps)).aom
-            want = eps * abs(f.d_dx(x))
-            worst = max(worst, abs(got - want) / want)
-    out.append(_result("scalar AoM = aom * |f'(x)|", worst, 1e-12))
-
-    worst = 0.0
-    for big in (fn.polar2cartesian, fn.cartesian2polar, fn.Componentwise([fn.log, fn.exp])):
-        for _ in range(100):
-            if big is fn.polar2cartesian:
-                v = (10.0 ** float(rng.uniform(-2, 2)), float(rng.uniform(0, 2 * math.pi)))
-            elif big is fn.cartesian2polar:
-                v = (float(rng.normal(0, 2)) or 0.5, float(rng.normal(0, 2)) or 0.5)
-            else:
-                v = (10.0 ** float(rng.uniform(-2, 2)), float(rng.uniform(-3, 3)))
-            aoms = tuple(10.0 ** float(rng.uniform(-5, -2)) for _ in range(2))
-            d = VecDatum(v, aoms)
-            res = big.apply(d)
-            want = math.exp(-big.nl_jacobian_det(np.array(v))) * d.aom_volume
-            worst = max(worst, abs(res.aom_volume - want) / want)
+    worst = max(
+        aom_volume_gap(f, _vector_datum(f, rng))
+        for f in (fn.polar2cartesian, fn.cartesian2polar, fn.Componentwise([fn.log, fn.exp]))
+        for _ in range(100)
+    )
     out.append(_result("AoM volume = |det J| * input volume", worst, 1e-9))
 
     n01 = models.normal.parameterise((0.0, 1.0))
-    fair = models.multistate(0, 1).parameterise((0.5, 0.5))
-    worst = 0.0
-    for _ in range(100):
-        x = float(rng.normal(0, 1))
-        eps = 10.0 ** float(rng.uniform(-6, -1))
-        drop = n01.nl_pr(CtsDatum(x, eps)) - n01.nl_pr(CtsDatum(x, 2.0 * eps))
-        worst = max(worst, abs(drop - math.log(2.0)))
+    worst = max(
+        doubling_gap(n01, CtsDatum(float(rng.normal(0, 1)), _log_uniform(rng, -6, -1)))
+        for _ in range(100)
+    )
     out.append(_result("doubling the AoM saves ln 2 nits", worst, 1e-12))
     # Discrete probabilities have no AoM and are unaffected; sanity anchor.
-    out.append(
-        _result(
-            "fair coin costs ln 2 per toss",
-            abs(fair.nl_pr(DiscreteDatum(0)) - math.log(2.0)),
-            1e-12,
-        )
-    )
+    fair = models.multistate(0, 1).parameterise((0.5, 0.5))
+    coin_gap = abs(fair.nl_pr(DiscreteDatum(0)) - math.log(2.0))
+    out.append(_result("fair coin costs ln 2 per toss", coin_gap, 1e-12))
     return out
 
 

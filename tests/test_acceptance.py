@@ -26,6 +26,7 @@ from msglen import (
     map_dataset,
     polar2cartesian,
 )
+from msglen import checks
 from msglen.checks import _domain_point
 from msglen.cli import main as cli_main
 from msglen.models import independent_rd, multistate, normal
@@ -46,13 +47,9 @@ def test_criterion_1_parameterise_transform_commute():
     worst = 0.0
     for sp in ((0.0, 1.0), (2.0, 0.5), (-1.0, 3.0)):
         for f in (log, linear(2.0, 1.0)):
-            lhs = normal(sp).transform(f)
-            rhs = normal.transform(f)(sp)
-            f_inv = f.inverse()
-            for _ in range(100):
-                x = f_inv(float(rng.normal(sp[0], sp[1])))
-                d = CtsDatum(x, 10.0 ** float(rng.uniform(-4, -1)))
-                worst = max(worst, abs(lhs.nl_pr(d) - rhs.nl_pr(d)))
+            data = checks._normal_data(rng, 100, *sp, f.inverse())
+            gap = checks.cost_gap(normal(sp).transform(f), normal.transform(f)(sp), data)
+            worst = max(worst, gap)
     elapsed = time.perf_counter() - start
     report(
         "criterion-1 parameterise/transform commute",
@@ -71,20 +68,11 @@ def test_criterion_2_estimate_transform_commute():
     worst_msg = 0.0
     for i in range(20):
         f, mean, sd = cases[i % len(cases)]
-        n = int(rng.integers(10, 501))
-        ds = DataSet(
-            tuple(
-                CtsDatum(float(rng.normal(mean, sd)), 10.0 ** float(rng.uniform(-4, -1)))
-                for _ in range(n)
-            )
-        )
-        mapped = map_dataset(ds, f.inverse())
-        left_fit = normal.estimator(WIDE).estimate(ds)
-        left = left_fit.model.transform(f)
-        right = normal.transform(f).estimator(WIDE).estimate(mapped)
-        for d in mapped:
-            worst_nlpr = max(worst_nlpr, abs(left.nl_pr(d) - right.model.nl_pr(d)))
-        worst_msg = max(worst_msg, abs(left_fit.msg - right.msg))
+        ds = DataSet(checks._normal_data(rng, int(rng.integers(10, 501)), mean, sd))
+        plain, mapped = checks.plain_and_mapped_fits(normal, f, ds, WIDE)
+        data = map_dataset(ds, f.inverse())
+        worst_nlpr = max(worst_nlpr, checks.cost_gap(plain.model.transform(f), mapped.model, data))
+        worst_msg = max(worst_msg, abs(plain.msg - mapped.msg))
     elapsed = time.perf_counter() - start
     report(
         "criterion-2 estimate/transform commute + information invariance",
@@ -127,13 +115,9 @@ def test_criterion_4_jacobian_identities():
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         polar = np.array([r, theta])
         cart = polar2cartesian(polar)
-        prod = np.array(polar2cartesian.jacobian(cartesian2polar(cart))) @ np.array(
-            cartesian2polar.jacobian(cart)
-        )
-        worst_prod = max(worst_prod, float(np.max(np.abs(prod - np.eye(2)))))
-        det_pc = abs(float(np.linalg.det(polar2cartesian.jacobian(polar))))
-        det_cp = abs(float(np.linalg.det(cartesian2polar.jacobian(cart))))
-        worst_det = max(worst_det, abs(det_pc - r) / r, abs(det_cp - 1.0 / r) * r)
+        worst_prod = max(worst_prod, checks.inverse_jacobian_gap(cartesian2polar, cart))
+        det_pc = checks.det_gap(polar2cartesian, polar, r)
+        worst_det = max(worst_det, det_pc, checks.det_gap(cartesian2polar, cart, 1.0 / r))
     m = independent_rd([normal, normal]).transform(polar2cartesian)(((0, 1), (0, 1)))
     mass, _ = integrate.dblquad(
         lambda theta, r: m.pdf([r, theta]) if r > 0.0 else 0.0,
@@ -158,9 +142,7 @@ def test_criterion_5_aom_propagation():
         for _ in range(100):
             x = _domain_point(f, rng)
             eps = 10.0 ** float(rng.uniform(-6, -1))
-            got = f.apply(CtsDatum(x, eps)).aom
-            want = eps * abs(f.d_dx(x))
-            worst_scalar = max(worst_scalar, abs(got - want) / want)
+            worst_scalar = max(worst_scalar, checks.scalar_aom_gap(f, x, eps))
 
     worst_volume = 0.0
     for f in VECTOR_FUNCTIONS:
@@ -170,8 +152,7 @@ def test_criterion_5_aom_propagation():
                 tuple(float(c) for c in v),
                 tuple(10.0 ** float(rng.uniform(-5, -2)) for _ in range(f.dim)),
             )
-            want = math.exp(-f.nl_jacobian_det(v)) * d.aom_volume
-            worst_volume = max(worst_volume, abs(f.apply(d).aom_volume - want) / want)
+            worst_volume = max(worst_volume, checks.aom_volume_gap(f, d))
 
     worst_bit = 0.0
     n01 = normal((0.0, 1.0))
@@ -180,27 +161,12 @@ def test_criterion_5_aom_propagation():
     for _ in range(100):
         eps = 10.0 ** float(rng.uniform(-6, -1))
         x = float(rng.normal(0, 1))
-        worst_bit = max(
-            worst_bit,
-            abs(n01.nl_pr(CtsDatum(x, eps)) - n01.nl_pr(CtsDatum(x, 2 * eps)) - math.log(2.0)),
-        )
-        y = math.exp(x)
-        worst_bit = max(
-            worst_bit,
-            abs(
-                log_normal.nl_pr(CtsDatum(y, eps))
-                - log_normal.nl_pr(CtsDatum(y, 2 * eps))
-                - math.log(2.0)
-            ),
-        )
         v = (float(rng.normal(0, 1)), float(rng.normal(1, 2)))
         worst_bit = max(
             worst_bit,
-            abs(
-                pair.nl_pr(VecDatum(v, (eps, eps)))
-                - pair.nl_pr(VecDatum(v, (2 * eps, eps)))
-                - math.log(2.0)
-            ),
+            checks.doubling_gap(n01, CtsDatum(x, eps)),
+            checks.doubling_gap(log_normal, CtsDatum(math.exp(x), eps)),
+            checks.doubling_gap(pair, VecDatum(v, (eps, eps))),
         )
     report(
         "criterion-5 AoM propagation",
@@ -221,21 +187,11 @@ def test_criterion_6_derivatives_vs_finite_differences():
             worst_scalar = max(
                 worst_scalar, abs(f.d_dx(x) - fd) / max(1e-9, abs(fd))
             )
-    worst_vec = 0.0
-    for f in VECTOR_FUNCTIONS:
-        for _ in range(100):
-            v = sample_vector_point(f, rng)
-            jac = np.array(f.jacobian(v))
-            for j in range(f.dim):
-                h = 1e-6 * max(1.0, abs(float(v[j])))
-                step = np.zeros(f.dim)
-                step[j] = h
-                col = (np.array(f(v + step)) - np.array(f(v - step))) / (2.0 * h)
-                for i in range(f.dim):
-                    worst_vec = max(
-                        worst_vec,
-                        abs(col[i] - jac[i, j]) / max(1.0, abs(jac[i, j])),
-                    )
+    worst_vec = max(
+        checks.jacobian_fd_gap(f, sample_vector_point(f, rng))
+        for f in VECTOR_FUNCTIONS
+        for _ in range(100)
+    )
     report(
         "criterion-6 derivatives vs finite differences",
         worst_scalar < 1e-6 and worst_vec < 1e-5,
@@ -283,12 +239,7 @@ def test_criterion_8_mml_minimality():
     for _ in range(20):
         n = int(rng.integers(10, 200))
         mean, sd = float(rng.uniform(-3, 3)), float(rng.uniform(0.5, 3.0))
-        ds = DataSet(
-            tuple(
-                CtsDatum(float(rng.normal(mean, sd)), 10.0 ** float(rng.uniform(-4, -1)))
-                for _ in range(n)
-            )
-        )
+        ds = DataSet(checks._normal_data(rng, n, mean, sd))
         est = normal.estimator(WIDE)
         fit = est.estimate(ds)
         mu, sigma = fit.model.mean, fit.model.sd

@@ -17,7 +17,7 @@ import pytest
 import msglen
 from msglen import cli, models
 from msglen import functions as fn
-from msglen.checks import SUITES
+from msglen.checks import SUITES, CheckResult
 from msglen.cli import main, parse_model_expr
 from msglen.errors import DomainError, InvalidDatumError, ModelExprError
 from msglen.estimation import data_costs
@@ -727,6 +727,13 @@ class TestCheck:
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(["check", "bogus"], capsys)
         assert code == 1
+
+    def test_a_failed_result_is_counted_and_exits_3(self, capsys, monkeypatch):
+        results = [CheckResult(name, name != "b", "d") for name in "abc"]
+        monkeypatch.setitem(SUITES, "info", lambda: results)
+        code, out, _ = run(["check", "info"], capsys)
+        assert code == cli.CHECK_FAILED == 3
+        assert out.splitlines() == ["ok   a: d", "FAIL b: d", "ok   c: d", "info: 2/3 passed"]
 
 
 class TestUsage:

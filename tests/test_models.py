@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -31,11 +32,12 @@ from msglen import (
     map_dataset,
     polar2cartesian,
 )
-from msglen import checks
+from msglen import checks, models
 from msglen.functions import (
     ComponentPermutation,
     Componentwise,
     Cts2Cts,
+    CtsD2CtsD,
     Log,
     Polar2Cartesian,
     inv,
@@ -44,6 +46,7 @@ from msglen.models import (
     MAX_DIM,
     MAX_STATES,
     BoundedUniformModel,
+    ContinuousModel,
     IndependentProductModel,
     MultiStateModel,
     NormalModel,
@@ -129,9 +132,7 @@ class TestNlPr:
 
     def test_vector_aoms_enter_additively(self):
         m = independent_rd([normal, normal])(((0, 1), (0, 1)))
-        base = m.nl_pr(VecDatum((0.1, 0.2), (0.01, 0.01)))
-        doubled = m.nl_pr(VecDatum((0.1, 0.2), (0.02, 0.01)))
-        assert base - doubled == pytest.approx(math.log(2.0), abs=1e-12)
+        assert checks.doubling_gap(m, VecDatum((0.1, 0.2), (0.01, 0.01))) <= 1e-12
 
     def test_discrete_sums_to_one(self):
         for m in (bounded_uniform(0, 5)(()), multistate(0, 3)((0.1, 0.2, 0.3, 0.4))):
@@ -229,13 +230,9 @@ class TestTransform:
         rng = np.random.default_rng(42)
         for sp in ((0.0, 1.0), (2.0, 0.5), (-1.0, 3.0)):
             for f in (log, linear(2.0, 1.0)):
-                lhs = normal(sp).transform(f)
-                rhs = normal.transform(f)(sp)
-                f_inv = f.inverse()
-                for _ in range(100):
-                    x = f_inv(float(rng.normal(sp[0], sp[1])))
-                    d = CtsDatum(x, 10.0 ** float(rng.uniform(-4, -1)))
-                    assert abs(lhs.nl_pr(d) - rhs.nl_pr(d)) < 1e-9
+                data = checks._normal_data(rng, 100, *sp, f.inverse())
+                gap = checks.cost_gap(normal(sp).transform(f), normal.transform(f)(sp), data)
+                assert gap < 1e-9
 
     def test_transform_then_inverse_recovers(self):
         rng = np.random.default_rng(42)
@@ -625,6 +622,81 @@ class TestNormalizeSuite:
         }
 
 
+def _polar_rows(scale):
+    jacobian = Polar2Cartesian.jacobian
+    return lambda self, v: tuple(tuple(scale * x for x in row) for row in jacobian(self, v))
+
+
+DECADES = [0.0] + [10.0**k for k in range(-6, 7)]
+STEPS = DataSet(tuple(CtsDatum(x, 1e-3) for x in (-1.0, 0.2, 0.5, 1.5)))
+ONE = [CtsDatum(2.0, 1e-3)]
+POLAR = (polar2cartesian, (2.0, 0.5))
+
+
+def _fit_gaps():
+    """commute-est's and info's deviations for log on STEPS."""
+    plain, mapped = checks.plain_and_mapped_fits(normal, log, STEPS, None)
+    data = map_dataset(STEPS, exp)
+    commute_est = checks.cost_gap(plain.model.transform(log), mapped.model, data)
+    return commute_est, abs(plain.msg - mapped.msg)
+
+
+# Each law of msglen.checks on one case, and a defect it must see: (the
+# owner and attribute the defect replaces, the defect, the law's deviation,
+# and the tolerance its suite holds that deviation to).
+LAW_DEFECTS = {
+    "commute-sp, a transformed family that drops f": (
+        models._TransformedFamily, "parameterise", lambda self, sp: self.base.parameterise(sp),
+        lambda: checks.cost_gap(normal.transform(log)((0, 1)), normal((0, 1)).transform(log), ONE),
+        1e-9,
+    ),
+    "commute-est, a transformed fit that does not map the data": (
+        models, "map_dataset", lambda ds, f: ds, lambda: _fit_gaps()[0], 1e-9,
+    ),
+    "info, a column map that does not scale the AoM": (
+        Cts2Cts, "map_col", lambda self, x, aom: (self.f_col(x), aom), lambda: _fit_gaps()[1], 1e-9,
+    ),
+    "jacobian product, a Jacobian with a flipped sign": (
+        Polar2Cartesian, "jacobian", _polar_rows(-1.0),
+        partial(checks.inverse_jacobian_gap, *POLAR), 1e-9,
+    ),
+    "|det|, a doubled Jacobian": (
+        Polar2Cartesian, "jacobian", _polar_rows(2.0), partial(checks.det_gap, *POLAR, 2.0), 1e-9,
+    ),
+    "finite differences, a Jacobian with a flipped sign": (
+        Polar2Cartesian, "jacobian", _polar_rows(-1.0),
+        partial(checks.jacobian_fd_gap, *POLAR), 1e-5,
+    ),
+    "scalar AoM, an apply that does not scale the AoM": (
+        Cts2Cts, "apply", lambda self, d: CtsDatum(self(d.x), d.aom),
+        partial(checks.scalar_aom_gap, log, 10.0, 1e-3), 1e-12,
+    ),
+    "AoM volume, an apply that does not scale the AoMs": (
+        CtsD2CtsD, "apply", lambda self, d: VecDatum(self(d.components), d.aoms),
+        partial(checks.aom_volume_gap, POLAR[0], VecDatum((10.0, 0.5), (1e-3, 1e-3))), 1e-9,
+    ),
+    "doubling, a cost that ignores the AoM": (
+        ContinuousModel, "nl_pr", lambda self, d: self.nl_pdf(d.x),
+        partial(checks.doubling_gap, normal((0, 1)), CtsDatum(0.5, 1e-3)), 1e-12,
+    ),
+    "mass, a doubled d_dx": (
+        Log, "d_dx", lambda self, x: 2.0 / x,
+        lambda: checks.mass_gap(normal.transform(log)((0, 1)), checks._gauss_legendre(DECADES, 24)),
+        1e-4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LAW_DEFECTS)
+def test_each_law_sees_a_planted_defect(case, monkeypatch):
+    """Each law holds on its case, and its deviation passes its suite's
+    tolerance once the defect is planted."""
+    owner, attr, defect, deviation, tol = LAW_DEFECTS[case]
+    assert deviation() <= tol
+    monkeypatch.setattr(owner, attr, defect)
+    assert deviation() > tol
+
+
 def _mass_through(f, mu: float, sigma: float) -> float:
     """The Gauss-Legendre mass of normal(mu, sigma).transform(f), from its
     own pdf.  The panels are the preimages under f of panels of the base's
@@ -667,6 +739,9 @@ class TestDataSpaces:
         assert MAX_STATES == 10**6
         with pytest.raises(ParameterError, match="states"):
             multistate(0, MAX_STATES)
+
+    def test_multistate_takes_exactly_max_states(self):
+        assert multistate(0, MAX_STATES - 1).size == MAX_STATES
 
     @pytest.mark.parametrize("lo, hi", [(3, 0), (0, 2**63), (-(2**63) - 1, 0)])
     def test_discrete_models_check_their_space(self, lo, hi):
