@@ -113,7 +113,8 @@ def test_criterion_4_jacobian_identities():
         polar = np.array([r, theta])
         cart = polar2cartesian(polar)
         prod.append(checks.inverse_jacobian_gap(cartesian2polar, cart))
-        det += [checks.det_gap(polar2cartesian, polar, r), checks.det_gap(cartesian2polar, cart, 1.0 / r)]
+        det.append(checks.det_gap(polar2cartesian, polar, r))
+        det.append(checks.det_gap(cartesian2polar, cart, 1.0 / r))
     worst_prod, worst_det = np.max(prod), np.max(det)
     m = independent_rd([normal, normal]).transform(polar2cartesian)(((0, 1), (0, 1)))
     mass, _ = integrate.dblquad(
