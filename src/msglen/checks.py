@@ -12,6 +12,8 @@ deviation for one case, and the suites and the tests call them:
 * ``inverse_jacobian_gap(f, v)``: how far the inverse's Jacobian at f(v)
   times f's at v is from the identity;
 * ``det_gap(f, v, det)``: the relative error of ``|det J|`` against det;
+* ``derivative_fd_gap(f, x, floor=1e-9)``: a scalar map's derivative
+  against its central finite difference;
 * ``jacobian_fd_gap(f, v)``: the Jacobian against central finite
   differences (``finite_difference_jacobian``);
 * ``scalar_aom_gap(f, x, aom)``: the AoM ``apply`` gives against
@@ -39,8 +41,8 @@ from .values import CtsDatum, DataSet, DiscreteDatum, VecDatum, map_dataset
 
 __all__ = [
     "CheckResult", "SUITES", "cost_gap", "estimate_transform_gaps", "inverse_jacobian_gap",
-    "det_gap", "finite_difference_jacobian", "jacobian_fd_gap", "scalar_aom_gap",
-    "aom_volume_gap", "doubling_gap", "mass_gap",
+    "det_gap", "derivative_fd_gap", "finite_difference_jacobian", "jacobian_fd_gap",
+    "scalar_aom_gap", "aom_volume_gap", "doubling_gap", "mass_gap",
 ]
 
 
@@ -102,6 +104,14 @@ def inverse_jacobian_gap(f, v) -> float:
 def det_gap(f, v, det: float) -> float:
     """The error of |det J_f(v)| relative to det."""
     return abs(abs(float(np.linalg.det(f.jacobian(v)))) - det) / det
+
+
+def derivative_fd_gap(f, x: float, floor: float = 1e-9) -> float:
+    """The gap between f'(x) and its central difference with step 1e-6 *
+    max(1, |x|), relative to max(floor, |difference|)."""
+    h = 1e-6 * max(1.0, abs(x))
+    fd = (f(x + h) - f(x - h)) / (2.0 * h)
+    return abs(f.d_dx(x) - fd) / max(floor, abs(fd))
 
 
 def finite_difference_jacobian(f, v) -> np.ndarray:

@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from itertools import chain, islice
 
 import numpy as np
 
@@ -306,9 +305,9 @@ def _read_dataset(args, target: UPModel | Model) -> DataSet:
 # ---------------------------------------------------------------------------
 
 
-# Lines per stdout write in _emit and _write_sample: one write per line is
-# slow into a pipe, and one write of every line at once holds the whole text
-# in memory.
+# Lines per stdout write in cmd_eval and _write_sample: one write per line
+# is slow into a pipe, and one write of every line at once holds the whole
+# text in memory.
 _EMIT_BLOCK = 1024
 
 
@@ -320,9 +319,7 @@ def _line(key: str, value: object, fmt: str) -> str:
 
 
 def _emit(pairs: Iterable[tuple[str, object]], fmt: str) -> None:
-    rest = iter(pairs)
-    while block := list(islice(rest, _EMIT_BLOCK)):
-        sys.stdout.write("".join(_line(key, value, fmt) for key, value in block))
+    sys.stdout.write("".join(_line(key, value, fmt) for key, value in pairs))
 
 
 def cmd_fit(args) -> int:
@@ -364,13 +361,20 @@ def cmd_eval(args) -> int:
     target = _require_model(parse_model_expr(args.model))
     ds = _read_dataset(args, target)
     costs, total = _real_costs(target, ds, "scored", args.bits)
-    per_datum = ((f"nlpr.{i}", nl) for i, nl in enumerate(costs))
+    # Each cost is a float, written as _line writes one, a block at a time.
+    for start in range(0, len(costs), _EMIT_BLOCK):
+        block = enumerate(costs[start : start + _EMIT_BLOCK], start)
+        if args.format == "kv":
+            lines = [f"nlpr.{i}={nl!r}\n" for i, nl in block]
+        else:
+            lines = [f"nlpr.{i}: {nl:.12g}\n" for i, nl in block]
+        sys.stdout.write("".join(lines))
     summary = [
         ("count", len(ds)),
         ("total", total),
         ("units", "bits" if args.bits else "nits"),
     ]
-    _emit(chain(per_datum, summary), args.format)
+    _emit(summary, args.format)
     return 0
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .models import Model
-from .values import DataSet, map_items, settle
+from .values import DataSet, exact_sum, map_items, settle
 
 __all__ = ["LN_2", "FitResult", "Estimator"]
 
@@ -126,7 +126,7 @@ class Estimator:
             raise EstimationError(
                 f"{family.name} cannot fit these data: the fit overflows a float"
             ) from None
-        return FitResult(model, model.msg1, data_costs(model, ds)[1])
+        return FitResult(model, model.msg1, _total(_cost_col(model, ds)))
 
 
 def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
@@ -135,10 +135,18 @@ def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
     score raises an error naming its index.
 
     The costs are scored a column at a time (``model.nl_pr_col``) and come
-    back as Python floats.  The total is inf when the costs are finite but
-    their sum is past the float range."""
+    back as Python floats.  The total is the column's correctly rounded sum,
+    with ``math.fsum``'s bits, by ``exact_sum`` (Rump, Ogita and Oishi's
+    ExtractVector, 2008) and without a list; it is inf when the costs are
+    finite but their sum is past the float range."""
+    costs = _cost_col(model, ds)
+    return costs.tolist(), _total(costs)
+
+
+def _cost_col(model: Model, ds: DataSet) -> np.ndarray:
+    """data_costs' costs, as a float64 column."""
     if len(ds) == 0:
-        return [], 0.0
+        return np.empty(0)
     if ds.kind != model.kind:
         raise DomainError(f"{model.name} scores {model.kind} data, got {ds.kind}")
     with np.errstate(all="ignore"):
@@ -146,9 +154,13 @@ def data_costs(model: Model, ds: DataSet) -> tuple[list[float], float]:
     # The per-datum nl_pr decides each row the columns could not score: it
     # raises the row's own error, naming the row, or gives its cost (which
     # may be infinite, as for a state of probability 0).
-    costs = settle((costs,), lambda i: map_items(model.nl_pr, ds, [i]))[0].tolist()
+    return settle((costs,), lambda i: map_items(model.nl_pr, ds, [i]))[0]
+
+
+def _total(costs: np.ndarray) -> float:
+    """msg2: the sum of a cost column."""
     try:
-        return costs, math.fsum(costs)
+        return exact_sum(costs)
     except OverflowError:
         # Every cost is finite, and their sum is past the float range.
-        return costs, math.inf
+        return math.inf

@@ -72,7 +72,7 @@ import numpy as np
 from .errors import DomainError, EstimationError, MsglenError, ParameterError, TransformError
 from .functions import FUNCTION_CLASS, IntegerSpace, _real
 from .values import CtsDatum, DataSet, DiscreteDatum, VecDatum, _aom_as_is, _at_index, _view
-from .values import each_value, map_dataset, settle
+from .values import each_value, exact_sum, map_dataset, settle
 
 __all__ = [
     "DEFAULT_SAMPLE_AOM",
@@ -251,15 +251,17 @@ def _scaled_fsum(column: np.ndarray, square: bool = False) -> tuple:
     sum is total * 2**k, or total * 2**(2*k) for the squares.
 
     The column is scaled by 2**-k, k the exponent of its largest magnitude,
-    before fsum adds it over Python floats.  So the sum is exact and rounded
-    once, it does not depend on the order numpy would add in, and no partial
-    sum passes the float range.  The scaling is exact unless a scaled value
-    leaves the normal floats, which needs a column that spans more than
-    about 2**1000 (2**500 for the squares).
+    and ``exact_sum`` (Rump, Ogita and Oishi's ExtractVector, 2008) adds
+    it: the sum is correctly rounded, with fsum's bits and without a list,
+    it does not depend on the order of the rows, and no partial sum
+    passes the float range, so exact_sum never hands it to fsum.  The
+    scaling is exact unless a scaled value leaves the normal floats, which
+    needs a column that spans more than about 2**1000 (2**500 for the
+    squares).
     """
     k = math.frexp(float(np.abs(column).max()))[1]
     scaled = np.ldexp(column, -k)
-    return math.fsum((np.square(scaled) if square else scaled).tolist()), k
+    return exact_sum(np.square(scaled) if square else scaled), k
 
 
 class NormalFamily(ContinuousFamily):

@@ -397,6 +397,45 @@ def each_value(fn, column, fill) -> list:
     return out
 
 
+# Below this many values, math.fsum over a list is faster than exact_sum's
+# passes, which cost about 13 µs a call; both are exact, so the bits agree.
+_EXACT_SUM_MIN = 512
+
+
+def exact_sum(column: np.ndarray) -> float:
+    """The correctly rounded sum of a float64 column: ``math.fsum(column.
+    tolist())`` bit for bit, without a Python float per value.
+
+    Each pass is ExtractVector (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci.
+    Comput. 31(1), 2008).  With every value below 2**e and 2**c >= n + 2,
+    sigma = 2**(e + c) splits each value p exactly into q = (sigma + p) -
+    sigma and p - q.  The q are multiples of 2**(e + c - 53) and no partial
+    sum of them reaches sigma, so numpy sums them exactly in any order.
+    The passes repeat on the p - q until they are all zero, and fsum rounds
+    the few exact pass sums once.  fsum alone sums a column of fewer than
+    _EXACT_SUM_MIN values, one of zeros, one with a value that is not
+    finite, and one whose sigma passes the float range: so the sign of a
+    zero, an inf or nan, and a ValueError or OverflowError are fsum's own.
+    """
+    n = len(column)
+    c = (n + 1).bit_length()
+    top = float(np.abs(column).max()) if n >= _EXACT_SUM_MIN else 0.0
+    if not 0.0 < top < math.inf or math.frexp(top)[1] + c > 1023:
+        return math.fsum(column.tolist())
+    rest = np.array(column, dtype=np.float64)
+    q = np.empty_like(rest)
+    sums = []
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + c)
+        np.add(rest, sigma, out=q)
+        q -= sigma
+        sums.append(float(q.sum()))
+        rest -= q
+        top = max(float(rest.max()), -float(rest.min()))
+    return math.fsum(sums)
+
+
 def infer_default_aom(values) -> float:
     """Granularity of a column: smallest positive gap between distinct
     sorted values, floored at 1e-6 of the value range.

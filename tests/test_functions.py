@@ -50,11 +50,6 @@ VECTOR_FUNCTIONS = [
 ]
 
 
-def central_diff(f, x, h=None):
-    h = h if h is not None else 1e-6 * max(1.0, abs(x))
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
 def sample_vector_point(f, rng):
     """A point interior to f's domain, away from angle branch cuts."""
     r = 10.0 ** float(rng.uniform(-1, 2))
@@ -74,8 +69,8 @@ class TestDerivatives:
         rng = np.random.default_rng(42)
         for _ in range(100):
             x = _domain_point(f, rng)
-            fd = central_diff(f, x)
-            assert f.d_dx(x) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            # |f'(x) - fd| <= max(1e-6 * |fd|, 1e-9), as approx(fd, rel=1e-6, abs=1e-9).
+            assert checks.derivative_fd_gap(f, x, floor=1e-3) <= 1e-6
 
 
 class TestInverses:

@@ -31,7 +31,7 @@ from msglen import exp, identity, linear, log
 from msglen.functions import ReversePermutation
 from msglen import values
 from msglen.checks import _domain_point
-from msglen.values import MIN_AOM, settled
+from msglen.values import MIN_AOM, exact_sum, settled
 
 
 class TestCtsDatum:
@@ -660,3 +660,95 @@ def test_every_per_row_error_carries_its_index(ds, f, error):
     with pytest.raises(error) as err:
         map_dataset(ds, f)
     assert err.value.index == 1 and str(err.value).startswith("index 1: ")
+
+
+def _fsum_outcome(total) -> str | type:
+    """total()'s float as hex, so its bits and the sign of a zero compare,
+    or the type of the ValueError or OverflowError it raises."""
+    try:
+        return total().hex()
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+def _pairs(rng, k: int, scale: int) -> np.ndarray:
+    """k values whose exact sum is 0: pairs v, -v with |v| near 2**scale,
+    and a 0 when k is odd."""
+    v = np.ldexp(rng.standard_normal(k // 2), scale + rng.integers(-30, 30, k // 2))
+    return np.concatenate([v, -v, np.zeros(k % 2)])
+
+
+@st.composite
+def _hard_columns(draw) -> np.ndarray:
+    """A finite float64 column, with a sum below 2**1000, that is hard to sum
+    exactly; its size falls either side of exact_sum's cutover."""
+    n = draw(st.sampled_from([0, 1, 2, 511, 512, 513, 1024, 3000]) | st.integers(0, 2048))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["wide", "one-sign", "subnormal", "cancel", "tie", "drawn"]))
+    if kind == "wide":  # magnitudes over 10**-300 to 10**300
+        col = np.ldexp(rng.standard_normal(n), rng.integers(-1000, 990, n))
+    elif kind == "one-sign":  # one sign, near the top of one binade: the sums grow most
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        col = np.ldexp(sign * rng.uniform(0.9, 1.0, n), int(rng.integers(-900, 900)))
+    elif kind == "subnormal":  # below the least normal float, some of them
+        col = np.ldexp(rng.standard_normal(n), rng.integers(-1076, -1000, n))
+    elif kind == "cancel":  # terms near 2**40 whose sum is near 2**-20
+        big = np.ldexp(rng.standard_normal(n // 2), 40)
+        residue = np.ldexp(rng.standard_normal(n // 2), rng.integers(-80, -20, n // 2))
+        col = np.concatenate([big, residue - big, rng.standard_normal(n % 2)])
+    elif kind == "tie":  # x plus half an ulp of x, in m equal pieces: a tie
+        x = math.ldexp(float(rng.standard_normal()), int(rng.integers(-900, 900)))
+        m = 1 << (max(n - 1, 1).bit_length() - 1)
+        piece = draw(st.sampled_from([-0.5, 0.5, 1.5])) * math.ulp(x) / m
+        rest = _pairs(rng, max(n - 1 - m, 0), int(rng.integers(-900, 900)))
+        col = np.concatenate([[x], np.full(m, piece), rest])[:n]
+    else:  # Hypothesis's own floats, padded with pairs that cancel
+        drawn = draw(st.lists(st.floats(-(2.0**980), 2.0**980), max_size=40))
+        col = np.concatenate([drawn, _pairs(rng, max(n - len(drawn), 0), 0)])
+    col = rng.permutation(col)
+    return col[::-1] if draw(st.booleans()) else col  # a strided view, sometimes
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_hard_columns())
+    def test_matches_fsum(self, col):
+        assert exact_sum(col).hex() == math.fsum(col.tolist()).hex()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        _hard_columns(),
+        st.lists(
+            st.sampled_from(
+                [math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max, 2.0**1014]
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_non_finite_and_overflowing_columns_match_fsum(self, col, specials, random):
+        # inf, nan, inf and -inf together, finite values whose sum passes the
+        # float range, or ones near its top: the same value, or the same error.
+        cells = col.tolist()
+        for special in specials:
+            cells.insert(random.randint(0, len(cells)), special)
+        col = np.array(cells)
+        assert _fsum_outcome(lambda: exact_sum(col)) == _fsum_outcome(
+            lambda: math.fsum(col.tolist())
+        )
+
+    def test_sums_a_long_column_without_a_list(self, monkeypatch):
+        # fsum only rounds the few exact pass sums of a column past the cutover.
+        sizes = []
+        fsum = math.fsum
+
+        def spy(xs):
+            xs = list(xs)
+            sizes.append(len(xs))
+            return fsum(xs)
+
+        monkeypatch.setattr(values.math, "fsum", spy)
+        col = np.random.default_rng(1).normal(3.0, 2.0, 10_000)
+        assert exact_sum(col) == fsum(col.tolist())
+        assert len(sizes) == 1 and sizes[0] <= 4
