@@ -680,8 +680,9 @@ def _pairs(rng, k: int, scale: int) -> np.ndarray:
 
 @st.composite
 def _hard_columns(draw) -> np.ndarray:
-    """A finite float64 column, with a sum below 2**1000, that is hard to sum
-    exactly; its size falls either side of exact_sum's cutover."""
+    """A finite float64 column that is hard to sum exactly, with values
+    below 2**995, so that no sum of its at most 3000 values nears the float
+    range; its size falls either side of exact_sum's cutover."""
     n = draw(st.sampled_from([0, 1, 2, 511, 512, 513, 1024, 3000]) | st.integers(0, 2048))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["wide", "one-sign", "subnormal", "cancel", "tie", "drawn"]))
